@@ -21,7 +21,6 @@ from .lstm import (
     LstmSequenceCache,
     LstmState,
     lstm_backward,
-    lstm_cell_backward,
     lstm_cell_forward,
     lstm_sequence,
     zero_state,
@@ -46,7 +45,6 @@ __all__ = [
     "LstmState",
     "LstmSequenceCache",
     "lstm_cell_forward",
-    "lstm_cell_backward",
     "lstm_sequence",
     "lstm_backward",
     "zero_state",

@@ -21,13 +21,20 @@ def check_finite(x: np.ndarray, context: str = "") -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return sigmoid_inplace(np.array(x, dtype=np.float64))
+
+
+def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array x with sigmoid(x) and return it.
+
+    Uses sigmoid(x) = 0.5 * (1 + tanh(x / 2)): one tanh, no mask, and
+    nothing that can overflow.
+    """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def activation(kind: str, x: np.ndarray) -> np.ndarray:

@@ -283,7 +283,7 @@ def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,
     return loss, acc
 
 
-def _run_epochs(
+def run_epochs(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
     batch_features: Callable[[np.ndarray], object],
@@ -294,7 +294,8 @@ def _run_epochs(
 
     batch_features maps an index array to the model input for those
     samples; swapping it is the only difference between the vectorized
-    and non-vectorized benchmark pipelines.
+    and non-vectorized benchmark pipelines. The CLI bench command calls
+    it with its own feature function.
     """
     n = y_onehot.shape[0]
     state = AdamState.create(params)
@@ -327,17 +328,13 @@ def _run_epochs(
     return params, losses, accuracies, seconds
 
 
-# The loop is reused by the CLI bench command with a custom feature fn.
-run_epochs = _run_epochs
-
-
 def train_model(
     spec: ModelSpec, data: TrainData, config: TrainConfig
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
     """Minibatch Adam on softmax cross-entropy over preprocessed data."""
     params = init_model_params(spec, seed=config.seed)
     initial_loss, initial_acc = evaluate_loss(spec, params, data.x_train, data.y_train)
-    params, losses, accs, seconds = _run_epochs(
+    params, losses, accs, seconds = run_epochs(
         spec, params, lambda idx: _take(data.x_train, idx), data.y_train, config
     )
     val_accuracy = None
@@ -483,12 +480,12 @@ def benchmark_pipelines(
     t_vectorization = time.perf_counter() - t0
 
     params = init_model_params(spec, seed=config.seed)
-    _, losses_novec, _, t_novec = _run_epochs(
+    _, losses_novec, _, t_novec = run_epochs(
         spec, params, pipeline.batch_fn(), y_onehot, config
     )
 
     params = init_model_params(spec, seed=config.seed)
-    _, losses_vec, _, t_vec = _run_epochs(
+    _, losses_vec, _, t_vec = run_epochs(
         spec, params, lambda idx: x_vec[idx], y_onehot, config
     )
 

@@ -75,6 +75,107 @@ def scalar_lstm_cell(x, h_prev, c_prev, w, b):
     return h, c
 
 
+def einsum_conv1d(x, kernels, biases):
+    """Valid cross-correlation by einsum over explicit windows.
+
+    x: (N, L, C_in), kernels: (K, C_in, k) -> (N, L-k+1, K).
+    """
+    width = kernels.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=1)
+    return np.einsum("nwcj,ocj->nwo", windows, kernels) + biases
+
+
+def einsum_conv1d_backward(x, kernels, grad_out):
+    """(d_kernels, d_biases, d_input) of einsum_conv1d, tap by tap."""
+    width = kernels.shape[2]
+    n_windows = x.shape[1] - width + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=1)
+    d_kernels = np.einsum("nwo,nwcj->ocj", grad_out, windows)
+    d_biases = grad_out.sum(axis=(0, 1))
+    d_input = np.zeros_like(x)
+    for j in range(width):
+        # grad_out at window w touches input position w + j
+        d_input[:, j:j + n_windows, :] += np.einsum(
+            "nwo,oc->nwc", grad_out, kernels[:, :, j])
+    return d_kernels, d_biases, d_input
+
+
+def _split_sigmoid(x):
+    # Split by sign so exp never overflows.
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_gate_lstm(seq, w, b, return_sequences):
+    """LSTM over seq (N, T, F) from the zero state, one product per gate
+    and step on the concatenation [x_t; h_{t-1}].
+
+    w, b: dicts of gate name -> (H, F+H) matrix / (H,) bias. Returns the
+    output ((N, T, H) or (N, H)) and the per-step caches for
+    per_gate_lstm_backward.
+    """
+    n, t_len, _ = seq.shape
+    hidden = b["i"].shape[0]
+    h = np.zeros((n, hidden))
+    c = np.zeros((n, hidden))
+    steps, outputs = [], []
+    for t in range(t_len):
+        z = np.concatenate([seq[:, t, :], h], axis=1)
+        i = _split_sigmoid(z @ w["i"].T + b["i"])
+        f = _split_sigmoid(z @ w["f"].T + b["f"])
+        o = _split_sigmoid(z @ w["o"].T + b["o"])
+        g = np.tanh(z @ w["g"].T + b["g"])
+        c_prev, c = c, f * c + i * g
+        h = o * np.tanh(c)
+        steps.append((z, i, f, o, g, c, c_prev))
+        outputs.append(h)
+    out = np.stack(outputs, axis=1)
+    return (out if return_sequences else out[:, -1, :]), steps
+
+
+def per_gate_lstm_backward(steps, w, grad_out, return_sequences):
+    """BPTT through per_gate_lstm, one step and one gate at a time.
+
+    Returns (grads keyed w_i ... b_g, input grads (N, T, F)).
+    """
+    t_len = len(steps)
+    n, hidden = steps[0][1].shape
+    n_in = w["i"].shape[1] - hidden
+    totals = {f"{kind}_{gate}": 0.0 for kind in "wb" for gate in "ifog"}
+    dx_all = np.zeros((n, t_len, n_in))
+    dh_next = np.zeros((n, hidden))
+    dc_next = np.zeros((n, hidden))
+    for t in range(t_len - 1, -1, -1):
+        z, i, f, o, g, c, c_prev = steps[t]
+        dh = dh_next.copy()
+        if return_sequences:
+            dh += grad_out[:, t, :]
+        elif t == t_len - 1:
+            dh += grad_out
+        tanh_c = np.tanh(c)
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        da = {
+            "i": dc * g * i * (1.0 - i),
+            "f": dc * c_prev * f * (1.0 - f),
+            "o": do * o * (1.0 - o),
+            "g": dc * i * (1.0 - g * g),
+        }
+        dz = np.zeros_like(z)
+        for gate, d in da.items():
+            totals[f"w_{gate}"] = totals[f"w_{gate}"] + d.T @ z
+            totals[f"b_{gate}"] = totals[f"b_{gate}"] + d.sum(axis=0)
+            dz += d @ w[gate]
+        dx_all[:, t, :] = dz[:, :n_in]
+        dh_next = dz[:, n_in:]
+        dc_next = dc * f
+    return totals, dx_all
+
+
 def brute_force_histogram(norm_lat, norm_lon, grid_size):
     """Per-point binning with explicit floor and clamp."""
     grid = [[0 for _ in range(grid_size)] for _ in range(grid_size)]

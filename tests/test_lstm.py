@@ -13,7 +13,13 @@ from veclstm.neuralnet import (
     zero_state,
 )
 
-from _oracles import central_difference_grads, relative_error, scalar_lstm_cell
+from _oracles import (
+    central_difference_grads,
+    per_gate_lstm,
+    per_gate_lstm_backward,
+    relative_error,
+    scalar_lstm_cell,
+)
 
 GATES = ("i", "f", "o", "g")
 PARAM_KEYS = ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")
@@ -72,6 +78,12 @@ class TestCellForward:
         with pytest.raises(ShapeMismatch):
             lstm_cell_forward(np.zeros((1, 5)), zero_state(1, 3), params)
 
+    def test_cell_state_shape_mismatch(self):
+        params = zero_params(2, 3)
+        state = LstmState(h=np.zeros((2, 3)), c=np.zeros((1, 3)))
+        with pytest.raises(ShapeMismatch):
+            lstm_cell_forward(np.zeros((2, 2)), state, params)
+
 
 class TestSequence:
     def test_single_step_modes_agree(self):
@@ -103,6 +115,34 @@ class TestSequence:
         for t in range(3):
             h, c = scalar_lstm_cell(seq[0, t].tolist(), h, c, w, b)
             assert np.allclose(out[0, t], h, atol=1e-12, rtol=0)
+
+
+class TestStackedGatesMatchPerGateOracle:
+    """The stacked-gate kernels against one product per gate and step."""
+
+    @pytest.mark.parametrize("t_len", [1, 4])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_forward_and_backward(self, t_len, return_sequences):
+        rng = np.random.default_rng(31 + t_len)
+        params = random_params(rng, 3, 5)
+        seq = rng.normal(size=(6, t_len, 3))
+        w = {g: getattr(params, f"w_{g}") for g in GATES}
+        b = {g: getattr(params, f"b_{g}") for g in GATES}
+
+        out, cache = lstm_sequence(seq, params, return_sequences=return_sequences)
+        ref_out, ref_steps = per_gate_lstm(seq, w, b, return_sequences)
+        assert out.shape == ref_out.shape
+        assert relative_error(out, ref_out) < 1e-12
+
+        direction = rng.normal(size=out.shape)
+        grads, dx = lstm_backward(cache, params, direction)
+        ref_grads, ref_dx = per_gate_lstm_backward(ref_steps, w, direction,
+                                                   return_sequences)
+        for key in PARAM_KEYS:
+            assert grads[key].shape == getattr(params, key).shape, key
+            assert relative_error(grads[key], ref_grads[key]) < 1e-12, key
+        assert dx.shape == seq.shape
+        assert relative_error(dx, ref_dx) < 1e-12
 
 
 class TestBackward:

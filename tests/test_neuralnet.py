@@ -35,7 +35,12 @@ from veclstm.neuralnet import (
     softmax_cross_entropy,
 )
 
-from _oracles import central_difference_grads, relative_error
+from _oracles import (
+    central_difference_grads,
+    einsum_conv1d,
+    einsum_conv1d_backward,
+    relative_error,
+)
 
 
 class TestActivations:
@@ -165,6 +170,24 @@ class TestConv1d:
         with pytest.raises(InputTooShort):
             conv1d_forward(np.zeros((1, 2, 1)), params)
 
+    def test_gemm_matches_einsum_oracle(self):
+        # the hybrid model's grid branch: (N, 10, 10) input, k = 3, K = 64
+        rng = np.random.default_rng(12)
+        params = Conv1dParams(kernels=rng.normal(size=(64, 10, 3)),
+                              biases=rng.normal(size=64))
+        x = rng.normal(size=(16, 10, 10))
+        out = conv1d_forward(x, params)
+        ref = einsum_conv1d(x, params.kernels, params.biases)
+        assert out.shape == ref.shape == (16, 8, 64)
+        assert relative_error(out, ref) < 1e-12
+
+        direction = rng.normal(size=out.shape)
+        grads = conv1d_backward(x, params, direction)
+        ref_grads = einsum_conv1d_backward(x, params.kernels, direction)
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape
+            assert relative_error(got, want) < 1e-12
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         params = Conv1dParams(kernels=rng.normal(size=(3, 2, 3)),
@@ -188,6 +211,15 @@ class TestMaxPool:
         x = np.random.default_rng(0).normal(size=(2, 5, 3))
         out, _ = maxpool1d_forward(x, 1)
         assert np.array_equal(out, x)
+
+    def test_pool_one_backward_passes_gradient_through(self):
+        x = np.random.default_rng(1).normal(size=(2, 5, 3))
+        _, argmax = maxpool1d_forward(x, 1)
+        direction = np.random.default_rng(2).normal(size=x.shape)
+        expected = direction.copy()
+        dx = maxpool1d_backward(x.shape, 1, argmax, direction)
+        assert dx is direction
+        assert np.array_equal(dx, expected)
 
     def test_simple_windows(self):
         x = np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1)
