@@ -220,7 +220,6 @@ class PreparedData:
     data: TrainData
     x_test: "np.ndarray | tuple"
     y_test_codes: np.ndarray
-    x_val: "np.ndarray | tuple | None"
     y_val_codes: np.ndarray | None
 
 
@@ -280,7 +279,6 @@ def prepare_splits(
         data=data,
         x_test=assemble(x_test),
         y_test_codes=y_test,
-        x_val=data.x_val,
         y_val_codes=y_val if len(y_val) else None,
     )
 

@@ -68,6 +68,12 @@ class ModelSpec:
     def has_grid_branch(self) -> bool:
         return self.architecture == HYBRID
 
+    @property
+    def grid_features(self) -> int:
+        """Width of the flattened conv branch output that enters fusion."""
+        conv_len = self.grid_size - self.conv_kernel + 1
+        return (conv_len // self.pool_size) * self.conv_filters
+
     def layer_summary(self) -> list[dict[str, Any]]:
         """Structural description, comparable across specs."""
         act = self.lstm_output_activation
@@ -78,13 +84,11 @@ class ModelSpec:
              "return_sequences": False, "output_activation": act},
         ]
         if self.has_grid_branch:
-            conv_len = self.grid_size - self.conv_kernel + 1
             layers += [
                 {"kind": "conv1d", "filters": self.conv_filters,
                  "kernel": self.conv_kernel, "activation": "relu"},
                 {"kind": "maxpool1d", "pool": self.pool_size},
-                {"kind": "flatten",
-                 "width": (conv_len // self.pool_size) * self.conv_filters},
+                {"kind": "flatten", "width": self.grid_features},
                 {"kind": "concatenate"},
                 {"kind": "dense", "units": self.fusion_units, "activation": "relu"},
             ]
@@ -137,11 +141,9 @@ def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         shapes[f"lstm2.b_{gate}"] = (h2,)
     head_in = h2
     if spec.has_grid_branch:
-        conv_len = spec.grid_size - spec.conv_kernel + 1
-        flat = (conv_len // spec.pool_size) * spec.conv_filters
         shapes["conv.kernels"] = (spec.conv_filters, spec.grid_size, spec.conv_kernel)
         shapes["conv.biases"] = (spec.conv_filters,)
-        shapes["fusion.w"] = (spec.fusion_units, h2 + flat)
+        shapes["fusion.w"] = (spec.fusion_units, h2 + spec.grid_features)
         shapes["fusion.b"] = (spec.fusion_units,)
         head_in = spec.fusion_units
     shapes["head.w"] = (spec.n_classes, head_in)
@@ -165,9 +167,7 @@ def init_model_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
         conv = init_conv1d(rng, spec.grid_size, spec.conv_filters, spec.conv_kernel)
         params["conv.kernels"] = conv.kernels
         params["conv.biases"] = conv.biases
-        conv_len = spec.grid_size - spec.conv_kernel + 1
-        flat = (conv_len // spec.pool_size) * spec.conv_filters
-        fusion = init_dense(rng, h2 + flat, spec.fusion_units)
+        fusion = init_dense(rng, h2 + spec.grid_features, spec.fusion_units)
         params["fusion.w"] = fusion.w
         params["fusion.b"] = fusion.b
         head = init_dense(rng, spec.fusion_units, spec.n_classes)
@@ -202,7 +202,8 @@ class ForwardCache:
     internals: dict[str, Any] = field(repr=False, default_factory=dict)
 
 
-def _normalize_inputs(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray | None]:
+def normalize_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray | None]:
+    """(features, grids or None) of a model input as checked float64 arrays."""
     if spec.has_grid_branch:
         if not (isinstance(batch, (tuple, list)) and len(batch) == 2):
             raise ShapeMismatch("hybrid model expects (features, grids) inputs")
@@ -231,6 +232,82 @@ def _emit(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     return h
 
 
+# A batch is deduplicated only when at least this share of its rows
+# repeats. The gathers and the scatter-add cost about 1% of a step, so
+# below this share the saving is lost in step-to-step noise, and the
+# plain path keeps such batches bit-identical to a model that never
+# deduplicates.
+MIN_REPEAT_SHARE = 0.05
+
+_MIX = np.uint64(0xBF58476D1CE4E5B9)
+_ODD_WEIGHT = np.uint64(0x9E3779B97F4A7C15)
+# Rows are hashed and compared this many at a time, so a whole dataset
+# passed to predict is never copied at once.
+_CHUNK_ROWS = 4096
+
+
+def _row_keys(words: np.ndarray, first_column: int) -> np.ndarray:
+    """A 64-bit hash of each row of a (N, D) uint64 array whose columns
+    start at first_column of the whole row.
+
+    Each word is mixed on its own (round floats keep all their bits at
+    the top), then the words are summed with odd per-column weights.
+    Integer sums wrap exactly in any order, so equal rows get equal
+    keys wherever they sit in the batch.
+    """
+    mixed = words >> np.uint64(32)
+    mixed ^= words
+    mixed *= _MIX
+    mixed ^= mixed >> np.uint64(29)
+    start = 2 * first_column + 1
+    mixed *= np.arange(start, start + 2 * words.shape[1], 2, dtype=np.uint64) * _ODD_WEIGHT
+    return mixed.sum(axis=1)
+
+
+def distinct_rows(
+    meta: np.ndarray, grid: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first, inverse) over the byte-distinct rows of a batch.
+
+    A row is one sample's features together with its grid. ``first``
+    indexes one occurrence of each distinct row and ``first[inverse]``
+    maps every row to the occurrence it repeats. Returns None when fewer
+    than MIN_REPEAT_SHARE of the rows repeat. Rows are keyed by a hash
+    of their bytes, checked against the bytes themselves; where two
+    different rows share a key, they are keyed by their bytes directly.
+    """
+    n = meta.shape[0]
+    parts = [np.ascontiguousarray(p).reshape(n, -1).view(np.uint64)
+             for p in (meta, grid) if p is not None]
+    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
+
+    def unique(keys):
+        # A plain sort counts the repeats at a tenth of np.unique's cost,
+        # so a batch that is not deduplicated pays only for the sort.
+        ordered = np.sort(keys)
+        repeats = np.count_nonzero(ordered[1:] == ordered[:-1])
+        if repeats == 0 or repeats < MIN_REPEAT_SHARE * n:
+            return None
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first, inverse
+
+    keys = np.zeros(n, dtype=np.uint64)
+    column = 0
+    for words in parts:
+        for rows in chunks:
+            keys[rows] += _row_keys(words[rows], column)
+        column += words.shape[1]
+    found = unique(keys)
+    if found is None:
+        return None
+    copy_of = found[0][found[1]]
+    if all(np.array_equal(words[copy_of[rows]], words[rows])
+           for words in parts for rows in chunks):
+        return found
+    rows = np.concatenate(parts, axis=1)
+    return unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+
+
 def model_forward(
     spec: ModelSpec, params: dict[str, np.ndarray], batch,
     with_cache: bool = False,
@@ -239,8 +316,33 @@ def model_forward(
 
     batch is (N, timesteps, features) for the LSTM architectures and a
     (features, grids) pair for the hybrid, grids being (N, G, G).
+
+    Rows that repeat byte for byte run through the layers once: the
+    model starts every row from a zero state, so equal rows give equal
+    activations. Logits and probabilities are expanded back to N rows,
+    so each sample keeps its own entry.
     """
-    meta, grid = _normalize_inputs(spec, batch)
+    meta, grid = normalize_batch(spec, batch)
+    distinct = distinct_rows(meta, grid)
+    if distinct is not None:
+        first, inverse = distinct
+        meta = meta[first]
+        grid = None if grid is None else grid[first]
+    logits, internals = _forward_rows(spec, params, meta, grid)
+    probs = softmax(logits)
+    if distinct is not None:
+        logits, probs = logits[inverse], probs[inverse]
+        internals["inverse"] = inverse
+    if not with_cache:
+        return probs
+    return probs, ForwardCache(logits=logits, probs=probs, internals=internals)
+
+
+def _forward_rows(
+    spec: ModelSpec, params: dict[str, np.ndarray], meta: np.ndarray,
+    grid: np.ndarray | None,
+) -> tuple[np.ndarray, dict[str, Any]]:
+    """Logits for every row, and the internals _backward_rows needs."""
     internals: dict[str, Any] = {}
 
     lstm1 = _lstm_view(params, "lstm1")
@@ -271,11 +373,7 @@ def model_forward(
     internals["head_in"] = head_in
 
     head = DenseParams(params["head.w"], params["head.b"])
-    logits = dense_forward(head_in, head)
-    probs = softmax(logits)
-    if not with_cache:
-        return probs
-    return probs, ForwardCache(logits=logits, probs=probs, internals=internals)
+    return dense_forward(head_in, head), internals
 
 
 def model_backward(
@@ -284,8 +382,29 @@ def model_backward(
     cache: ForwardCache,
     grad_logits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients for every parameter block given d(loss)/d(logits)."""
+    """Gradients for every parameter block given d(loss)/d(logits).
+
+    For a deduplicated batch the N rows of grad_logits are first summed
+    onto the distinct row each one repeats.
+    """
     iv = cache.internals
+    inverse = iv.get("inverse")
+    if inverse is not None:
+        grad_logits = np.asarray(grad_logits, dtype=np.float64)
+        if grad_logits.shape != cache.logits.shape:
+            raise ShapeMismatch("logit gradient shape does not match the batch")
+        summed = np.zeros((iv["head_in"].shape[0], grad_logits.shape[1]))
+        np.add.at(summed, inverse, grad_logits)
+        grad_logits = summed
+    return _backward_rows(spec, params, iv, grad_logits)
+
+
+def _backward_rows(
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    iv: dict[str, Any],
+    grad_logits: np.ndarray,
+) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
 
     head = DenseParams(params["head.w"], params["head.b"])
@@ -306,7 +425,7 @@ def model_backward(
         )
         d_pre_conv = d_act_conv * (iv["pre_conv"] > 0)
         conv = Conv1dParams(params["conv.kernels"], params["conv.biases"])
-        dk, dbias, _ = conv1d_backward(iv["grid"], conv, d_pre_conv)
+        dk, dbias, _ = conv1d_backward(iv["grid"], conv, d_pre_conv, input_grad=False)
         grads["conv.kernels"], grads["conv.biases"] = dk, dbias
     else:
         d_e2 = d_head_in

@@ -4,7 +4,8 @@ The convolution is computed as im2col + one matrix product: the k-wide
 windows of x, laid out as rows of length C_in*k, times the kernels
 flattened to (K, C_in*k). The backward pass is two more products, one
 for the kernel gradient and one for the input gradient, whose window
-columns are folded back onto the input with k shifted adds.
+columns are folded back onto the input with k shifted adds. A caller
+that needs only the parameter gradients can skip the second product.
 
 Max pooling with pool = 1 is the identity: forward returns its input
 and no cache, backward returns its upstream gradient.
@@ -60,9 +61,13 @@ def conv1d_forward(x: np.ndarray, params: Conv1dParams) -> np.ndarray:
 
 
 def conv1d_backward(
-    x: np.ndarray, params: Conv1dParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_kernels, d_biases, d_input) for conv1d_forward."""
+    x: np.ndarray, params: Conv1dParams, grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gradients (d_kernels, d_biases, d_input) for conv1d_forward.
+
+    With input_grad=False, d_input is not formed and is returned as None.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[np.newaxis]
@@ -77,6 +82,8 @@ def conv1d_backward(
     flat_kernels = params.kernels.reshape(k_filters, c_in * width)
     d_kernels = (g.T @ _columns(x, width)).reshape(k_filters, c_in, width)
     d_biases = g.sum(axis=0)
+    if not input_grad:
+        return d_kernels, d_biases, None
     d_cols = (g @ flat_kernels).reshape(n, n_windows, c_in, width)
     d_input = np.zeros_like(x)
     for j in range(width):

@@ -25,9 +25,11 @@ from .errors import (
 from .models import (
     ModelSpec,
     build_veclstm,
+    distinct_rows,
     init_model_params,
     model_backward,
     model_forward,
+    normalize_batch,
 )
 from .neuralnet import softmax_cross_entropy
 from .vectorizer import (
@@ -264,13 +266,22 @@ class TrainReport:
 
 
 def predict(spec: ModelSpec, params: dict, x, batch_size: int = 4096) -> np.ndarray:
-    """Probabilities over a dataset, evaluated in batches."""
+    """Probabilities over a dataset, evaluated in batches.
+
+    When enough rows repeat (models.MIN_REPEAT_SHARE), each distinct
+    row is evaluated once over the whole dataset, so equal rows get
+    bit-identical probabilities whichever batch they would fall in.
+    """
+    distinct = distinct_rows(*normalize_batch(spec, x))
+    if distinct is not None:
+        x = _take(x, distinct[0])
     n = _length(x)
     parts = [
         model_forward(spec, params, _take(x, np.arange(lo, min(lo + batch_size, n))))
         for lo in range(0, n, batch_size)
     ]
-    return np.concatenate(parts, axis=0)
+    probs = np.concatenate(parts, axis=0)
+    return probs if distinct is None else probs[distinct[1]]
 
 
 def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,

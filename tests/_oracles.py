@@ -176,6 +176,25 @@ def per_gate_lstm_backward(steps, w, grad_out, return_sequences):
     return totals, dx_all
 
 
+def per_row_model_gradients(forward, backward, spec, params, batch, grad_logits):
+    """Probabilities and parameter gradients of a batch, one row at a time.
+
+    forward / backward are model_forward / model_backward. Each row runs
+    as its own single-row batch, which has no repeated row to merge, and
+    the gradients are summed over the rows.
+    """
+    parts = batch if isinstance(batch, tuple) else (batch,)
+    probs, totals = [], {}
+    for i in range(len(parts[0])):
+        rows = tuple(part[i:i + 1] for part in parts)
+        row_probs, cache = forward(spec, params, rows if len(rows) > 1 else rows[0],
+                                   with_cache=True)
+        probs.append(row_probs[0])
+        for key, grad in backward(spec, params, cache, grad_logits[i:i + 1]).items():
+            totals[key] = totals.get(key, 0.0) + grad
+    return np.array(probs), totals
+
+
 def brute_force_histogram(norm_lat, norm_lon, grid_size):
     """Per-point binning with explicit floor and clamp."""
     grid = [[0 for _ in range(grid_size)] for _ in range(grid_size)]

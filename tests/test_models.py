@@ -5,22 +5,29 @@ import json
 import numpy as np
 import pytest
 
+from veclstm import models
+from veclstm.errors import ShapeMismatch
 from veclstm.models import (
     HYBRID,
     LSTM_BASELINE,
+    MIN_REPEAT_SHARE,
     VECLSTM,
     ModelSpec,
     build_hybrid,
     build_lstm_stack,
     build_veclstm,
+    distinct_rows,
     init_model_params,
     model_backward,
     model_forward,
+    normalize_batch,
     param_count,
 )
-from veclstm.neuralnet import softmax_cross_entropy
+from veclstm.models import _backward_rows, _forward_rows, _row_keys
+from veclstm.neuralnet import softmax, softmax_cross_entropy
+from veclstm.trainer import predict
 
-from _oracles import central_difference_grads, relative_error
+from _oracles import central_difference_grads, per_row_model_gradients, relative_error
 
 
 class TestBuilders:
@@ -144,9 +151,10 @@ class TestOutputActivationFlag:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("case", ["lstm", "hybrid", "hybrid_relu"])
+    @pytest.mark.parametrize(
+        "case", ["lstm", "hybrid", "hybrid_relu", "lstm_repeated", "hybrid_repeated"])
     def test_whole_model_gradient_check(self, case):
-        if case == "lstm":
+        if case.startswith("lstm"):
             spec = ModelSpec(architecture=LSTM_BASELINE, n_features=2,
                              lstm_units=(4, 3))
         else:
@@ -158,18 +166,25 @@ class TestBackward:
         rng = np.random.default_rng(11)
         params = init_model_params(spec, seed=12)
         meta = rng.normal(size=(3, 1, 2))
+        grids = rng.normal(size=(3, 6, 6))
+        labels = [1, 4, 6]
+        if case.endswith("repeated"):
+            # repeated rows carry different labels, so their gradients differ
+            rows = [0, 1, 0, 2, 0, 1]
+            meta, grids, labels = meta[rows], grids[rows], [1, 4, 2, 6, 5, 4]
         if spec.architecture == HYBRID:
-            batch = (meta, rng.normal(size=(3, 6, 6)))
+            batch = (meta, grids)
         else:
             batch = meta
-        targets = np.zeros((3, 7))
-        targets[np.arange(3), [1, 4, 6]] = 1.0
+        targets = np.zeros((len(labels), 7))
+        targets[np.arange(len(labels)), labels] = 1.0
 
         def loss():
             probs, cache = model_forward(spec, params, batch, with_cache=True)
             return softmax_cross_entropy(cache.logits, targets)[1]
 
         _, cache = model_forward(spec, params, batch, with_cache=True)
+        assert ("inverse" in cache.internals) == case.endswith("repeated")
         _, _, d_logits = softmax_cross_entropy(cache.logits, targets)
         grads = model_backward(spec, params, cache, d_logits)
 
@@ -177,3 +192,136 @@ class TestBackward:
         numeric = central_difference_grads(loss, params)
         for key in params:
             assert relative_error(grads[key], numeric[key]) < 1e-4, key
+
+
+def _small_hybrid():
+    return ModelSpec(architecture=HYBRID, n_features=1, lstm_units=(4, 3),
+                     grid_size=6, conv_filters=2, conv_kernel=3, fusion_units=5)
+
+
+def _one_hot_grids(cells, grid_size):
+    grids = np.zeros((len(cells), grid_size, grid_size))
+    grids[np.arange(len(cells)), cells // grid_size, cells % grid_size] = 1.0
+    return grids
+
+
+def _max_relative(got, want):
+    """Largest difference relative to the largest entry of want."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestDeduplication:
+    """Rows that repeat run once; results match running every row alone."""
+
+    def batch(self, case):
+        rng = np.random.default_rng(21)
+        if case == "hybrid":
+            spec = _small_hybrid()
+            cells = rng.choice([3, 17, 30], size=40)
+            # each cell carries its own scalar, as cell_density does
+            meta = np.array([0.2, -1.1, 0.7])[np.searchsorted([3, 17, 30], cells)]
+            batch = (meta.reshape(-1, 1, 1), _one_hot_grids(cells, spec.grid_size))
+        else:
+            timesteps = int(case[-1])
+            spec = ModelSpec(architecture=VECLSTM, timesteps=timesteps, lstm_units=(4, 3))
+            values = rng.normal(size=(4, timesteps, 1))
+            batch = values[rng.integers(0, 4, size=40)]
+        return spec, batch
+
+    @pytest.mark.parametrize("case", ["hybrid", "veclstm_t1", "veclstm_t3"])
+    def test_matches_per_row_oracle(self, case):
+        spec, batch = self.batch(case)
+        params = init_model_params(spec, seed=5)
+        rng = np.random.default_rng(22)
+        targets = np.zeros((40, 7))
+        targets[np.arange(40), rng.integers(0, 7, size=40)] = 1.0
+
+        probs, cache = model_forward(spec, params, batch, with_cache=True)
+        distinct = cache.internals["head_in"].shape[0]
+        assert distinct <= 4 and probs.shape == cache.logits.shape == (40, 7)
+        _, _, d_logits = softmax_cross_entropy(cache.logits, targets)
+        grads = model_backward(spec, params, cache, d_logits)
+
+        ref_probs, ref_grads = per_row_model_gradients(
+            model_forward, model_backward, spec, params, batch, d_logits)
+        assert _max_relative(probs, ref_probs) < 1e-12
+        assert set(grads) == set(ref_grads) == set(params)
+        for key in params:
+            assert _max_relative(grads[key], ref_grads[key]) < 1e-12, key
+
+    @pytest.mark.parametrize("batch_size", [3, 4096])
+    def test_predict_gives_equal_rows_equal_probabilities(self, batch_size):
+        # At full width, a row's BLAS rounding depends on where it sits in
+        # a batch; each distinct row must still be computed only once.
+        _, (meta, small_grids) = self.batch("hybrid")
+        spec = build_hybrid(1)
+        cells = np.argmax(small_grids.reshape(len(meta), -1), axis=1)
+        batch = (meta, _one_hot_grids(cells, spec.grid_size))
+        params = init_model_params(spec, seed=5)
+        probs = predict(spec, params, batch, batch_size=batch_size)
+        first, inverse = distinct_rows(*normalize_batch(spec, batch))
+        assert np.array_equal(probs, probs[first][inverse])
+        assert _max_relative(probs, model_forward(spec, params, batch)) < 1e-12
+
+    def test_batch_without_enough_repeats_takes_plain_path(self):
+        spec = _small_hybrid()
+        params = init_model_params(spec, seed=5)
+        rng = np.random.default_rng(23)
+        meta = rng.normal(size=(40, 1, 1))
+        grids = rng.normal(size=(40, 6, 6))
+        assert distinct_rows(meta, grids) is None
+        # one repeat in 40 rows is below MIN_REPEAT_SHARE
+        assert 1 / 40 < MIN_REPEAT_SHARE
+        meta[1], grids[1] = meta[0], grids[0]
+        assert distinct_rows(meta, grids) is None
+
+        probs, cache = model_forward(spec, params, (meta, grids), with_cache=True)
+        assert "inverse" not in cache.internals
+        logits, internals = _forward_rows(spec, params, meta, grids)
+        assert np.array_equal(cache.logits, logits)
+        assert np.array_equal(probs, softmax(logits))
+        d_logits = rng.normal(size=(40, 7))
+        grads = model_backward(spec, params, cache, d_logits)
+        plain = _backward_rows(spec, params, internals, d_logits)
+        for key in params:
+            assert np.array_equal(grads[key], plain[key]), key
+
+    def test_key_collision_falls_back_to_row_bytes(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        meta = rng.normal(size=(3, 1, 1))[[0, 1, 0, 2, 1, 0]]
+        grids = rng.normal(size=(3, 6, 6))[[0, 1, 0, 2, 1, 0]]
+        expected = distinct_rows(meta, grids)
+        monkeypatch.setattr(models, "_row_keys", lambda words, column: np.zeros(len(words), np.uint64))
+        first, inverse = distinct_rows(meta, grids)
+        assert np.array_equal(meta[first][inverse], meta)
+        assert np.array_equal(grids[first][inverse], grids)
+        assert first.size == expected[0].size == 3
+
+    def test_chunked_hashing_matches_one_chunk(self, monkeypatch):
+        _, (meta, grids) = self.batch("hybrid")
+        expected = distinct_rows(meta, grids)
+        monkeypatch.setattr(models, "_CHUNK_ROWS", 7)
+        first, inverse = distinct_rows(meta, grids)
+        assert np.array_equal(first, expected[0])
+        assert np.array_equal(inverse, expected[1])
+
+    def test_structured_rows_get_distinct_keys(self):
+        # a key collision is only slower, but common inputs must not need it
+        grids = _one_hot_grids(np.arange(100), 10).reshape(100, -1)
+        pairs = np.stack(np.meshgrid(np.arange(100.0), np.arange(100.0)), -1).reshape(-1, 2)
+        for rows in (grids, pairs, np.concatenate([grids, grids[:, :1] / 8], axis=1)):
+            keys = _row_keys(np.ascontiguousarray(rows).view(np.uint64), 0)
+            assert np.unique(keys).size == len(rows)
+
+    def test_negative_zero_is_a_distinct_row(self):
+        meta = np.array([0.0, -0.0, 0.0, -0.0]).reshape(4, 1, 1)
+        first, inverse = distinct_rows(meta, None)
+        assert first.size == 2
+        assert np.array_equal(np.signbit(meta[first][inverse]), np.signbit(meta))
+
+    def test_logit_gradient_must_cover_every_row(self):
+        spec, batch = self.batch("veclstm_t1")
+        params = init_model_params(spec, seed=5)
+        _, cache = model_forward(spec, params, batch, with_cache=True)
+        with pytest.raises(ShapeMismatch):
+            model_backward(spec, params, cache, np.zeros((4, 7)))

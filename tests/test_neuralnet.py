@@ -188,6 +188,11 @@ class TestConv1d:
             assert got.shape == want.shape
             assert relative_error(got, want) < 1e-12
 
+        # the parameter-only call gives the same parameter gradients
+        dk, db, dx = conv1d_backward(x, params, direction, input_grad=False)
+        assert dx is None
+        assert np.array_equal(dk, grads[0]) and np.array_equal(db, grads[1])
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         params = Conv1dParams(kernels=rng.normal(size=(3, 2, 3)),
