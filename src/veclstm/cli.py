@@ -220,7 +220,6 @@ class PreparedData:
     data: TrainData
     x_test: "np.ndarray | tuple"
     y_test_codes: np.ndarray
-    y_val_codes: np.ndarray | None
 
 
 def _feature_tensor(meta_scaled: np.ndarray) -> np.ndarray:
@@ -279,7 +278,6 @@ def prepare_splits(
         data=data,
         x_test=assemble(x_test),
         y_test_codes=y_test,
-        y_val_codes=y_val if len(y_val) else None,
     )
 
 

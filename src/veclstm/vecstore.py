@@ -2,8 +2,10 @@
 
 Two interchangeable backends sit behind one interface: a SQL-92
 relational table (sqlite3 built in; any DB-API connection plugs into
-the same seam) and an append-only binary file whose batches commit via
-temp-file-then-rename, so readers never observe a partial write.
+the same seam) and an append-only binary file. A file batch is written
+in place past the committed data and committed by a header rewrite, so
+readers never observe a partial write; only the empty file at init and
+the one-time upgrade of a v1 file use temp-file-then-rename.
 
 Record ids are assigned by the store and strictly increase. Vectors are
 stored as little-endian float32, one blob per record.
@@ -12,21 +14,24 @@ stored as little-endian float32, one blob per record.
 from __future__ import annotations
 
 import os
-import shutil
 import sqlite3
 import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConnectionFailed, SchemaMismatch, StorageError, ValidationError
 
 FILE_MAGIC = b"VLVS"
-FILE_VERSION = 1
-_HEADER = struct.Struct("<4sHHQ")  # magic, version, grid_size, record count
+FILE_VERSION = 2
+_HEADER = struct.Struct("<4sHHQQ")  # magic, version, grid_size, record count, committed end
+_HEADER_V1 = struct.Struct("<4sHHQ")  # magic, version, grid_size, record count
+_RECORD_HEAD = struct.Struct("<QH")  # record_id, user byte length
+_RECORD_TAIL = struct.Struct("<Bq")  # label, created_at
+_INT64 = (-(2**63), 2**63 - 1)
 
 DDL = [
     "CREATE TABLE IF NOT EXISTS trajectory_vectors ("
@@ -67,7 +72,18 @@ def _validate(record: VectorRecord, vector_len: int) -> np.ndarray:
         )
     if not 0 <= record.label <= 6:
         raise ValidationError(f"label {record.label} outside 0..6")
+    if len(record.user.encode("utf-8")) > 0xFFFF:
+        raise ValidationError("user longer than 65,535 UTF-8 bytes")
+    if not _INT64[0] <= record.created_at <= _INT64[1]:
+        raise ValidationError(f"created_at {record.created_at} outside int64")
     return vec
+
+
+class _Header(NamedTuple):
+    version: int
+    count: int
+    start: int  # offset of the first record
+    end: int    # committed byte length; records lie in [start, end)
 
 
 class VectorStore:
@@ -193,16 +209,24 @@ class SqlVectorStore(VectorStore):
 class FileVectorStore(VectorStore):
     """Append-only binary store.
 
-    Header: magic "VLVS", version u16, grid_size u16, record count u64.
-    Each record: record_id u64, user length u16 + UTF-8 bytes, label u8,
-    created_at i64, then grid_size^2 little-endian float32 values.
-    Batches append to a temp copy which atomically replaces the file.
+    Header (v2): magic "VLVS", version u16, grid_size u16, record count
+    u64, committed byte length u64. Each record: record_id u64, user
+    length u16 + UTF-8 bytes, label u8, created_at i64, then grid_size^2
+    little-endian float32 values. Ids run 1..count in file order.
+
+    A batch is written in place at the committed length and fsynced;
+    the header rewrite that follows (and its own fsync) commits it, so
+    bytes past the committed length are a torn append that readers
+    ignore and the next insert overwrites. Only the empty file at init
+    and the one-time rewrite of a v1 file (whose 16-byte header has no
+    committed length) go through temp-file-then-rename.
     """
 
     def __init__(self, path: str | Path, grid_size: int = 10):
         self.path = Path(path)
         self.grid_size = grid_size
         self._vector_len = grid_size * grid_size
+        self._record_min = _RECORD_HEAD.size + _RECORD_TAIL.size + 4 * self._vector_len
         if not self.path.parent.is_dir():
             raise ConnectionFailed(f"directory {self.path.parent} does not exist")
 
@@ -210,44 +234,62 @@ class FileVectorStore(VectorStore):
         if self.path.exists():
             self._read_header()  # validates magic/version/grid size
             return
-        self._write_atomic(self._pack_header(0), append_to=None)
+        self._write_atomic(self._pack_header(0, _HEADER.size))
 
-    def _pack_header(self, count: int) -> bytes:
-        return _HEADER.pack(FILE_MAGIC, FILE_VERSION, self.grid_size, count)
+    def _pack_header(self, count: int, end: int) -> bytes:
+        return _HEADER.pack(FILE_MAGIC, FILE_VERSION, self.grid_size, count, end)
 
-    def _read_header(self) -> int:
+    def _parse_header(self, data: bytes, size: int) -> _Header:
+        """The header of a `size`-byte file whose first bytes are `data`."""
+        if len(data) < _HEADER_V1.size:
+            raise SchemaMismatch(f"{self.path}: file too short for store header")
+        magic, version, grid_size, count = _HEADER_V1.unpack_from(data)
+        if magic != FILE_MAGIC:
+            raise SchemaMismatch(f"{self.path}: not a vector store file (bad magic)")
+        if version == 1:
+            start, end = _HEADER_V1.size, size
+        elif version == FILE_VERSION:
+            if len(data) < _HEADER.size:
+                raise SchemaMismatch(f"{self.path}: file too short for v2 store header")
+            start, end = _HEADER.size, _HEADER.unpack_from(data)[4]
+            if not start <= end <= size:
+                raise SchemaMismatch(
+                    f"{self.path}: committed length {end} outside {start}..{size}"
+                    " (file truncated or header corrupt)")
+        else:
+            raise SchemaMismatch(f"{self.path}: unsupported store version {version}")
+        if grid_size != self.grid_size:
+            raise SchemaMismatch(
+                f"{self.path}: store grid size {grid_size} != requested {self.grid_size}"
+            )
+        if count > (end - start) // self._record_min:
+            raise SchemaMismatch(
+                f"{self.path}: header counts {count} records, more than"
+                f" {end - start} bytes of records can hold")
+        return _Header(version, count, start, end)
+
+    def _read_header(self) -> _Header:
         try:
             with open(self.path, "rb") as fh:
                 raw = fh.read(_HEADER.size)
+                size = os.fstat(fh.fileno()).st_size
         except OSError as exc:
             raise ConnectionFailed(str(exc)) from exc
-        if len(raw) < _HEADER.size:
-            raise SchemaMismatch("file too short for store header")
-        magic, version, grid_size, count = _HEADER.unpack(raw)
-        if magic != FILE_MAGIC:
-            raise SchemaMismatch("not a vector store file (bad magic)")
-        if version != FILE_VERSION:
-            raise SchemaMismatch(f"unsupported store version {version}")
-        if grid_size != self.grid_size:
-            raise SchemaMismatch(
-                f"store grid size {grid_size} != requested {self.grid_size}"
-            )
-        return count
+        return self._parse_header(raw, size)
 
-    def _write_atomic(self, header: bytes, append_to: Path | None,
-                      payload: bytes = b"") -> None:
+    def _read_all(self) -> tuple[bytes, _Header]:
+        try:
+            data = self.path.read_bytes()
+        except OSError as exc:
+            raise ConnectionFailed(str(exc)) from exc
+        return data, self._parse_header(data, len(data))
+
+    def _write_atomic(self, content: bytes) -> None:
         fd, tmp_name = tempfile.mkstemp(dir=self.path.parent,
                                         prefix=self.path.name + ".")
         try:
             with os.fdopen(fd, "wb") as out:
-                if append_to is not None:
-                    with open(append_to, "rb") as src:
-                        src.seek(_HEADER.size)
-                        out.write(header)
-                        shutil.copyfileobj(src, out)
-                else:
-                    out.write(header)
-                out.write(payload)
+                out.write(content)
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(tmp_name, self.path)
@@ -255,56 +297,115 @@ class FileVectorStore(VectorStore):
             os.unlink(tmp_name)
             raise StorageError(f"write failed: {exc}") from exc
 
-    def _iter_records(self) -> Iterator[VectorRecord]:
-        data = self.path.read_bytes()
-        offset = _HEADER.size
-        vec_bytes = 4 * self._vector_len
-        while offset < len(data):
-            record_id, user_len = struct.unpack_from("<QH", data, offset)
-            offset += 10
-            user = data[offset:offset + user_len].decode("utf-8")
-            offset += user_len
-            label, created_at = struct.unpack_from("<Bq", data, offset)
-            offset += 9
-            vector = np.frombuffer(data, dtype="<f4", count=self._vector_len,
-                                   offset=offset).copy()
-            offset += vec_bytes
-            yield VectorRecord(record_id=record_id, user=user, label=label,
-                               vector=vector, created_at=created_at)
+    def _scan(self, data: bytes, header: _Header,
+              user: str | None = None, label: int | None = None,
+              id_range: tuple[int, int] | None = None) -> list[VectorRecord]:
+        """Parse exactly `header.count` records from the committed bytes;
+        decode and return only those that pass the filters, in file order."""
+        end = header.end
+        want_user = None if user is None else user.encode("utf-8")
+        lo, hi = id_range if id_range is not None else (None, None)
+        rest = _RECORD_TAIL.size + 4 * self._vector_len  # label onwards
+        head, tail = _RECORD_HEAD.unpack_from, _RECORD_TAIL.unpack_from
+        hits = []  # (offset, record_id, user_at, tail_at, label, created_at)
+        offset = header.start
+        for _ in range(header.count):
+            if offset + _RECORD_HEAD.size > end:
+                raise SchemaMismatch(
+                    f"{self.path}: record at byte {offset} is cut short at byte {end}")
+            record_id, user_len = head(data, offset)
+            user_at = offset + _RECORD_HEAD.size
+            tail_at = user_at + user_len
+            next_at = tail_at + rest
+            if next_at > end:
+                raise SchemaMismatch(
+                    f"{self.path}: record at byte {offset} overruns the"
+                    f" committed data ending at byte {end}")
+            if ((want_user is None or data[user_at:tail_at] == want_user)
+                    and (lo is None or lo <= record_id <= hi)):
+                rec_label, created_at = tail(data, tail_at)
+                if label is None or rec_label == label:
+                    hits.append((offset, record_id, user_at, tail_at, rec_label, created_at))
+            offset = next_at
+        if offset != end:
+            raise SchemaMismatch(
+                f"{self.path}: header counts {header.count} records, but {end - offset}"
+                f" bytes follow the last one at byte {offset}")
+
+        # One copy for all returned vectors; each record gets its own row.
+        vec_at = _RECORD_TAIL.size
+        vectors = np.frombuffer(
+            bytearray().join([data[t + vec_at:t + rest] for *_, t, _, _ in hits]),
+            dtype="<f4").reshape(len(hits), self._vector_len)
+        out = []
+        for (offset, record_id, user_at, tail_at, rec_label, created_at), vector in zip(hits, vectors):
+            try:
+                name = data[user_at:tail_at].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaMismatch(
+                    f"{self.path}: user of record at byte {offset} is not UTF-8") from exc
+            out.append(VectorRecord(record_id=record_id, user=name, label=rec_label,
+                                    vector=vector, created_at=created_at))
+        return out
+
+    def _upgrade_v1(self) -> _Header:
+        """Rewrite a v1 file as v2, once, before its first append."""
+        data, header = self._read_all()
+        ids = [r.record_id for r in self._scan(data, header)]
+        if ids != list(range(1, header.count + 1)):
+            raise SchemaMismatch(
+                f"{self.path}: v1 record ids are not 1..{header.count} in order;"
+                " cannot upgrade to v2")
+        body = data[header.start:header.end]
+        end = _HEADER.size + len(body)
+        self._write_atomic(self._pack_header(header.count, end) + body)
+        return _Header(FILE_VERSION, header.count, _HEADER.size, end)
+
+    def _pack_records(self, records: Sequence[VectorRecord],
+                      vectors: list[np.ndarray], first_id: int) -> bytes:
+        parts = []
+        for i, (record, vec) in enumerate(zip(records, vectors)):
+            user = record.user.encode("utf-8")
+            parts += (_RECORD_HEAD.pack(first_id + i, len(user)), user,
+                      _RECORD_TAIL.pack(record.label, record.created_at),
+                      vec.tobytes())
+        return b"".join(parts)
 
     def insert_batch(self, records: Sequence[VectorRecord]) -> int:
         if not records:
             return 0
-        count = self._read_header()
         vectors = [_validate(r, self._vector_len) for r in records]
-        next_id = max((r.record_id for r in self._iter_records()), default=0) + 1
-        blob = bytearray()
-        for i, (record, vec) in enumerate(zip(records, vectors)):
-            user = record.user.encode("utf-8")
-            blob += struct.pack("<QH", next_id + i, len(user))
-            blob += user
-            blob += struct.pack("<Bq", record.label, record.created_at)
-            blob += vec.tobytes()
-        self._write_atomic(self._pack_header(count + len(records)),
-                           append_to=self.path, payload=bytes(blob))
+        header = self._read_header()
+        if header.version == 1:
+            header = self._upgrade_v1()
+        count, end = header.count, header.end
+        payload = self._pack_records(records, vectors, count + 1)
+        try:
+            with open(self.path, "r+b") as fh:
+                # Write at the committed end, not at EOF, so a torn tail
+                # is overwritten; the header rewrite is the commit point.
+                new_end = end + len(payload)
+                fh.seek(end)
+                fh.write(payload)
+                if os.fstat(fh.fileno()).st_size > new_end:
+                    fh.truncate()
+                fh.flush()
+                os.fsync(fh.fileno())
+                fh.seek(0)
+                fh.write(self._pack_header(count + len(records), new_end))
+                fh.flush()
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            raise StorageError(f"append to {self.path} failed: {exc}") from exc
         return len(records)
 
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:
-        self._read_header()
-        out = []
-        for record in self._iter_records():
-            if user is not None and record.user != user:
-                continue
-            if label is not None and record.label != label:
-                continue
-            if id_range is not None and not (id_range[0] <= record.record_id <= id_range[1]):
-                continue
-            out.append(record)
+        out = self._scan(*self._read_all(), user, label, id_range)
         out.sort(key=lambda r: r.record_id)
         return out
 
     def count(self) -> int:
-        return self._read_header()
+        return self._read_header().count
 
     def close(self) -> None:
         pass

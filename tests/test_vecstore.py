@@ -1,5 +1,7 @@
 """Store tests: round trips, filters, idempotence, model-based conformance."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,20 @@ class TestBasics:
         with pytest.raises(ValidationError):
             store.insert_batch([make_record(label=9)])
 
+    def test_user_longer_than_u16_rejected(self, store):
+        store.insert_batch([make_record(user="\u00e9" * 32767 + "a")])  # 65,535 bytes
+        with pytest.raises(ValidationError):
+            store.insert_batch([make_record(user="\u00e9" * 32768)])  # 65,536 bytes
+        assert store.count() == 1
+
+    def test_created_at_outside_int64_rejected(self, store):
+        store.insert_batch([make_record(created_at=-(2**63)),
+                            make_record(created_at=2**63 - 1)])
+        for created_at in (2**63, -(2**63) - 1):
+            with pytest.raises(ValidationError):
+                store.insert_batch([make_record(created_at=created_at)])
+        assert [r.created_at for r in store.fetch()] == [-(2**63), 2**63 - 1]
+
 
 class TestFetchFilters:
     def populate(self, store):
@@ -126,9 +142,10 @@ class TestFileBackend:
         backend.init_schema()
         raw = path.read_bytes()
         assert raw[:4] == b"VLVS"
-        assert int.from_bytes(raw[4:6], "little") == 1
+        assert int.from_bytes(raw[4:6], "little") == 2
         assert int.from_bytes(raw[6:8], "little") == 10
-        assert int.from_bytes(raw[8:16], "little") == 0
+        assert int.from_bytes(raw[8:16], "little") == 0  # record count
+        assert int.from_bytes(raw[16:24], "little") == 24 == len(raw)  # committed end
 
     def test_grid_size_mismatch(self, tmp_path):
         path = tmp_path / "v.vlvs"
@@ -141,6 +158,120 @@ class TestFileBackend:
         path.write_bytes(b"NOT A STORE AT ALL")
         with pytest.raises(SchemaMismatch):
             FileVectorStore(path).init_schema()
+
+
+def v1_file_bytes(records, count=None, ids=None, grid_size=10):
+    """A store file in the v1 layout: 16-byte header, then the records."""
+    ids = range(1, len(records) + 1) if ids is None else ids
+    out = struct.pack("<4sHHQ", b"VLVS", 1, grid_size,
+                      len(records) if count is None else count)
+    for record_id, r in zip(ids, records):
+        user = r.user.encode("utf-8")
+        out += struct.pack("<QH", record_id, len(user)) + user
+        out += struct.pack("<Bq", r.label, r.created_at)
+        out += np.asarray(r.vector, dtype="<f4").tobytes()
+    return out
+
+
+def record_size(user="alice", n=100):
+    return 8 + 2 + len(user.encode("utf-8")) + 1 + 8 + 4 * n
+
+
+def committed_end(path):
+    return int.from_bytes(path.read_bytes()[16:24], "little")
+
+
+class TestCommitProtocol:
+    def test_torn_tail_is_ignored_then_overwritten(self, tmp_path):
+        path = tmp_path / "v.vlvs"
+        backend = FileVectorStore(path)
+        backend.init_schema()
+        backend.insert_batch([make_record(seed=i) for i in range(3)])
+        before = backend.fetch()
+        end = committed_end(path)
+        # A torn append: bytes past the committed end, header unchanged.
+        # Longer than the next batch, so that insert must cut it off.
+        with open(path, "ab") as fh:
+            fh.write(make_record(seed=7).vector.tobytes() * 3)
+        assert path.stat().st_size > end + record_size()
+        assert backend.count() == 3
+        assert backend.fetch() == before
+
+        backend.insert_batch([make_record(seed=9)])
+        assert committed_end(path) == end + record_size()
+        assert path.stat().st_size == committed_end(path)
+        after = backend.fetch()
+        assert after[:3] == before
+        assert [r.record_id for r in after] == [1, 2, 3, 4]
+        assert after[3].vector.tobytes() == make_record(seed=9).vector.tobytes()
+
+    def test_v1_file_reads_back_and_upgrades_on_insert(self, tmp_path):
+        path = tmp_path / "old.vlvs"
+        records = [make_record(user=u, label=i % 7, seed=i, created_at=1000 + i)
+                   for i, u in enumerate(["ann", "bo", "ann", "c\u00e9"])]
+        path.write_bytes(v1_file_bytes(records))
+        expected = [VectorRecord(record_id=i + 1, user=r.user, label=r.label,
+                                 vector=r.vector, created_at=r.created_at)
+                    for i, r in enumerate(records)]
+        backend = FileVectorStore(path)
+        backend.init_schema()
+        assert backend.count() == 4
+        assert backend.fetch() == expected
+        assert backend.fetch(user="ann") == [expected[0], expected[2]]
+        assert path.read_bytes()[4:6] == b"\x01\x00"  # reading leaves it v1
+
+        backend.insert_batch([make_record(user="dee", seed=50),
+                              make_record(user="ann", seed=51)])
+        raw = path.read_bytes()
+        assert int.from_bytes(raw[4:6], "little") == 2
+        assert int.from_bytes(raw[8:16], "little") == 6
+        assert committed_end(path) == len(raw)
+        got = backend.fetch()
+        assert got[:4] == expected
+        assert [r.record_id for r in got[4:]] == [5, 6]
+        assert [r.user for r in got[4:]] == ["dee", "ann"]
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_v1_count_disagreeing_with_records(self, tmp_path, count):
+        path = tmp_path / "old.vlvs"
+        path.write_bytes(v1_file_bytes([make_record(seed=i) for i in range(4)], count=count))
+        backend = FileVectorStore(path)
+        with pytest.raises(SchemaMismatch, match="old.vlvs"):
+            backend.fetch()
+        with pytest.raises(SchemaMismatch):
+            backend.insert_batch([make_record()])
+
+    def test_v1_ids_not_one_to_count_are_read_but_not_upgraded(self, tmp_path):
+        path = tmp_path / "old.vlvs"
+        raw = v1_file_bytes([make_record(seed=i) for i in range(3)], ids=[1, 2, 7])
+        path.write_bytes(raw)
+        backend = FileVectorStore(path)
+        assert [r.record_id for r in backend.fetch()] == [1, 2, 7]
+        with pytest.raises(SchemaMismatch, match="1..3"):
+            backend.insert_batch([make_record()])
+        assert path.read_bytes() == raw
+
+    def test_insert_appends_in_place(self, tmp_path):
+        path = tmp_path / "v.vlvs"
+        backend = FileVectorStore(path)
+        backend.init_schema()
+        backend.insert_batch([make_record(seed=1)])
+        inode, size = path.stat().st_ino, path.stat().st_size
+        backend.insert_batch([make_record(user="bob", seed=2), make_record(user="cy", seed=3)])
+        assert path.stat().st_ino == inode
+        assert path.stat().st_size == size + record_size("bob") + record_size("cy")
+        assert path.stat().st_size == committed_end(path)
+
+    def test_committed_end_past_file_size(self, tmp_path):
+        path = tmp_path / "v.vlvs"
+        backend = FileVectorStore(path)
+        backend.init_schema()
+        backend.insert_batch([make_record(seed=i) for i in range(2)])
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1])
+        for call in (backend.count, backend.fetch, backend.init_schema):
+            with pytest.raises(SchemaMismatch, match=f"outside 24..{len(raw) - 1}"):
+                call()
 
 
 class TestSqlBackend:
