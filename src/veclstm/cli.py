@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ingest as ingest_mod
 from . import metrics as metrics_mod
-from .errors import VecLstmError
+from .errors import ConfigError, VecLstmError
 from .models import (
     HYBRID,
     ModelSpec,
@@ -78,6 +78,11 @@ class RunConfig:
     lstm_output_activation: str = "tanh"
     modes: tuple[str, ...] = ingest_mod.DEFAULT_MODES
 
+    def __post_init__(self):
+        self.modes = tuple(self.modes)
+        if len(self.modes) != 7 or not all(isinstance(m, str) for m in self.modes):
+            raise ValueError("modes must list exactly 7 transportation modes")
+
     def to_dict(self) -> dict:
         return {
             "train": self.train.to_dict(),
@@ -93,24 +98,48 @@ class RunConfig:
         }
 
 
+def _check_keys(doc, defaults: dict, path: str, where: str = "") -> None:
+    """Every key of doc must be in defaults, with a value of the default's
+    JSON type (an int will do for a float, a bool never for an int);
+    nested objects are checked the same way."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {where or 'config '}must be a JSON object")
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown key '{where}{key}'")
+        default = defaults[key]
+        expected = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ConfigError(f"{path}: '{where}{key}' must be"
+                              f" {type(default).__name__}, got {json.dumps(value)}")
+        if isinstance(default, dict):
+            _check_keys(value, default, path, f"{where}{key}.")
+
+
 def load_run_config(path: str | None, seed: int | None) -> RunConfig:
+    """Defaults, overridden by the JSON file at path, then by seed.
+
+    Invalid JSON, an unknown key at any level, a value of the wrong type
+    or out of range, and a modes list without 7 names raise ConfigError
+    naming the path.
+    """
     doc = {}
     if path:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    train_overrides = dict(doc.get("train", {}))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    _check_keys(doc, RunConfig().to_dict(), path)
+    top = {key: value for key, value in doc.items() if key not in ("train", "vectorizer")}
+    train = dict(doc.get("train", {}))
     if seed is not None:
-        train_overrides["seed"] = seed
-    config = RunConfig(
-        train=TrainConfig.from_dict(train_overrides),
-        vectorizer=VectorizationConfig(**doc.get("vectorizer", {})),
-        metadata_feature=doc.get("metadata_feature", "cell_density"),
-        regression_basis=doc.get("regression_basis", "class_codes"),
-        lstm_output_activation=doc.get("lstm_output_activation", "tanh"),
-        modes=tuple(doc.get("modes", ingest_mod.DEFAULT_MODES)),
-    )
-    if len(config.modes) != 7:
-        raise ValueError("modes must list exactly 7 transportation modes")
-    return config
+        train["seed"] = seed
+    try:
+        return RunConfig(train=TrainConfig(**train),
+                         vectorizer=VectorizationConfig(**doc.get("vectorizer", {})),
+                         **top)
+    except ValueError as exc:  # a value out of range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -149,14 +178,33 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"rows=0 labels=0 users=0 parsed_points={result.n_points}")
         return 0
     ingest_mod.write_dataset_csv(result.dataset, out)
-    labels = {s.label for s in result.dataset.samples}
-    users = {s.user for s in result.dataset.samples}
-    print(f"rows={len(result.dataset)} labels={len(labels)}"
-          f" users={len(users)} parsed_points={result.n_points}")
+    print(f"rows={len(result.dataset)} labels={np.unique(result.dataset.label).size}"
+          f" users={np.unique(result.dataset.user).size} parsed_points={result.n_points}")
     return 0
 
 
 # --- vectorize -----------------------------------------------------------
+
+def _group_records(dataset: ingest_mod.Dataset, config: VectorizationConfig,
+                  created_at: int) -> list[VectorRecord]:
+    """One heatmap record per (user, label) group, in sorted group order.
+
+    Each group is binned against the dataset-wide normalization bounds.
+    Record ids follow this order once stored.
+    """
+    order = np.lexsort((dataset.label, dataset.user))
+    user, label = dataset.user[order], dataset.label[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (user[1:] != user[:-1]) | (label[1:] != label[:-1]))))
+    coords = np.column_stack((dataset.lat, dataset.lon, dataset.alt))[order]
+    return [
+        VectorRecord(record_id=0, user=user[lo], label=int(label[lo]),
+                     vector=vectorize_trajectory(coords[lo:hi], config,
+                                                 stats=dataset.stats).astype("<f4"),
+                     created_at=created_at)
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [order.size])
+    ]
+
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
     descriptor = _resolve_store(args.store)
@@ -171,21 +219,8 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         print(f"vectorize failed reading inputs: {exc}", file=sys.stderr)
         return 1
 
-    # One heatmap per (user, label) trajectory group, binned against the
-    # dataset-wide normalization bounds.
-    groups: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
-    for s in dataset.samples:
-        groups.setdefault((s.user, s.label), []).append((s.lat, s.lon, s.alt))
-
     started = time.perf_counter()
-    records = []
-    now = int(time.time())
-    for (user, label), coords in sorted(groups.items()):
-        vector = vectorize_trajectory(coords, config.vectorizer, stats=dataset.stats)
-        records.append(VectorRecord(
-            record_id=0, user=user, label=label,
-            vector=vector.astype("<f4"), created_at=now,
-        ))
+    records = _group_records(dataset, config.vectorizer, int(time.time()))
     vectorize_seconds = time.perf_counter() - started
 
     try:
@@ -198,7 +233,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         print(f"vectorize failed at store: {exc}", file=sys.stderr)
         return 1
 
-    print(f"groups={len(groups)} inserted={inserted} store_total={total}"
+    print(f"groups={len(records)} inserted={inserted} store_total={total}"
           f" vectorize_seconds={vectorize_seconds:.6f}")
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -206,7 +241,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         _write_json(out_dir / "vectorize_report.json", {
             "config": config.to_dict(),
             "store": descriptor,
-            "groups": len(groups),
+            "groups": len(records),
             "inserted": inserted,
             "vectorize_seconds": vectorize_seconds,
         })
@@ -237,13 +272,12 @@ def prepare_splits(
     remainder; oversampling and the scaler fit see only training rows.
     Hybrid grid inputs pass through unscaled.
     """
-    arrays = dataset.to_arrays()
-    meta = arrays["metadata"].reshape(-1, 1)
-    labels = arrays["label"]
+    meta = dataset.metadata.reshape(-1, 1)
+    labels = dataset.label
     seed = config.train.seed
 
     if spec.architecture == HYBRID:
-        grids = sample_cell_grids(arrays["lat"], arrays["lon"], arrays["alt"],
+        grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                                   dataset.stats, config.vectorizer)
         features = (meta, grids)
     else:
@@ -358,8 +392,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     seed, split, oversampling and batch order, so the lstm_novec /
     veclstm_vec pair differs only in feature supply.
     """
-    arrays = dataset.to_arrays()
-    labels = arrays["label"]
+    labels = dataset.label
     n = labels.size
     seed = config.train.seed
     tcfg = config.train
@@ -373,7 +406,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     y_os_onehot = encode_labels(y_os)
 
     pipeline = DensityFeaturePipeline(
-        arrays["lat"], arrays["lon"], arrays["alt"],
+        dataset.lat, dataset.lon, dataset.alt,
         vec_config=config.vectorizer, fit_idx=train_os_idx,
     )
     t0 = time.perf_counter()
@@ -381,7 +414,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     t_vectorize = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = sample_cell_grids(arrays["lat"], arrays["lon"], arrays["alt"],
+    grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                               pipeline.stats, config.vectorizer)
     t_grids = time.perf_counter() - t0
 
@@ -434,24 +467,13 @@ def _store_workload(dataset: ingest_mod.Dataset, config: RunConfig,
     throughput probe; the timings are workload-defined, not comparable
     across backends of different kinds.
     """
-    groups: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
-    for s in dataset.samples:
-        groups.setdefault((s.user, s.label), []).append((s.lat, s.lon, s.alt))
-    now = int(time.time())
-    records = [
-        VectorRecord(record_id=0, user=user, label=label,
-                     vector=vectorize_trajectory(
-                         coords, config.vectorizer,
-                         stats=dataset.stats).astype("<f4"),
-                     created_at=now)
-        for (user, label), coords in sorted(groups.items())
-    ]
+    records = _group_records(dataset, config.vectorizer, int(time.time()))
     with open_store(descriptor, grid_size=config.vectorizer.grid_size) as store:
         store.init_schema()
         t0 = time.perf_counter()
         inserted = store.insert_batch(records)
         insert_seconds = time.perf_counter() - t0
-        users = sorted({user for user, _ in groups})
+        users = sorted({record.user for record in records})
         t0 = time.perf_counter()
         fetched = len(store.fetch())
         for user in users:

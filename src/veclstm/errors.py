@@ -26,6 +26,10 @@ class EmptyDataset(VecLstmError):
     """Dataset assembly produced no rows."""
 
 
+class ConfigError(VecLstmError):
+    """A run config file that is not valid JSON or not a valid config."""
+
+
 # --- numeric / shape ---
 
 class EmptyInput(VecLstmError):

@@ -14,13 +14,13 @@ user, metadata, ordered by (user, timestamp).
 
 from __future__ import annotations
 
-import bisect
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -46,18 +46,6 @@ DEFAULT_MODES = ("walk", "bike", "bus", "car", "taxi", "subway", "train")
 
 DATASET_COLUMNS = ("time", "lat", "lon", "alt", "label", "user", "metadata")
 
-METADATA_FEATURES = ("cell_density", "normalized_alt", "normalized_speed")
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    timestamp: int      # UTC seconds since epoch
-    lat: float
-    lon: float
-    alt: float          # meters, or MISSING (nan)
-    user_id: str = ""
-
-
 @dataclass(frozen=True)
 class LabelSpan:
     start: int  # UTC seconds, inclusive
@@ -65,37 +53,26 @@ class LabelSpan:
     mode: str
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    time: int
-    lat: float
-    lon: float
-    alt: float          # meters or MISSING
-    label: int          # 0..6
-    user: str
-    metadata: float     # scalar feature in [0, 1]
-
-
 @dataclass
 class Dataset:
-    samples: list[LabeledSample]
+    """The seven dataset columns: equal-length arrays, row i at index i."""
+
+    time: np.ndarray      # int64 UTC seconds
+    lat: np.ndarray       # float64
+    lon: np.ndarray       # float64
+    alt: np.ndarray       # float64 meters, MISSING (nan) when absent
+    label: np.ndarray     # int64 mode code
+    user: np.ndarray      # object array of str
+    metadata: np.ndarray  # float64 scalar feature in [0, 1]
     stats: NormalizationStats
     mode_names: tuple[str, ...] = DEFAULT_MODES
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.time.size
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Column arrays; alt keeps nan for missing values."""
-        return {
-            "time": np.array([s.time for s in self.samples], dtype=np.int64),
-            "lat": np.array([s.lat for s in self.samples], dtype=np.float64),
-            "lon": np.array([s.lon for s in self.samples], dtype=np.float64),
-            "alt": np.array([s.alt for s in self.samples], dtype=np.float64),
-            "label": np.array([s.label for s in self.samples], dtype=np.int64),
-            "user": np.array([s.user for s in self.samples], dtype=object),
-            "metadata": np.array([s.metadata for s in self.samples], dtype=np.float64),
-        }
+        """The columns by name; alt keeps nan for missing values."""
+        return {name: getattr(self, name) for name in DATASET_COLUMNS}
 
 
 def _as_text(data: bytes | str) -> str:
@@ -109,49 +86,97 @@ def _parse_utc(text: str, fmt: str) -> int:
     return int(dt.timestamp())
 
 
-def parse_plt(data: bytes | str, user_id: str = "") -> list[TrajectoryPoint]:
-    """Parse one PLT file. The first six lines are header and skipped.
+class _FirstFailure:
+    """The first failing row of a table of text cells, checked by column.
 
-    Altitude arrives in feet and is converted to meters; the sentinel
-    -777 becomes MISSING. Raises TruncatedHeader on short files and
-    MalformedLine(line_no) on bad rows (wrong field count, non-numeric
-    fields, out-of-range coordinates, or a timestamp going backwards).
+    Checks run in the order a row-by-row reader applies them within a
+    row, and each scans only the rows before the first failure found so
+    far. So the failure kept is the one a row-by-row reader meets first:
+    the earliest row, and within it the earliest check.
+    """
+
+    def __init__(self, line_nos: list[int], error: MalformedLine | None = None):
+        self.line_nos = line_nos
+        self.end = len(line_nos)  # rows [0, end) have passed every check so far
+        self.error = error
+
+    def fail(self, row: int, reason: str) -> None:
+        self.end = row
+        self.error = MalformedLine(self.line_nos[row], reason)
+
+    def convert(self, cells, convert, dtype, reason) -> np.ndarray:
+        """convert() applied to cells[:end], as a dtype array.
+
+        On the first cell that convert rejects (ValueError, or a value
+        outside dtype), record reason(row, exc) and return the values
+        before it.
+        """
+        cells = cells[:self.end]
+        try:
+            return np.fromiter(map(convert, cells), dtype, len(cells))
+        except (ValueError, OverflowError):
+            for row, cell in enumerate(cells):
+                try:
+                    np.fromiter(map(convert, (cell,)), dtype, 1)
+                except (ValueError, OverflowError) as exc:
+                    self.fail(row, reason(row, exc))
+                    return np.fromiter(map(convert, cells[:row]), dtype, row)
+            raise
+
+    def check(self, bad: np.ndarray, reason) -> None:
+        """Fail at the first True of bad[:end] (bad may run on), with reason(row)."""
+        hits = np.flatnonzero(bad[:self.end])
+        if hits.size:
+            self.fail(int(hits[0]), reason(int(hits[0])))
+
+
+def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse one PLT file into (time, lat, lon, alt) columns.
+
+    The first six lines are header and skipped. time is int64 UTC
+    seconds. Altitude arrives in feet and is converted to meters; the
+    sentinel -777 becomes MISSING. Raises TruncatedHeader on short files
+    and MalformedLine(line_no) on the first bad row (wrong field count,
+    non-numeric fields, out-of-range coordinates, or a timestamp going
+    backwards).
     """
     lines = _as_text(data).splitlines()
     if len(lines) < PLT_HEADER_LINES:
         raise TruncatedHeader(
             f"PLT file has {len(lines)} lines, expected at least {PLT_HEADER_LINES}"
         )
-    points: list[TrajectoryPoint] = []
-    prev_ts: int | None = None
+    rows: list[list[str]] = []
+    line_nos: list[int] = []
+    short = None
     for line_no, line in enumerate(lines[PLT_HEADER_LINES:], PLT_HEADER_LINES + 1):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 7:
-            raise MalformedLine(line_no, f"expected 7 fields, got {len(fields)}")
-        try:
-            lat = float(fields[0])
-            lon = float(fields[1])
-            alt_feet = float(fields[3])
-            float(fields[4])  # days serial, unused but must be numeric
-        except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric field: {exc}") from None
-        try:
-            ts = _parse_utc(f"{fields[5]} {fields[6]}", "%Y-%m-%d %H:%M:%S")
-        except ValueError:
-            raise MalformedLine(line_no, f"bad date/time {fields[5]},{fields[6]}") from None
-        if not (-90.0 <= lat <= 90.0):
-            raise MalformedLine(line_no, f"latitude {lat} out of range")
-        if not (-180.0 <= lon <= 180.0):
-            raise MalformedLine(line_no, f"longitude {lon} out of range")
-        if prev_ts is not None and ts < prev_ts:
-            raise MalformedLine(line_no, "timestamp decreases within file")
-        prev_ts = ts
-        alt = MISSING if alt_feet == ALT_INVALID_SENTINEL else alt_feet * FEET_TO_METERS
-        points.append(TrajectoryPoint(timestamp=ts, lat=lat, lon=lon, alt=alt,
-                                      user_id=user_id))
-    return points
+            short = MalformedLine(line_no, f"expected 7 fields, got {len(fields)}")
+            break
+        rows.append(fields)
+        line_nos.append(line_no)
+    first = _FirstFailure(line_nos, short)
+    lat_s, lon_s, _, alt_s, days_s, dates, clocks = zip(*rows) if rows else [()] * 7
+    # The days serial is unused but must be numeric.
+    lat, lon, alt_feet, _ = (
+        first.convert(cells, float, np.float64, lambda row, exc: f"non-numeric field: {exc}")
+        for cells in (lat_s, lon_s, alt_s, days_s))
+    time = first.convert(
+        [f"{d} {c}" for d, c in zip(dates, clocks)],
+        lambda text: _parse_utc(text, "%Y-%m-%d %H:%M:%S"), np.int64,
+        lambda row, exc: f"bad date/time {dates[row]},{clocks[row]}")
+    first.check(~((lat >= -90.0) & (lat <= 90.0)),
+                lambda row: f"latitude {float(lat[row])} out of range")
+    first.check(~((lon >= -180.0) & (lon <= 180.0)),
+                lambda row: f"longitude {float(lon[row])} out of range")
+    first.check(np.concatenate(([False], time[1:] < time[:-1])),
+                lambda row: "timestamp decreases within file")
+    if first.error is not None:
+        raise first.error
+    alt = np.where(alt_feet == ALT_INVALID_SENTINEL, MISSING, alt_feet * FEET_TO_METERS)
+    return time, lat, lon, alt
 
 
 def parse_labels(data: bytes | str) -> list[LabelSpan]:
@@ -177,30 +202,24 @@ def parse_labels(data: bytes | str) -> list[LabelSpan]:
     return spans
 
 
-def assign_labels(
-    points: Iterable[TrajectoryPoint], spans: list[LabelSpan]
-) -> list[tuple[TrajectoryPoint, str]]:
-    """Pair each point with the mode of the span containing its timestamp.
+def assign_labels(times: np.ndarray, spans: list[LabelSpan]) -> np.ndarray:
+    """Index into spans of the span containing each timestamp, or -1.
 
-    Both span ends are inclusive. Points covered by no span are dropped.
-    When spans overlap, the span with the latest start wins; among equal
-    starts the one later in file order wins.
+    Both span ends are inclusive. When spans overlap, the span with the
+    latest start wins; among equal starts the one later in file order
+    wins. Spans are written over the sorted timestamps in that order, so
+    the last writer is the winner.
     """
-    if not spans:
-        return []
-    order = sorted(range(len(spans)), key=lambda idx: (spans[idx].start, idx))
-    starts = [spans[idx].start for idx in order]
-    out: list[tuple[TrajectoryPoint, str]] = []
-    for point in points:
-        pos = bisect.bisect_right(starts, point.timestamp) - 1
-        # Walk left from the latest-starting candidate to the first span
-        # that actually contains the timestamp.
-        while pos >= 0:
-            span = spans[order[pos]]
-            if span.end >= point.timestamp:
-                out.append((point, span.mode))
-                break
-            pos -= 1
+    times = np.asarray(times, dtype=np.int64)
+    order = np.argsort(times, kind="stable")
+    sorted_times = times[order]
+    owner = np.full(times.size, -1, dtype=np.int64)
+    for idx in sorted(range(len(spans)), key=lambda i: (spans[i].start, i)):
+        lo = np.searchsorted(sorted_times, spans[idx].start, side="left")
+        hi = np.searchsorted(sorted_times, spans[idx].end, side="right")
+        owner[lo:hi] = idx
+    out = np.empty_like(owner)
+    out[order] = owner
     return out
 
 
@@ -223,55 +242,54 @@ def _haversine_m(lat1, lon1, lat2, lon2):
 
 
 def _metadata_scalars(
-    rows: list[tuple[TrajectoryPoint, int]],
-    stats: NormalizationStats,
-    config: VectorizationConfig,
+    time: np.ndarray, lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
+    user: np.ndarray, stats: NormalizationStats, config: VectorizationConfig,
     feature: str,
-) -> list[float]:
-    coords = [(p.lat, p.lon, p.alt) for p, _ in rows]
+) -> np.ndarray:
     if feature == "cell_density":
-        return vectorize_metadata(coords, config)
-    arr = np.asarray(coords, dtype=np.float64)
+        return vectorize_metadata(lat, lon, alt, config)
     if feature == "normalized_alt":
-        _, _, norm_alt = normalize_columns(arr[:, 0], arr[:, 1], arr[:, 2], stats, config)
-        return norm_alt.tolist()
+        return normalize_columns(lat, lon, alt, stats, config)[2]
     if feature == "normalized_speed":
-        speeds = [0.0] * len(rows)
-        for i in range(1, len(rows)):
-            prev, cur = rows[i - 1][0], rows[i][0]
-            if cur.user_id != prev.user_id or cur.timestamp <= prev.timestamp:
-                continue
-            dist = _haversine_m(prev.lat, prev.lon, cur.lat, cur.lon)
-            speeds[i] = dist / (cur.timestamp - prev.timestamp)
-        top = max(speeds)
-        return [s / top for s in speeds] if top > 0 else speeds
+        # math-module haversine per consecutive pair: numpy's sin/cos
+        # round differently in a few pairs per 10^5, which would change
+        # the dataset CSV.
+        speeds = np.zeros(time.size)
+        moving = (user[1:] == user[:-1]) & (time[1:] > time[:-1])
+        t, la, lo = time.tolist(), lat.tolist(), lon.tolist()
+        for i in (np.flatnonzero(moving) + 1).tolist():
+            dist = _haversine_m(la[i - 1], lo[i - 1], la[i], lo[i])
+            speeds[i] = dist / (t[i] - t[i - 1])
+        top = speeds.max()
+        return speeds / top if top > 0 else speeds
     raise ValueError(f"unknown metadata feature {feature!r}")
 
 
 def build_dataset(
-    labeled: list[tuple[TrajectoryPoint, int]],
+    time: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    alt: np.ndarray,
+    label: np.ndarray,
+    user: np.ndarray,
     config: VectorizationConfig = VectorizationConfig(),
     metadata_feature: str = "cell_density",
     mode_names: tuple[str, ...] = DEFAULT_MODES,
 ) -> Dataset:
-    """Assemble the 7-column dataset from labeled points.
+    """Assemble the 7-column dataset from labeled point columns.
 
-    Rows are ordered by (user, timestamp); the metadata scalar is
-    derived from the full dataset (cell-density ratio by default).
+    Rows are ordered by (user, timestamp), stably; the metadata scalar
+    is derived from the full dataset (cell-density ratio by default).
     """
-    if not labeled:
+    if len(time) == 0:
         raise EmptyDataset("no labeled points to assemble")
-    rows = sorted(labeled, key=lambda it: (it[0].user_id, it[0].timestamp))
-    stats = fit_stats([(p.lat, p.lon, p.alt) for p, _ in rows])
-    scalars = _metadata_scalars(rows, stats, config, metadata_feature)
-    samples = [
-        LabeledSample(
-            time=p.timestamp, lat=p.lat, lon=p.lon, alt=p.alt,
-            label=code, user=p.user_id, metadata=scalar,
-        )
-        for (p, code), scalar in zip(rows, scalars)
-    ]
-    return Dataset(samples=samples, stats=stats, mode_names=mode_names)
+    order = np.lexsort((time, user))
+    time, lat, lon, alt, label, user = (
+        np.asarray(col)[order] for col in (time, lat, lon, alt, label, user))
+    stats = fit_stats(lat, lon, alt)
+    metadata = _metadata_scalars(time, lat, lon, alt, user, stats, config, metadata_feature)
+    return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label, user=user,
+                   metadata=metadata, stats=stats, mode_names=mode_names)
 
 
 # --- directory walking -------------------------------------------------
@@ -318,7 +336,7 @@ def ingest_geolife(
     raises.
     """
     warnings: list[IngestWarning] = []
-    labeled: list[tuple[TrajectoryPoint, int]] = []
+    labeled: list[tuple[np.ndarray, ...]] = []  # (time, lat, lon, alt, label, user) per user
     n_points = 0
     for user_id, plt_files, labels_path in iter_geolife_users(root):
         if labels_path is None:
@@ -330,24 +348,33 @@ def ingest_geolife(
                 raise
             warnings.append(IngestWarning(str(labels_path), exc))
             continue
-        points: list[TrajectoryPoint] = []
+        files = []
         for plt_path in plt_files:
             try:
-                points.extend(parse_plt(plt_path.read_bytes(), user_id=user_id))
+                files.append(parse_plt(plt_path.read_bytes()))
             except Exception as exc:
                 if strict:
                     raise
                 warnings.append(IngestWarning(str(plt_path), exc))
-        n_points += len(points)
-        for point, mode in assign_labels(points, spans):
-            code = map_mode(mode, mode_names)
-            if code is not None:
-                labeled.append((point, code))
+        if not files:
+            continue
+        time, lat, lon, alt = (np.concatenate(col) for col in zip(*files))
+        n_points += time.size
+        # A code per span (-1 if unmapped), then a -1 that assign_labels'
+        # "no span" index -1 picks.
+        codes = [map_mode(span.mode, mode_names) for span in spans]
+        span_codes = np.array([-1 if c is None else c for c in codes] + [-1], dtype=np.int64)
+        label = span_codes[assign_labels(time, spans)]
+        keep = label >= 0
+        labeled.append((time[keep], lat[keep], lon[keep], alt[keep], label[keep],
+                        np.full(int(keep.sum()), user_id, dtype=object)))
+    n_labeled = sum(part[0].size for part in labeled)
     dataset = None
-    if labeled:
-        dataset = build_dataset(labeled, config, metadata_feature, mode_names)
+    if n_labeled:
+        columns = (np.concatenate(col) for col in zip(*labeled))
+        dataset = build_dataset(*columns, config, metadata_feature, mode_names)
     return IngestResult(
-        dataset=dataset, n_points=n_points, n_labeled=len(labeled),
+        dataset=dataset, n_points=n_points, n_labeled=n_labeled,
         warnings=warnings,
     )
 
@@ -355,45 +382,65 @@ def ingest_geolife(
 # --- CSV round trip ----------------------------------------------------
 
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:
-    """RFC-4180 CSV with the 7-column header; missing alt is an empty field."""
+    """RFC-4180 CSV with the 7-column header; missing alt is an empty field.
+
+    Floats are written as the repr of Python floats, so they read back
+    exactly.
+    """
+    alt = ["" if is_missing(a) else repr(a) for a in dataset.alt.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        for s in dataset.samples:
-            writer.writerow([
-                s.time,
-                repr(s.lat),
-                repr(s.lon),
-                "" if is_missing(s.alt) else repr(s.alt),
-                s.label,
-                s.user,
-                repr(s.metadata),
-            ])
+        writer.writerows(zip(
+            dataset.time.tolist(),
+            map(repr, dataset.lat.tolist()),
+            map(repr, dataset.lon.tolist()),
+            alt,
+            dataset.label.tolist(),
+            dataset.user.tolist(),
+            map(repr, dataset.metadata.tolist()),
+        ))
 
 
 def read_dataset_csv(path: Path) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    """Read a dataset CSV; the first bad row raises MalformedLine.
+
+    Line numbers count CSV records, the header being record 1; bytes
+    that are not UTF-8 are reported by physical line and byte offset.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(line_no, f"invalid UTF-8 at byte {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[list[str]] = []
+    header = short = None
+    try:
         header = next(reader, None)
         if header is None or tuple(header) != DATASET_COLUMNS:
             raise MalformedLine(1, f"expected header {','.join(DATASET_COLUMNS)}")
-        samples = []
-        for line_no, row in enumerate(reader, 2):
+        for row in reader:
             if len(row) != 7:
-                raise MalformedLine(line_no, f"expected 7 columns, got {len(row)}")
-            try:
-                samples.append(LabeledSample(
-                    time=int(row[0]),
-                    lat=float(row[1]),
-                    lon=float(row[2]),
-                    alt=MISSING if row[3] == "" else float(row[3]),
-                    label=int(row[4]),
-                    user=row[5],
-                    metadata=float(row[6]),
-                ))
-            except ValueError as exc:
-                raise MalformedLine(line_no, str(exc)) from None
-    if not samples:
-        raise EmptyDataset(f"{path} contains a header but no rows")
-    stats = fit_stats([(s.lat, s.lon, s.alt) for s in samples])
-    return Dataset(samples=samples, stats=stats)
+                short = MalformedLine(len(rows) + 2, f"expected 7 columns, got {len(row)}")
+                break
+            rows.append(row)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        line_no = len(rows) + 2 if header is not None else 1
+        raise MalformedLine(line_no, str(exc)) from None
+    first = _FirstFailure(list(range(2, len(rows) + 2)), short)
+    if not rows:
+        raise first.error or EmptyDataset(f"{path} contains a header but no rows")
+    time_s, lat_s, lon_s, alt_s, label_s, user_s, meta_s = zip(*rows)
+    time, lat, lon, alt, label, metadata = (
+        first.convert(cells, convert, dtype, lambda row, exc: str(exc))
+        for cells, convert, dtype in (
+            (time_s, int, np.int64), (lat_s, float, np.float64), (lon_s, float, np.float64),
+            (alt_s, lambda cell: MISSING if cell == "" else float(cell), np.float64),
+            (label_s, int, np.int64), (meta_s, float, np.float64)))
+    if first.error is not None:
+        raise first.error
+    return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label,
+                   user=np.array(user_s, dtype=object), metadata=metadata,
+                   stats=fit_stats(lat, lon, alt))

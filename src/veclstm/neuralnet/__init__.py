@@ -4,7 +4,7 @@ Arrays are float64 numpy throughout compute; float32 only at the
 checkpoint boundary.
 """
 
-from .activations import activation, activation_deriv, check_finite, sigmoid
+from .activations import check_finite, sigmoid_inplace
 from .checkpoint import load_checkpoint, save_checkpoint
 from .cnn import (
     Conv1dParams,
@@ -27,10 +27,8 @@ from .lstm import (
 )
 
 __all__ = [
-    "activation",
-    "activation_deriv",
     "check_finite",
-    "sigmoid",
+    "sigmoid_inplace",
     "softmax",
     "softmax_cross_entropy",
     "DenseParams",

@@ -30,10 +30,6 @@ class Conv1dParams:
     def n_filters(self) -> int:
         return self.kernels.shape[0]
 
-    @property
-    def kernel_width(self) -> int:
-        return self.kernels.shape[2]
-
     def size(self) -> int:
         return self.kernels.size + self.biases.size
 

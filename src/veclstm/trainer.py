@@ -35,6 +35,7 @@ from .neuralnet import softmax_cross_entropy
 from .vectorizer import (
     VectorizationConfig,
     cell_index,
+    cell_indices,
     fit_stats,
     histogram2d,
     impute_missing,
@@ -65,14 +66,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, overrides: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**overrides)
 
 
 # --- data plumbing -------------------------------------------------------
@@ -133,9 +126,6 @@ class StandardScaler:
         out = (x - self.mean_) / safe
         return np.where(self.std_ < 1e-12, 0.0, out)
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
     def transform_value(self, value: float, feature: int = 0) -> float:
         if self.mean_ is None:
             raise NotFittedError("scaler used before fit")
@@ -143,14 +133,6 @@ class StandardScaler:
         if std < 1e-12:
             return 0.0
         return (value - self.mean_[feature]) / std
-
-
-def one_hot(code: int, n_classes: int = 7) -> np.ndarray:
-    if not 0 <= code < n_classes:
-        raise OutOfRange(f"label code {code} outside [0, {n_classes})")
-    vec = np.zeros(n_classes, dtype=np.float64)
-    vec[code] = 1.0
-    return vec
 
 
 def encode_labels(codes: np.ndarray, n_classes: int = 7) -> np.ndarray:
@@ -380,7 +362,7 @@ class DensityFeaturePipeline:
         self.lat = np.asarray(lat, dtype=np.float64)
         self.lon = np.asarray(lon, dtype=np.float64)
         self.alt = np.asarray(alt, dtype=np.float64)
-        self.stats = fit_stats(list(zip(self.lat, self.lon, self.alt)))
+        self.stats = fit_stats(self.lat, self.lon, self.alt)
         norm_lat, norm_lon, _ = normalize_columns(
             self.lat, self.lon, self.alt, self.stats, self.vec_config
         )
@@ -392,14 +374,8 @@ class DensityFeaturePipeline:
         fit_rows = raw if fit_idx is None else raw[fit_idx]
         self.scaler = StandardScaler().fit(fit_rows.reshape(-1, 1))
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        g = self.vec_config.grid_size
-        rows = np.minimum((self._norm_lat * g).astype(np.int64), g - 1)
-        cols = np.minimum((self._norm_lon * g).astype(np.int64), g - 1)
-        return rows, cols
-
     def _raw_scalars(self) -> np.ndarray:
-        rows, cols = self._cells()
+        rows, cols = cell_indices(self._norm_lat, self._norm_lon, self.vec_config.grid_size)
         return self.grid[rows, cols] / self.peak
 
     def precompute(self) -> np.ndarray:

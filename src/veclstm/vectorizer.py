@@ -11,7 +11,7 @@ cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,17 +72,16 @@ class GridHeatmap:
         return "\n".join(",".join(repr(v) for v in row) for row in self.grid.tolist())
 
 
-def fit_stats(points: list[tuple[float, float, float]]) -> NormalizationStats:
-    """Min/max per dimension, ignoring missing values.
+def fit_stats(lat: np.ndarray, lon: np.ndarray, alt: np.ndarray) -> NormalizationStats:
+    """Min/max per column, ignoring missing values.
 
     A dimension with no non-missing values falls back to (0, 1).
     """
-    if not points:
+    if len(lat) == 0:
         raise EmptyInput("cannot fit normalization stats on no points")
-    arr = np.asarray(points, dtype=np.float64)
     bounds = []
-    for col in range(3):
-        values = arr[:, col]
+    for values in (lat, lon, alt):
+        values = np.asarray(values, dtype=np.float64)
         values = values[~np.isnan(values)]
         if values.size == 0:
             bounds.extend((0.0, 1.0))
@@ -130,6 +129,15 @@ def cell_index(value: float, grid_size: int) -> int:
     return min(int(value * grid_size), grid_size - 1)
 
 
+def cell_indices(
+    norm_lat: np.ndarray, norm_lon: np.ndarray, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """cell_index over whole columns: (row, column) of each pair."""
+    top = grid_size - 1
+    return (np.minimum((norm_lat * grid_size).astype(np.int64), top),
+            np.minimum((norm_lon * grid_size).astype(np.int64), top))
+
+
 def histogram2d(
     norm_lat: np.ndarray, norm_lon: np.ndarray, config: VectorizationConfig
 ) -> GridHeatmap:
@@ -141,8 +149,7 @@ def histogram2d(
             f"lat count {norm_lat.size} != lon count {norm_lon.size}"
         )
     g = config.grid_size
-    rows = np.minimum((norm_lat * g).astype(np.int64), g - 1)
-    cols = np.minimum((norm_lon * g).astype(np.int64), g - 1)
+    rows, cols = cell_indices(norm_lat, norm_lon, g)
     grid = np.zeros((g, g), dtype=np.float64)
     np.add.at(grid, (rows, cols), 1.0)
     if config.value_mode == "density" and norm_lat.size > 0:
@@ -157,17 +164,17 @@ def vectorize_trajectory(
 ) -> np.ndarray:
     """Full pipeline: fit stats, normalize, impute, bin, flatten to G^2.
 
+    points is a sequence of (lat, lon, alt) rows, or an (N, 3) array.
     Pass precomputed stats to bin against dataset-wide bounds instead of
     this trajectory's own.
     """
-    if not points:
+    if len(points) == 0:
         raise EmptyInput("cannot vectorize an empty trajectory")
-    if stats is None:
-        stats = fit_stats(points)
     arr = np.asarray(points, dtype=np.float64)
-    norm_lat, norm_lon, _ = normalize_columns(
-        arr[:, 0], arr[:, 1], arr[:, 2], stats, config
-    )
+    lat, lon, alt = arr[:, 0], arr[:, 1], arr[:, 2]
+    if stats is None:
+        stats = fit_stats(lat, lon, alt)
+    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
     return histogram2d(norm_lat, norm_lon, config).flatten()
 
 
@@ -182,44 +189,29 @@ def sample_cell_grids(
     sample's grid cell. These are the spatial inputs of the hybrid
     model's convolution branch.
     """
-    norm_lat, norm_lon, _ = normalize_columns(
-        np.asarray(lat, dtype=np.float64),
-        np.asarray(lon, dtype=np.float64),
-        np.asarray(alt, dtype=np.float64),
-        stats, config,
-    )
+    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
     g = config.grid_size
-    rows = np.minimum((norm_lat * g).astype(np.int64), g - 1)
-    cols = np.minimum((norm_lon * g).astype(np.int64), g - 1)
+    rows, cols = cell_indices(norm_lat, norm_lon, g)
     grids = np.zeros((norm_lat.size, g, g), dtype=np.float64)
     grids[np.arange(norm_lat.size), rows, cols] = 1.0
     return grids
 
 
 def vectorize_metadata(
-    points: list[tuple[float, float, float]],
+    lat: np.ndarray,
+    lon: np.ndarray,
+    alt: np.ndarray,
     config: VectorizationConfig = VectorizationConfig(),
-) -> list[float]:
+) -> np.ndarray:
     """Per-sample scalar: own-cell count over the max cell count.
 
     Built from the dataset-wide count heatmap, so all outputs lie in
     (0, 1] and at least one equals 1.0.
     """
-    if not points:
+    if len(lat) == 0:
         raise EmptyInput("cannot vectorize metadata of an empty dataset")
-    stats = fit_stats(points)
-    arr = np.asarray(points, dtype=np.float64)
-    norm_lat, norm_lon, _ = normalize_columns(
-        arr[:, 0], arr[:, 1], arr[:, 2], stats, config
-    )
-    count_config = VectorizationConfig(
-        grid_size=config.grid_size,
-        missing_default=config.missing_default,
-        value_mode="count",
-    )
-    heatmap = histogram2d(norm_lat, norm_lon, count_config)
-    g = config.grid_size
-    rows = np.minimum((norm_lat * g).astype(np.int64), g - 1)
-    cols = np.minimum((norm_lon * g).astype(np.int64), g - 1)
-    peak = heatmap.grid.max()
-    return (heatmap.grid[rows, cols] / peak).tolist()
+    stats = fit_stats(lat, lon, alt)
+    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
+    heatmap = histogram2d(norm_lat, norm_lon, replace(config, value_mode="count"))
+    rows, cols = cell_indices(norm_lat, norm_lon, config.grid_size)
+    return heatmap.grid[rows, cols] / heatmap.grid.max()

@@ -10,6 +10,7 @@ to "simplify" them by calling library code.
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -259,3 +260,113 @@ def adam_scalar_recurrence(grads, alpha, beta1, beta2, eps, theta0=0.0):
 def as_sorted_multiset(rows) -> list:
     """Canonical form for multiset equality of sample rows."""
     return sorted(tuple(np.asarray(r).reshape(-1).tolist()) for r in rows)
+
+
+# --- row-by-row readers -------------------------------------------------
+# The ingest readers as they were before the dataset became columnar:
+# one row at a time, raising at the first bad row. The columnar readers
+# must return the same columns or raise at the same line.
+
+def _utc(text: str, fmt: str) -> int:
+    return int(datetime.strptime(text, fmt).replace(tzinfo=timezone.utc).timestamp())
+
+
+def row_parse_plt(data):
+    """(time, lat, lon, alt) columns of a PLT file, parsed line by line."""
+    from veclstm.errors import MalformedLine, TruncatedHeader
+
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    lines = data.splitlines()
+    if len(lines) < 6:
+        raise TruncatedHeader(f"PLT file has {len(lines)} lines, expected at least 6")
+    points = []
+    prev_ts = None
+    for line_no, line in enumerate(lines[6:], 7):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise MalformedLine(line_no, f"expected 7 fields, got {len(fields)}")
+        try:
+            lat = float(fields[0])
+            lon = float(fields[1])
+            alt_feet = float(fields[3])
+            float(fields[4])
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"non-numeric field: {exc}") from None
+        try:
+            ts = _utc(f"{fields[5]} {fields[6]}", "%Y-%m-%d %H:%M:%S")
+        except ValueError:
+            raise MalformedLine(line_no, f"bad date/time {fields[5]},{fields[6]}") from None
+        if not (-90.0 <= lat <= 90.0):
+            raise MalformedLine(line_no, f"latitude {lat} out of range")
+        if not (-180.0 <= lon <= 180.0):
+            raise MalformedLine(line_no, f"longitude {lon} out of range")
+        if prev_ts is not None and ts < prev_ts:
+            raise MalformedLine(line_no, "timestamp decreases within file")
+        prev_ts = ts
+        alt = math.nan if alt_feet == -777.0 else alt_feet * 0.3048
+        points.append((ts, lat, lon, alt))
+    return (np.array([p[0] for p in points], dtype=np.int64),
+            *(np.array([p[k] for p in points], dtype=np.float64) for k in (1, 2, 3)))
+
+
+def row_read_dataset_csv(path):
+    """The seven columns of a dataset CSV, read record by record.
+
+    As the row-by-row reader always did, except that an integer outside
+    int64, which that reader passed on to crash a later stage, raises
+    MalformedLine here as in the columnar reader.
+    """
+    import csv
+
+    from veclstm.errors import EmptyDataset, MalformedLine
+
+    columns = ("time", "lat", "lon", "alt", "label", "user", "metadata")
+
+    def int64(text):
+        value = int(text)
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"{value} outside int64")
+        return value
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != columns:
+            raise MalformedLine(1, f"expected header {','.join(columns)}")
+        rows = []
+        for line_no, row in enumerate(reader, 2):
+            if len(row) != 7:
+                raise MalformedLine(line_no, f"expected 7 columns, got {len(row)}")
+            try:
+                rows.append((int64(row[0]), float(row[1]), float(row[2]),
+                             math.nan if row[3] == "" else float(row[3]),
+                             int64(row[4]), row[5], float(row[6])))
+            except ValueError as exc:
+                raise MalformedLine(line_no, str(exc)) from None
+    if not rows:
+        raise EmptyDataset(f"{path} contains a header but no rows")
+    dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, object, np.float64)
+    return {name: np.array([r[k] for r in rows], dtype=dtype)
+            for k, (name, dtype) in enumerate(zip(columns, dtypes))}
+
+
+def bisect_assign_labels(times, spans) -> list[int]:
+    """Span index per timestamp (-1 when uncovered), by a bisect walk.
+
+    Among the spans containing a timestamp, the one with the latest
+    start wins, and on equal starts the one later in the list.
+    """
+    import bisect
+
+    order = sorted(range(len(spans)), key=lambda idx: (spans[idx].start, idx))
+    starts = [spans[idx].start for idx in order]
+    out = []
+    for t in times:
+        pos = bisect.bisect_right(starts, t) - 1
+        while pos >= 0 and spans[order[pos]].end < t:
+            pos -= 1
+        out.append(order[pos] if pos >= 0 else -1)
+    return out

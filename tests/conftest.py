@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from veclstm.ingest import Dataset, LabeledSample
-from veclstm.vectorizer import fit_stats
+from veclstm.ingest import Dataset
+from veclstm.vectorizer import fit_stats, vectorize_metadata
 
 PLT_HEADER = "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n0,2,255,My Track,0,0,2,8421376\n0\n"
 
@@ -85,24 +85,18 @@ def separable_dataset(n: int, seed: int = 7, class_codes=(0, 1, 2),
         sizes[0] += n - sizes.sum()
     centers = [(0.05, 0.05), (0.55, 0.55), (0.95, 0.95), (0.25, 0.75),
                (0.75, 0.25), (0.45, 0.05), (0.05, 0.95)]
-    samples = []
-    t = 1_200_000_000
+    lat, lon, label = [], [], []
     for code, size, center in zip(class_codes, sizes, centers):
-        lat = center[0] + rng.normal(0, 0.004, size)
-        lon = center[1] + rng.normal(0, 0.004, size)
-        for la, lo in zip(lat, lon):
-            samples.append(LabeledSample(
-                time=t, lat=float(la), lon=float(lo), alt=50.0,
-                label=code, user=f"u{code}", metadata=0.0,
-            ))
-            t += 1
-    stats = fit_stats([(s.lat, s.lon, s.alt) for s in samples])
-    # Recompute the density metadata against the assembled cloud.
-    from veclstm.vectorizer import vectorize_metadata
-    scalars = vectorize_metadata([(s.lat, s.lon, s.alt) for s in samples])
-    samples = [
-        LabeledSample(time=s.time, lat=s.lat, lon=s.lon, alt=s.alt,
-                      label=s.label, user=s.user, metadata=m)
-        for s, m in zip(samples, scalars)
-    ]
-    return Dataset(samples=samples, stats=stats)
+        lat.append(center[0] + rng.normal(0, 0.004, size))
+        lon.append(center[1] + rng.normal(0, 0.004, size))
+        label.append(np.full(size, code, dtype=np.int64))
+    lat, lon, label = (np.concatenate(col) for col in (lat, lon, label))
+    alt = np.full(lat.size, 50.0)
+    return Dataset(
+        time=np.arange(1_200_000_000, 1_200_000_000 + lat.size, dtype=np.int64),
+        lat=lat, lon=lon, alt=alt, label=label,
+        user=np.array([f"u{code}" for code in label.tolist()], dtype=object),
+        # the density metadata of the assembled cloud
+        metadata=vectorize_metadata(lat, lon, alt),
+        stats=fit_stats(lat, lon, alt),
+    )

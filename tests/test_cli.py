@@ -3,11 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from veclstm.cli import main
+from veclstm.cli import RunConfig, load_run_config, main
 from veclstm.ingest import read_dataset_csv, write_dataset_csv
 from veclstm.vecstore import open_store
+from veclstm.vectorizer import vectorize_trajectory
 
 from conftest import labels_text, separable_dataset
 
@@ -26,6 +28,31 @@ def train_config(tmp_path):
         "train": {"epochs": 20, "batch_size": 32, "learning_rate": 0.01, "seed": 3},
     }), encoding="utf-8")
     return path
+
+
+class TestConfig:
+    @pytest.mark.parametrize("text", [
+        '{"train": {"epochs": 3,}',                      # invalid JSON
+        '{"metdata_feature": "cell_density"}',           # unknown top-level key
+        '{"vectorizer": {"grid": 12}}',                  # unknown nested key
+        '{"train": {"epochs": "3"}}',                    # wrong type
+        '{"modes": ["walk", "bike", "bus"]}',            # not 7 modes
+    ], ids=["invalid_json", "unknown_key", "unknown_nested_key", "wrong_type",
+            "six_modes_short"])
+    def test_bad_config_names_its_path(self, sep_csv, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["train", str(sep_csv), "--arch", "lstm",
+                   "--out-dir", str(tmp_path / "o"), "--config", str(path)])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_every_documented_key_loads(self, tmp_path):
+        doc = RunConfig().to_dict()
+        doc["train"]["learning_rate"] = 1  # an int where a float is expected
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_run_config(str(path), None).to_dict() == doc
 
 
 class TestIngest:
@@ -77,6 +104,25 @@ class TestVectorize:
             # each group's heatmap counts its points
             totals = sorted(r.vector.sum() for r in store.fetch())
             assert totals == [1.0, 3.0, 3.0]
+
+    def test_records_follow_sorted_group_order(self, tmp_path):
+        # Record ids follow the sorted (user, label) order; each vector is
+        # its group's heatmap against the dataset-wide bounds.
+        dataset = separable_dataset(60, seed=5)
+        dataset.user = np.array(["b", "a", "a"] * 20, dtype=object)
+        dataset_csv = tmp_path / "d.csv"
+        write_dataset_csv(dataset, dataset_csv)
+        store_path = tmp_path / "v.vlvs"
+        assert main(["vectorize", str(dataset_csv), "--store", str(store_path)]) == 0
+        with open_store(str(store_path)) as store:
+            records = sorted(store.fetch(), key=lambda r: r.record_id)
+        keys = sorted(set(zip(dataset.user.tolist(), dataset.label.tolist())))
+        assert [(r.user, r.label) for r in records] == keys
+        for record, (user, label) in zip(records, keys):
+            rows = (dataset.user == user) & (dataset.label == label)
+            coords = list(zip(dataset.lat[rows], dataset.lon[rows], dataset.alt[rows]))
+            expected = vectorize_trajectory(coords, stats=dataset.stats)
+            assert np.array_equal(record.vector, expected.astype("<f4"))
 
     def test_store_from_environment(self, geolife_tree, tmp_path, monkeypatch,
                                     capsys):

@@ -1,9 +1,14 @@
 """Ingest tests: PLT/labels parsing, span joining, dataset assembly."""
 
 import calendar
+import csv
+import io
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from veclstm.errors import (
     EmptyDataset,
@@ -12,9 +17,9 @@ from veclstm.errors import (
     TruncatedHeader,
 )
 from veclstm.ingest import (
+    DATASET_COLUMNS,
     DEFAULT_MODES,
     LabelSpan,
-    TrajectoryPoint,
     assign_labels,
     build_dataset,
     ingest_geolife,
@@ -26,6 +31,7 @@ from veclstm.ingest import (
 )
 from veclstm.vectorizer import is_missing
 
+from _oracles import bisect_assign_labels, row_parse_plt, row_read_dataset_csv
 from conftest import labels_text, plt_text
 
 
@@ -37,19 +43,21 @@ def epoch_utc(y, mo, d, h, mi, s):
 class TestParsePlt:
     def test_documented_example_line(self):
         text = plt_text([(39.906631, 116.385564, 492, "2009-03-10", "12:00:00")])
-        (point,) = parse_plt(text)
-        assert point.lat == 39.906631
-        assert point.lon == 116.385564
-        assert point.alt == pytest.approx(149.9616, abs=1e-9)  # 492 ft
-        assert point.timestamp == epoch_utc(2009, 3, 10, 12, 0, 0)
+        (time,), (lat,), (lon,), (alt,) = parse_plt(text)
+        assert lat == 39.906631
+        assert lon == 116.385564
+        assert alt == pytest.approx(149.9616, abs=1e-9)  # 492 ft
+        assert time == epoch_utc(2009, 3, 10, 12, 0, 0)
 
     def test_header_only_file(self):
-        assert parse_plt(plt_text([])) == []
+        columns = parse_plt(plt_text([]))
+        assert [col.size for col in columns] == [0, 0, 0, 0]
+        assert columns[0].dtype == np.int64
 
     def test_altitude_sentinel_becomes_missing(self):
         text = plt_text([(39.9, 116.4, -777, "2009-03-10", "12:00:00")])
-        (point,) = parse_plt(text)
-        assert is_missing(point.alt)
+        _, _, _, (alt,) = parse_plt(text)
+        assert is_missing(alt)
 
     def test_truncated_header(self):
         with pytest.raises(TruncatedHeader):
@@ -79,20 +87,32 @@ class TestParsePlt:
         with pytest.raises(MalformedLine):
             parse_plt(text)
 
+    def test_first_failing_check_wins(self):
+        # within a row the latitude check comes first; across rows the
+        # earlier row wins whatever its check
+        both = plt_text([(95.0, 200.0, 100, "2009-03-10", "12:00:00")])
+        with pytest.raises(MalformedLine, match="latitude"):
+            parse_plt(both)
+        text = plt_text([(39.9, 200.0, 100, "2009-03-10", "12:00:00"),
+                         (95.0, 116.4, 100, "2009-03-10", "12:00:01")]) + "1,2\n"
+        with pytest.raises(MalformedLine, match="longitude") as exc:
+            parse_plt(text)
+        assert exc.value.line_no == 7
+
     def test_bytes_input(self):
         raw = plt_text([(39.9, 116.4, 100, "2009-03-10", "12:00:00")]).encode()
-        assert len(parse_plt(raw)) == 1
+        assert len(parse_plt(raw)[0]) == 1
 
     def test_round_trip_precision(self):
         # lossless for valid rows: numeric fields reparse to themselves
         text = plt_text([(39.906631, 116.385564, 492, "2009-03-10", "12:00:00")])
-        (point,) = parse_plt(text)
-        rebuilt = plt_text([(point.lat, point.lon, point.alt / 0.3048,
+        _, (lat,), (lon,), (alt,) = parse_plt(text)
+        rebuilt = plt_text([(float(lat), float(lon), float(alt) / 0.3048,
                              "2009-03-10", "12:00:00")])
-        (again,) = parse_plt(rebuilt)
-        assert again.lat == point.lat
-        assert again.lon == point.lon
-        assert again.alt == pytest.approx(point.alt, abs=1e-9)
+        _, (lat2,), (lon2,), (alt2,) = parse_plt(rebuilt)
+        assert lat2 == lat
+        assert lon2 == lon
+        assert alt2 == pytest.approx(alt, abs=1e-9)
 
 
 class TestParseLabels:
@@ -116,25 +136,25 @@ class TestParseLabels:
             parse_labels("Start\tEnd\tMode\nnot-a-row\n")
 
 
-def make_point(ts, user="u"):
-    return TrajectoryPoint(timestamp=ts, lat=0.0, lon=0.0, alt=0.0, user_id=user)
+def labeled(times, spans):
+    """(timestamp, mode) of each covered timestamp, in input order."""
+    owner = assign_labels(np.array(times, dtype=np.int64), spans)
+    return [(t, spans[i].mode) for t, i in zip(times, owner.tolist()) if i >= 0]
 
 
 class TestAssignLabels:
     def test_empty_spans(self):
-        assert assign_labels([make_point(5)], []) == []
+        assert assign_labels(np.array([5]), []).tolist() == [-1]
 
     def test_inclusive_boundaries(self):
         spans = [LabelSpan(start=10, end=20, mode="walk")]
-        labeled = assign_labels([make_point(10), make_point(20), make_point(21)], spans)
-        assert [p.timestamp for p, _ in labeled] == [10, 20]
-        assert all(mode == "walk" for _, mode in labeled)
+        pairs = labeled([10, 20, 21], spans)
+        assert [t for t, _ in pairs] == [10, 20]
+        assert all(mode == "walk" for _, mode in pairs)
 
     def test_coverage_subset(self):
         spans = [LabelSpan(0, 10, "walk"), LabelSpan(100, 110, "bus")]
-        points = [make_point(t) for t in (5, 8, 50, 105, 200)]
-        labeled = assign_labels(points, spans)
-        assert [(p.timestamp, m) for p, m in labeled] == [
+        assert labeled([5, 8, 50, 105, 200], spans) == [
             (5, "walk"), (8, "walk"), (105, "bus")]
 
     def test_brute_force_interval_membership(self):
@@ -144,27 +164,24 @@ class TestAssignLabels:
             start = int(rng.integers(0, 900))
             spans.append(LabelSpan(start, start + int(rng.integers(0, 120)),
                                    f"m{rng.integers(0, 5)}"))
-        points = [make_point(int(t)) for t in rng.integers(0, 1100, size=300)]
-        got = {id(p): m for p, m in assign_labels(points, spans)}
+        times = rng.integers(0, 1100, size=300)
+        owner = assign_labels(times, spans).tolist()
+        assert owner == bisect_assign_labels(times.tolist(), spans)
 
-        for point in points:
+        for t, got in zip(times.tolist(), owner):
             containing = [(s.start, i) for i, s in enumerate(spans)
-                          if s.start <= point.timestamp <= s.end]
-            if not containing:
-                assert id(point) not in got
-            else:
-                winner = spans[max(containing)[1]]
-                assert got[id(point)] == winner.mode
+                          if s.start <= t <= s.end]
+            assert got == (max(containing)[1] if containing else -1)
 
     def test_overlap_latest_start_wins(self):
         spans = [LabelSpan(0, 100, "walk"), LabelSpan(50, 100, "bus")]
-        (labeled,) = assign_labels([make_point(75)], spans)
-        assert labeled[1] == "bus"
+        ((_, mode),) = labeled([75], spans)
+        assert mode == "bus"
 
     def test_equal_start_later_file_order_wins(self):
         spans = [LabelSpan(0, 100, "walk"), LabelSpan(0, 100, "bus")]
-        (labeled,) = assign_labels([make_point(5)], spans)
-        assert labeled[1] == "bus"
+        ((_, mode),) = labeled([5], spans)
+        assert mode == "bus"
 
 
 class TestMapMode:
@@ -185,45 +202,69 @@ class TestMapMode:
         assert sorted(codes) == list(range(7))
 
 
+def point_columns(times, labels, users=None, lat=None, lon=None, alt=None):
+    """The six build_dataset input columns; unset coordinates are 0."""
+    n = len(times)
+    zeros = np.zeros(n)
+    return (np.array(times, dtype=np.int64),
+            zeros if lat is None else np.asarray(lat, dtype=np.float64),
+            zeros if lon is None else np.asarray(lon, dtype=np.float64),
+            zeros if alt is None else np.asarray(alt, dtype=np.float64),
+            np.array(labels, dtype=np.int64),
+            np.array(["u"] * n if users is None else users, dtype=object))
+
+
 class TestBuildDataset:
     def test_single_point(self):
-        dataset = build_dataset([(make_point(5), 0)])
+        dataset = build_dataset(*point_columns([5], [0]))
         assert len(dataset) == 1
-        assert 0.0 <= dataset.samples[0].metadata <= 1.0
+        assert 0.0 <= dataset.metadata[0] <= 1.0
 
     def test_single_cell_metadata_is_one(self):
-        labeled = [(make_point(t), 0) for t in range(4)]
-        dataset = build_dataset(labeled)
-        assert all(s.metadata == 1.0 for s in dataset.samples)
+        dataset = build_dataset(*point_columns(range(4), [0] * 4))
+        assert dataset.metadata.tolist() == [1.0] * 4
 
     def test_ordering_matches_sort_oracle(self):
         rng = np.random.default_rng(13)
-        labeled = []
+        users, times, lat, lon, labels = [], [], [], [], []
         for _ in range(100):
-            user = f"u{rng.integers(0, 3)}"
-            ts = int(rng.integers(0, 10_000))
-            point = TrajectoryPoint(timestamp=ts, lat=float(rng.uniform()),
-                                    lon=float(rng.uniform()), alt=0.0, user_id=user)
-            labeled.append((point, int(rng.integers(0, 7))))
-        dataset = build_dataset(labeled)
+            users.append(f"u{rng.integers(0, 3)}")
+            times.append(int(rng.integers(0, 10_000)))
+            lat.append(float(rng.uniform()))
+            lon.append(float(rng.uniform()))
+            labels.append(int(rng.integers(0, 7)))
+        dataset = build_dataset(*point_columns(times, labels, users, lat, lon))
         assert len(dataset) == 100
-        keys = [(s.user, s.time) for s in dataset.samples]
+        keys = list(zip(dataset.user.tolist(), dataset.time.tolist()))
         assert keys == sorted(keys)
+        rows = sorted(zip(users, times, lat, lon, labels), key=lambda r: (r[0], r[1]))
+        assert list(zip(dataset.user.tolist(), dataset.time.tolist(), dataset.lat.tolist(),
+                        dataset.lon.tolist(), dataset.label.tolist())) == rows
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            build_dataset([])
+            build_dataset(*point_columns([], []))
 
     def test_alternate_metadata_features(self):
-        labeled = [(TrajectoryPoint(timestamp=t, lat=0.001 * t, lon=0.0,
-                                    alt=float(t), user_id="u"), 0)
-                   for t in range(10)]
-        alt_based = build_dataset(labeled, metadata_feature="normalized_alt")
-        assert alt_based.samples[0].metadata == 0.0
-        assert alt_based.samples[-1].metadata == 1.0
-        speed_based = build_dataset(labeled, metadata_feature="normalized_speed")
-        values = [s.metadata for s in speed_based.samples]
+        times = list(range(10))
+        columns = point_columns(times, [0] * 10, lat=[0.001 * t for t in times],
+                                alt=[float(t) for t in times])
+        alt_based = build_dataset(*columns, metadata_feature="normalized_alt")
+        assert alt_based.metadata[0] == 0.0
+        assert alt_based.metadata[-1] == 1.0
+        speed_based = build_dataset(*columns, metadata_feature="normalized_speed")
+        values = speed_based.metadata.tolist()
         assert values[0] == 0.0 and max(values) == 1.0
+
+    def test_speed_restarts_at_each_user(self):
+        # u1's first point is 1 degree from u0's last: no speed between them
+        times, lat = [0, 10, 20, 30, 40], [0.0, 0.001, 0.003, 1.0, 1.001]
+        dataset = build_dataset(*point_columns(times, [0] * 5, ["u0"] * 3 + ["u1"] * 2, lat),
+                                metadata_feature="normalized_speed")
+        meters = [0.0, 111.19492664455873, 222.38985328911747, 0.0, 111.19492664455873]
+        speeds = [m / 10 for m in meters]
+        assert dataset.metadata.tolist() == pytest.approx([v / max(speeds) for v in speeds],
+                                                          abs=1e-12)
 
 
 class TestGeolifeTree:
@@ -234,14 +275,13 @@ class TestGeolifeTree:
         # minus the unlabeled one; user 001: 3 train points
         assert result.n_labeled == 7
         assert len(result.dataset) == 7
-        labels = sorted({s.label for s in result.dataset.samples})
+        labels = np.unique(result.dataset.label).tolist()
         assert labels == [map_mode("walk"), map_mode("bus"), map_mode("train")] or \
             labels == sorted([0, 2, 6])
 
     def test_missing_altitude_propagates(self, geolife_tree):
         result = ingest_geolife(geolife_tree)
-        missing = [s for s in result.dataset.samples if is_missing(s.alt)]
-        assert len(missing) == 1
+        assert np.isnan(result.dataset.alt).sum() == 1
 
     def test_strict_raises_on_malformed(self, geolife_tree):
         bad = geolife_tree / "Data" / "000" / "Trajectory" / "bad.plt"
@@ -262,9 +302,146 @@ class TestCsvRoundTrip:
         assert header == "time,lat,lon,alt,label,user,metadata"
         loaded = read_dataset_csv(path)
         assert len(loaded) == len(dataset)
-        for a, b in zip(loaded.samples, dataset.samples):
-            assert (a.time, a.lat, a.lon, a.label, a.user, a.metadata) == \
-                (b.time, b.lat, b.lon, b.label, b.user, b.metadata)
-            assert is_missing(a.alt) == is_missing(b.alt)
-            if not is_missing(a.alt):
-                assert a.alt == b.alt
+        for name in DATASET_COLUMNS:
+            a, b = getattr(loaded, name), getattr(dataset, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=name == "alt"), name
+        assert np.isnan(loaded.alt).sum() == 1
+        assert loaded.stats == dataset.stats
+
+
+# --- columnar readers against the row-by-row oracles -------------------
+
+JUNK = st.text(alphabet="0123456789.-+e:/ ,x\"\n_", max_size=4)
+
+
+def _corrupt(text: str, data, header_lines: int) -> str:
+    """text after up to three damages: a cell replaced, a character
+    edit, a dropped comma or a truncation."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["cell", "cell", "edit", "comma", "truncate"]))
+        lines = text.split("\n")
+        if kind == "cell" and len(lines) > header_lines:
+            row = data.draw(st.integers(header_lines, len(lines) - 1))
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(JUNK)
+            lines[row] = ",".join(cells)
+            text = "\n".join(lines)
+        elif kind == "edit" and text:
+            pos = data.draw(st.integers(0, len(text) - 1))
+            width = data.draw(st.integers(0, 3))
+            text = text[:pos] + data.draw(JUNK) + text[pos + width:]
+        elif kind == "comma" and "," in text:
+            commas = [i for i, ch in enumerate(text) if ch == ","]
+            pos = data.draw(st.sampled_from(commas))
+            text = text[:pos] + text[pos + 1:]
+        elif kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+    return text
+
+
+def _same_outcome(columnar, oracle):
+    """Run both readers: equal columns, or MalformedLine at the same line."""
+    try:
+        expected = oracle()
+    except MalformedLine as exc:
+        event(f"MalformedLine: {exc.reason.split(':')[0].split(' ')[0]}")
+        with pytest.raises(MalformedLine) as got:
+            columnar()
+        assert got.value.line_no == exc.line_no
+        return got.value, exc
+    except (EmptyDataset, TruncatedHeader) as exc:
+        event(type(exc).__name__)
+        with pytest.raises(type(exc)):
+            columnar()
+        return None
+    event("read")
+    got = columnar()
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    return None
+
+
+# Coordinates run a little past their valid ranges, and the timestamps
+# (seconds after 2000-01-01) are sorted unless the draw says otherwise,
+# so every check of the parser gets to fail.
+plt_rows = st.lists(st.tuples(
+    st.floats(-100, 100), st.floats(-200, 200),
+    st.one_of(st.just(-777.0), st.floats(-1e4, 1e5)),
+    st.integers(0, 400_000_000),
+), max_size=6)
+
+
+class TestColumnarReadersMatchRowOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=plt_rows, data=st.data())
+    def test_parse_plt(self, rows, data):
+        start = epoch_utc(2000, 1, 1, 0, 0, 0)
+        offsets = [r[3] for r in rows]
+        if data.draw(st.integers(0, 4)):
+            offsets.sort()
+        lines = []
+        for (lat, lon, alt, _), ts in zip(rows, offsets):
+            stamp = datetime.fromtimestamp(start + ts, timezone.utc)
+            lines.append(f"{lat!r},{lon!r},0,{alt!r},39000.5,"
+                         f"{stamp:%Y-%m-%d},{stamp:%H:%M:%S}")
+        text = _corrupt(plt_text([]) + "\n".join(lines) + "\n", data, header_lines=6)
+        errors = _same_outcome(lambda: parse_plt(text), lambda: row_parse_plt(text))
+        if errors:
+            assert str(errors[0]) == str(errors[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(-2**63, 2**63 - 1), st.floats(), st.floats(),
+        st.one_of(st.none(), st.floats()), st.integers(-3, 9),
+        st.text(max_size=4), st.floats(0, 1)), max_size=6), data=st.data())
+    def test_read_dataset_csv(self, tmp_path_factory, rows, data):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(DATASET_COLUMNS)
+        for t, lat, lon, alt, label, user, meta in rows:
+            writer.writerow([t, repr(lat), repr(lon), "" if alt is None else repr(alt),
+                             label, user, repr(meta)])
+        path = tmp_path_factory.mktemp("csv") / "dataset.csv"
+        path.write_text(_corrupt(out.getvalue(), data, header_lines=1),
+                        encoding="utf-8", newline="")
+
+        def columnar():
+            dataset = read_dataset_csv(path)
+            return [getattr(dataset, name) for name in DATASET_COLUMNS]
+
+        def oracle():
+            columns = row_read_dataset_csv(path)
+            return [columns[name] for name in DATASET_COLUMNS]
+
+        _same_outcome(columnar, oracle)
+
+
+class TestDatasetCsvErrors:
+    def _write(self, tmp_path, body: bytes):
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(",".join(DATASET_COLUMNS).encode() + b"\n" + body)
+        return path
+
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        path = self._write(tmp_path, b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,0,\xff\xfe,0.5\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line_no == 3
+        assert "UTF-8" in str(exc.value)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        path = self._write(tmp_path, b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,0,"
+                           + b"u" * (csv.field_size_limit() + 1) + b",0.5\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line_no == 3
+
+    def test_first_bad_row_wins_across_columns(self, tmp_path):
+        # row 3 has a bad label, row 2 a bad metadata cell: row 2 is reported
+        path = self._write(tmp_path, b"1,2.0,3.0,,0,u,x\n2,2.0,3.0,,y,u,0.5\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line_no == 2

@@ -1,24 +1,31 @@
-"""Guard: every program attribute the traced benchmark wraps or reads exists.
+"""Guard: the benchmark still runs against the program.
 
 The traced run (``perfbench/run.py --trace 1``) wraps functions and
 methods of veclstm from outside and reads a few fields of the layer
-parameter and cache objects. A refactor that renames one of them would
-otherwise only show up as a failed traced run.
+parameter and cache objects, and every run checks the program's output
+as it goes (ingest counts, the dataset CSV round trip, store contents,
+probabilities). A refactor that renames one of them, or changes what
+the data path returns, would otherwise only show up as a failed
+benchmark run.
 """
 
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from perfbench.generator import TreeShape  # noqa: E402
 from perfbench.layers import Probe  # noqa: E402
+from perfbench.spec import END_TO_END  # noqa: E402
 from perfbench.trace import Tracer, wrap_attributes  # noqa: E402
-from perfbench.workloads import load_program  # noqa: E402
+from perfbench.workloads import Run, Workload, load_program  # noqa: E402
 
 from veclstm.neuralnet import Conv1dParams, LstmParams, LstmSequenceCache  # noqa: E402
 
@@ -56,3 +63,20 @@ def test_traced_hybrid_step_names_every_block():
     for block in ("lstm1", "lstm2", "conv", "pool", "fusion", "head"):
         assert {f"models.{block}.fwd", f"models.{block}.bwd"} <= names, block
     assert not any("unknown" in name for name in names)
+
+
+TINY_TREE = TreeShape(users=2, spans_per_user=35, points_per_span=20, spans_per_file=7)
+
+
+@pytest.mark.parametrize("metadata_feature,arch", [
+    ("normalized_speed", "veclstm"), ("cell_density", "hybrid")])
+def test_tiny_run_passes_every_check(tmp_path, metadata_feature, arch):
+    workload = Workload("tiny", TINY_TREE, metadata_feature, arch, epochs=1,
+                        insert_batches=2, step_loop="blas")
+    run = Run(workload, seed=1, seconds=0, trace=False, work=tmp_path)
+    run.run()
+    assert run.ledger.failed == 0, run.ledger.failures
+    assert run.ledger.attempted > 0
+    metrics = run.end_to_end()
+    assert set(metrics) == {m.name for m in END_TO_END}
+    assert all(math.isfinite(value) for value in metrics.values())

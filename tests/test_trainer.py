@@ -20,7 +20,6 @@ from veclstm.trainer import (
     adam_step,
     benchmark_pipelines,
     encode_labels,
-    one_hot,
     random_oversample,
     train_model,
     train_test_split,
@@ -80,7 +79,7 @@ class TestScaler:
     def test_moments_after_scaling(self):
         rng = np.random.default_rng(8)
         x = rng.normal(3.0, 2.5, size=(400, 3))
-        scaled = StandardScaler().fit_transform(x)
+        scaled = StandardScaler().fit(x).transform(x)
         assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(scaled.var(axis=0) - 1.0) < 1e-9)
 
@@ -98,14 +97,14 @@ class TestScaler:
 
 class TestOneHot:
     def test_endpoints(self):
-        assert np.array_equal(one_hot(0), [1, 0, 0, 0, 0, 0, 0])
-        assert np.array_equal(one_hot(6), [0, 0, 0, 0, 0, 0, 1])
+        assert np.array_equal(encode_labels(np.array([0, 6])),
+                              [[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1]])
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            one_hot(7)
+            encode_labels(np.array([7]))
         with pytest.raises(OutOfRange):
-            one_hot(-1)
+            encode_labels(np.array([-1]))
 
     def test_batch_encoding(self):
         mat = encode_labels(np.array([0, 6, 3]))

@@ -22,24 +22,29 @@ from veclstm.vectorizer import (
 from _oracles import brute_force_histogram
 
 
+def columns(points):
+    """(lat, lon, alt) columns of a list of (lat, lon, alt) rows."""
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+
+
 class TestFitStats:
     def test_basic_min_max(self):
-        stats = fit_stats([(0, 0, 0), (1, 2, 3)])
+        stats = fit_stats(*columns([(0, 0, 0), (1, 2, 3)]))
         assert stats.bounds("lat") == (0, 1)
         assert stats.bounds("lon") == (0, 2)
         assert stats.bounds("alt") == (0, 3)
 
     def test_single_point(self):
-        stats = fit_stats([(5.0, 6.0, 7.0)])
+        stats = fit_stats(*columns([(5.0, 6.0, 7.0)]))
         assert stats.bounds("lat") == (5.0, 5.0)
 
     def test_all_missing_altitude_falls_back(self):
-        stats = fit_stats([(1, 2, MISSING), (3, 4, MISSING)])
+        stats = fit_stats(*columns([(1, 2, MISSING), (3, 4, MISSING)]))
         assert stats.bounds("alt") == (0.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            fit_stats([])
+            fit_stats(*columns([]))
 
 
 class TestNormalize:
@@ -116,7 +121,7 @@ class TestVectorizeTrajectory:
         vec = vectorize_trajectory(points)
         assert vec.sum() == 1000
         arr = np.asarray(points)
-        stats = fit_stats(points)
+        stats = fit_stats(*columns(points))
         norm_lat, norm_lon, _ = normalize_columns(
             arr[:, 0], arr[:, 1], arr[:, 2], stats, VectorizationConfig())
         expected = brute_force_histogram(norm_lat, norm_lon, 10).reshape(-1)
@@ -145,12 +150,12 @@ class TestVectorizeTrajectory:
 class TestVectorizeMetadata:
     def test_single_cell_all_ones(self):
         points = [(0.5, 0.5, 0.0)] * 5
-        assert vectorize_metadata(points) == [1.0] * 5
+        assert vectorize_metadata(*columns(points)).tolist() == [1.0] * 5
 
     def test_two_cell_ratio(self):
         # 4 points in one cell, 2 in another: scalars 1.0 and 0.5
         points = [(0.05, 0.05, 0.0)] * 4 + [(0.95, 0.95, 0.0)] * 2
-        scalars = vectorize_metadata(points)
+        scalars = vectorize_metadata(*columns(points)).tolist()
         assert scalars[:4] == [1.0] * 4
         assert scalars[4:] == [0.5] * 2
 
@@ -158,9 +163,9 @@ class TestVectorizeMetadata:
         rng = np.random.default_rng(55)
         points = [(la, lo, 0.0) for la, lo in zip(
             rng.uniform(size=200), rng.uniform(size=200))]
-        scalars = vectorize_metadata(points)
+        scalars = vectorize_metadata(*columns(points)).tolist()
         arr = np.asarray(points)
-        stats = fit_stats(points)
+        stats = fit_stats(*columns(points))
         norm_lat, norm_lon, _ = normalize_columns(
             arr[:, 0], arr[:, 1], arr[:, 2], stats, VectorizationConfig())
         grid = brute_force_histogram(norm_lat, norm_lon, 10)
@@ -174,7 +179,7 @@ class TestVectorizeMetadata:
         rng = np.random.default_rng(77)
         points = [(la, lo, 0.0) for la, lo in zip(
             rng.uniform(size=80), rng.uniform(size=80))]
-        scalars = vectorize_metadata(points)
+        scalars = vectorize_metadata(*columns(points)).tolist()
         assert all(0 < s <= 1.0 for s in scalars)
         assert max(scalars) == 1.0
 
@@ -196,7 +201,7 @@ class TestSampleCellGrids:
         lat = np.array([0.0, 10.0])
         lon = np.array([0.0, 10.0])
         alt = np.array([0.0, 0.0])
-        stats = fit_stats([(0, 0, 0), (10, 10, 0)])
+        stats = fit_stats(*columns([(0, 0, 0), (10, 10, 0)]))
         grids = sample_cell_grids(lat, lon, alt, stats)
         assert grids.shape == (2, 10, 10)
         assert grids[0, 0, 0] == 1 and grids[0].sum() == 1
