@@ -257,8 +257,20 @@ class PreparedData:
     y_test_codes: np.ndarray
 
 
-def _feature_tensor(meta_scaled: np.ndarray) -> np.ndarray:
-    return meta_scaled.reshape(meta_scaled.shape[0], 1, meta_scaled.shape[1])
+def split_rows(labels: np.ndarray, train: TrainConfig):
+    """The seeded split of row indices that train and bench share.
+
+    The test rows come off first (seed), then the validation rows off
+    the remainder (seed + 1), and the training rows left are oversampled
+    (seed + 2). Returns ((train_rows, y_train), (val_rows, y_val),
+    (test_rows, y_test)), the training rows oversampled. The calls go
+    through this module's names, which the traced benchmark run wraps.
+    """
+    (rest, y_rest), test = train_test_split(
+        np.arange(labels.size), labels, train.test_fraction, train.seed)
+    (rows, y_rows), val = train_test_split(
+        rest, y_rest, train.validation_fraction, train.seed + 1)
+    return random_oversample(rows, y_rows, train.seed + 2), val, test
 
 
 def prepare_splits(
@@ -268,51 +280,30 @@ def prepare_splits(
 ) -> PreparedData:
     """split -> oversample (train only) -> scale -> one-hot.
 
-    The test split comes off first, then validation off the training
-    remainder; oversampling and the scaler fit see only training rows.
-    Hybrid grid inputs pass through unscaled.
+    The rows come from split_rows, and each split's inputs are gathered
+    once from them. The scaler is fit on the oversampled training rows
+    only; hybrid grid inputs pass through unscaled.
     """
+    (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
+        dataset.label, config.train)
     meta = dataset.metadata.reshape(-1, 1)
-    labels = dataset.label
-    seed = config.train.seed
-
+    scaler = StandardScaler().fit(meta[train_rows])
+    scaled = scaler.transform(meta).reshape(-1, 1, 1)  # (N, T=1, F=1)
+    grids = None
     if spec.architecture == HYBRID:
         grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                                   dataset.stats, config.vectorizer)
-        features = (meta, grids)
-    else:
-        features = meta
 
-    (x_rest, y_rest), (x_test, y_test) = train_test_split(
-        features, labels, config.train.test_fraction, seed
-    )
-    (x_train, y_train), (x_val, y_val) = train_test_split(
-        x_rest, y_rest, config.train.validation_fraction, seed + 1
-    )
-    x_train, y_train = random_oversample(x_train, y_train, seed + 2)
-
-    def split_meta(x):
-        return x[0] if isinstance(x, tuple) else x
-
-    scaler = StandardScaler().fit(split_meta(x_train))
-
-    def assemble(x):
-        scaled = _feature_tensor(scaler.transform(split_meta(x)))
-        if isinstance(x, tuple):
-            return (scaled, x[1])
-        return scaled
+    def inputs(rows):
+        return scaled[rows] if grids is None else (scaled[rows], grids[rows])
 
     data = TrainData(
-        x_train=assemble(x_train),
+        x_train=inputs(train_rows),
         y_train=encode_labels(y_train, spec.n_classes),
-        x_val=assemble(x_val) if len(y_val) else None,
+        x_val=inputs(val_rows) if len(y_val) else None,
         y_val=encode_labels(y_val, spec.n_classes) if len(y_val) else None,
     )
-    return PreparedData(
-        data=data,
-        x_test=assemble(x_test),
-        y_test_codes=y_test,
-    )
+    return PreparedData(data=data, x_test=inputs(test_rows), y_test_codes=y_test)
 
 
 def _write_metrics_files(out_dir: Path, bundle: metrics_mod.MetricsBundle) -> None:
@@ -392,17 +383,10 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     seed, split, oversampling and batch order, so the lstm_novec /
     veclstm_vec pair differs only in feature supply.
     """
-    labels = dataset.label
-    n = labels.size
     seed = config.train.seed
     tcfg = config.train
-
-    index = np.arange(n)
-    (rest_idx, y_rest), (test_idx, y_test) = train_test_split(
-        index, labels, tcfg.test_fraction, seed)
-    (train_idx, y_train), (val_idx, y_val) = train_test_split(
-        rest_idx, y_rest, tcfg.validation_fraction, seed + 1)
-    train_os_idx, y_os = random_oversample(train_idx, y_train, seed + 2)
+    (train_os_idx, y_os), (val_idx, y_val), (test_idx, y_test) = split_rows(
+        dataset.label, tcfg)
     y_os_onehot = encode_labels(y_os)
 
     pipeline = DensityFeaturePipeline(

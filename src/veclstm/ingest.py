@@ -65,7 +65,6 @@ class Dataset:
     user: np.ndarray      # object array of str
     metadata: np.ndarray  # float64 scalar feature in [0, 1]
     stats: NormalizationStats
-    mode_names: tuple[str, ...] = DEFAULT_MODES
 
     def __len__(self) -> int:
         return self.time.size
@@ -274,7 +273,6 @@ def build_dataset(
     user: np.ndarray,
     config: VectorizationConfig = VectorizationConfig(),
     metadata_feature: str = "cell_density",
-    mode_names: tuple[str, ...] = DEFAULT_MODES,
 ) -> Dataset:
     """Assemble the 7-column dataset from labeled point columns.
 
@@ -289,7 +287,7 @@ def build_dataset(
     stats = fit_stats(lat, lon, alt)
     metadata = _metadata_scalars(time, lat, lon, alt, user, stats, config, metadata_feature)
     return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label, user=user,
-                   metadata=metadata, stats=stats, mode_names=mode_names)
+                   metadata=metadata, stats=stats)
 
 
 # --- directory walking -------------------------------------------------
@@ -372,7 +370,7 @@ def ingest_geolife(
     dataset = None
     if n_labeled:
         columns = (np.concatenate(col) for col in zip(*labeled))
-        dataset = build_dataset(*columns, config, metadata_feature, mode_names)
+        dataset = build_dataset(*columns, config, metadata_feature)
     return IngestResult(
         dataset=dataset, n_points=n_points, n_labeled=n_labeled,
         warnings=warnings,

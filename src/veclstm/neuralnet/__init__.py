@@ -19,11 +19,8 @@ from .loss import softmax, softmax_cross_entropy
 from .lstm import (
     LstmParams,
     LstmSequenceCache,
-    LstmState,
     lstm_backward,
-    lstm_cell_forward,
     lstm_sequence,
-    zero_state,
 )
 
 __all__ = [
@@ -40,12 +37,9 @@ __all__ = [
     "maxpool1d_forward",
     "maxpool1d_backward",
     "LstmParams",
-    "LstmState",
     "LstmSequenceCache",
-    "lstm_cell_forward",
     "lstm_sequence",
     "lstm_backward",
-    "zero_state",
     "glorot_uniform",
     "init_lstm",
     "init_dense",

@@ -26,13 +26,6 @@ class Conv1dParams:
     kernels: np.ndarray  # (K, C_in, k)
     biases: np.ndarray   # (K,)
 
-    @property
-    def n_filters(self) -> int:
-        return self.kernels.shape[0]
-
-    def size(self) -> int:
-        return self.kernels.size + self.biases.size
-
 
 def _columns(x: np.ndarray, width: int) -> np.ndarray:
     """im2col: (N, L, C_in) -> (N*W, C_in*k), one row per window."""

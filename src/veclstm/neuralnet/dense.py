@@ -14,9 +14,6 @@ class DenseParams:
     w: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
 
-    def size(self) -> int:
-        return self.w.size + self.b.size
-
 
 def dense_forward(x: np.ndarray, params: DenseParams) -> np.ndarray:
     """x: (N, in) or (in,). Returns matching (N, out) or (out,)."""

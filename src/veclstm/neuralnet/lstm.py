@@ -1,4 +1,4 @@
-"""LSTM cell and sequence with hand-derived backpropagation through time.
+"""LSTM sequence with hand-derived backpropagation through time.
 
 Gate layout: the parameters are stored one weight matrix per gate, each
 of shape (H, F+H), acting on the concatenation [x_t; h_{t-1}]. Forward
@@ -18,7 +18,8 @@ sets c = i * g. Backward runs the time loop for the gate gradients only
 and forms the weight and input gradients after it, as products over
 all T.
 
-Everything operates on batches: x is (N, F), states are (N, H).
+Everything operates on batches: a sequence is (N, T, F), and each
+step's hidden output is (N, H).
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class LstmParams:
     def input_size(self) -> int:
         return self.w_i.shape[1] - self.w_i.shape[0]
 
-    def size(self) -> int:
-        return sum(
-            a.size
-            for a in (self.w_i, self.w_f, self.w_o, self.w_g,
-                      self.b_i, self.b_f, self.b_o, self.b_g)
-        )
-
     def validate(self) -> None:
         h = self.hidden_size
         fin = self.w_i.shape[1]
@@ -73,30 +67,6 @@ class LstmParams:
         """The (4H, F+H) gate matrix and (4H,) bias, gates in i, f, o, g order."""
         return (np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g]),
                 np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g]))
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray  # (N, H)
-    c: np.ndarray  # (N, H)
-
-
-def zero_state(batch: int, hidden: int) -> LstmState:
-    return LstmState(
-        h=np.zeros((batch, hidden), dtype=np.float64),
-        c=np.zeros((batch, hidden), dtype=np.float64),
-    )
-
-
-@dataclass
-class LstmStepCache:
-    z: np.ndarray        # (N, F+H) concatenated input
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray        # new cell state
-    c_prev: np.ndarray
 
 
 def _split(a: np.ndarray, hidden: int) -> list[np.ndarray]:
@@ -121,31 +91,6 @@ def _cell(
         c += f * c_prev
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
-
-
-def lstm_cell_forward(
-    x: np.ndarray, state: LstmState, params: LstmParams
-) -> tuple[LstmState, LstmStepCache]:
-    """One time step. x: (N, F). Returns the new state and the step's gates."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params.input_size:
-        raise ShapeMismatch(
-            f"input width {x.shape[1]} != expected {params.input_size}"
-        )
-    expected = (x.shape[0], params.hidden_size)
-    if state.h.shape != expected or state.c.shape != expected:
-        raise ShapeMismatch("state shape does not match batch/hidden size")
-
-    w, b = params.stacked()
-    z = np.concatenate([x, state.h], axis=1)
-    a = w @ z.T
-    a += b[:, np.newaxis]
-    c, tanh_c, h = (np.empty(expected[::-1]) for _ in range(3))
-    _cell(a, state.c.T, c, tanh_c, h)
-    check_finite(h, "lstm hidden state")
-    i, f, o, g = (gate.T for gate in _split(a, params.hidden_size))
-    cache = LstmStepCache(z=z, i=i, f=f, o=o, g=g, c=c.T, c_prev=state.c)
-    return LstmState(h=np.ascontiguousarray(h.T), c=np.ascontiguousarray(c.T)), cache
 
 
 @dataclass

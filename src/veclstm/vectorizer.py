@@ -61,10 +61,6 @@ class GridHeatmap:
     grid: np.ndarray  # (G, G), row index from lat, column from lon
     value_mode: str
 
-    @property
-    def grid_size(self) -> int:
-        return self.grid.shape[0]
-
     def flatten(self) -> np.ndarray:
         return self.grid.reshape(-1)
 

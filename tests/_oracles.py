@@ -370,3 +370,53 @@ def bisect_assign_labels(times, spans) -> list[int]:
             pos -= 1
         out.append(order[pos] if pos >= 0 else -1)
     return out
+
+
+# --- tuple-based split --------------------------------------------------
+# The train command's set-up as it was before it split row indices: the
+# feature arrays themselves, or the hybrid's (features, grids) tuple,
+# are split, oversampled and scaled stage by stage. prepare_splits must
+# return the same arrays.
+
+def tuple_prepare_splits(dataset, spec, config):
+    """PreparedData for dataset, splitting the feature arrays themselves."""
+    from veclstm.cli import PreparedData
+    from veclstm.models import HYBRID
+    from veclstm.trainer import (StandardScaler, TrainData, encode_labels,
+                                 random_oversample, train_test_split)
+    from veclstm.vectorizer import sample_cell_grids
+
+    meta = dataset.metadata.reshape(-1, 1)
+    labels = dataset.label
+    seed = config.train.seed
+
+    if spec.architecture == HYBRID:
+        grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
+                                  dataset.stats, config.vectorizer)
+        features = (meta, grids)
+    else:
+        features = meta
+
+    (x_rest, y_rest), (x_test, y_test) = train_test_split(
+        features, labels, config.train.test_fraction, seed)
+    (x_train, y_train), (x_val, y_val) = train_test_split(
+        x_rest, y_rest, config.train.validation_fraction, seed + 1)
+    x_train, y_train = random_oversample(x_train, y_train, seed + 2)
+
+    def split_meta(x):
+        return x[0] if isinstance(x, tuple) else x
+
+    scaler = StandardScaler().fit(split_meta(x_train))
+
+    def assemble(x):
+        scaled = scaler.transform(split_meta(x))
+        scaled = scaled.reshape(scaled.shape[0], 1, scaled.shape[1])
+        return (scaled, x[1]) if isinstance(x, tuple) else scaled
+
+    data = TrainData(
+        x_train=assemble(x_train),
+        y_train=encode_labels(y_train, spec.n_classes),
+        x_val=assemble(x_val) if len(y_val) else None,
+        y_val=encode_labels(y_val, spec.n_classes) if len(y_val) else None,
+    )
+    return PreparedData(data=data, x_test=assemble(x_test), y_test_codes=y_test)

@@ -6,11 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from veclstm.cli import RunConfig, load_run_config, main
+from veclstm.cli import (ARCH_BUILDERS, RunConfig, load_run_config, main,
+                         prepare_splits, split_rows)
 from veclstm.ingest import read_dataset_csv, write_dataset_csv
+from veclstm.trainer import TrainConfig
 from veclstm.vecstore import open_store
 from veclstm.vectorizer import vectorize_trajectory
 
+from _oracles import tuple_prepare_splits
 from conftest import labels_text, separable_dataset
 
 
@@ -152,6 +155,51 @@ class TestVectorize:
         assert doc["groups"] == 3
         assert doc["vectorize_seconds"] >= 0
         assert "config" in doc
+
+
+class TestSplit:
+    # Classes of 150, 90 and 60 rows: oversampling adds training rows.
+    @pytest.fixture
+    def dataset(self):
+        return separable_dataset(300, seed=7)
+
+    def test_rows_partition_and_classes_balance(self, dataset):
+        n = len(dataset)
+        (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
+            dataset.label, TrainConfig(seed=4))
+        for rows, y in ((train_rows, y_train), (val_rows, y_val), (test_rows, y_test)):
+            assert np.array_equal(dataset.label[rows], y)
+        assert test_rows.size == round(n * 0.2)
+        assert val_rows.size == round((n - test_rows.size) * 0.1)
+        assert np.intersect1d(val_rows, test_rows).size == 0
+        # Oversampling keeps the original rows first and draws only from them.
+        originals = train_rows[:n - val_rows.size - test_rows.size]
+        assert np.array_equal(np.sort(np.concatenate([originals, val_rows, test_rows])),
+                              np.arange(n))
+        assert train_rows.size > originals.size
+        assert np.isin(train_rows, originals).all()
+        _, counts = np.unique(y_train, return_counts=True)
+        assert counts.size == 3 and (counts == counts[0]).all()
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_prepare_splits_matches_tuple_oracle(self, dataset, arch):
+        config = RunConfig(train=TrainConfig(seed=4))
+        spec = ARCH_BUILDERS[arch](n_features=1, seed=4)
+        got = prepare_splits(dataset, spec, config)
+        want = tuple_prepare_splits(dataset, spec, config)
+
+        def parts(x):
+            return x if isinstance(x, tuple) else (x,)
+
+        pairs = [(got.data.y_train, want.data.y_train), (got.data.y_val, want.data.y_val),
+                 (got.y_test_codes, want.y_test_codes)]
+        for x_got, x_want in ((got.data.x_train, want.data.x_train),
+                              (got.data.x_val, want.data.x_val),
+                              (got.x_test, want.x_test)):
+            assert len(parts(x_got)) == len(parts(x_want)) == (2 if arch == "hybrid" else 1)
+            pairs += zip(parts(x_got), parts(x_want))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestTrain:

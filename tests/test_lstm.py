@@ -1,17 +1,10 @@
-"""LSTM cell and BPTT tests against scalar and finite-difference oracles."""
+"""LSTM sequence and BPTT tests against scalar and finite-difference oracles."""
 
 import numpy as np
 import pytest
 
 from veclstm.errors import ShapeMismatch, StaleCacheError
-from veclstm.neuralnet import (
-    LstmParams,
-    LstmState,
-    lstm_backward,
-    lstm_cell_forward,
-    lstm_sequence,
-    zero_state,
-)
+from veclstm.neuralnet import LstmParams, lstm_backward, lstm_sequence
 
 from _oracles import (
     central_difference_grads,
@@ -40,49 +33,37 @@ def zero_params(n_in, hidden) -> LstmParams:
 
 
 class TestCellForward:
+    """One cell step, seen through lstm_sequence from its zero state."""
+
     def test_all_zero_parameters(self):
         params = zero_params(2, 3)
-        state, cache = lstm_cell_forward(
-            np.array([[1.0, -1.0]]), zero_state(1, 3), params)
-        assert np.allclose(cache.i, 0.5)
-        assert np.allclose(cache.f, 0.5)
-        assert np.allclose(cache.o, 0.5)
-        assert np.array_equal(cache.g, np.zeros((1, 3)))
-        assert np.array_equal(state.c, np.zeros((1, 3)))
-        assert np.array_equal(state.h, np.zeros((1, 3)))
-
-    def test_zero_weights_nonzero_cell(self):
-        params = zero_params(2, 3)
-        c0 = np.full((1, 3), 0.8)
-        state, _ = lstm_cell_forward(
-            np.array([[1.0, -1.0]]), LstmState(h=np.zeros((1, 3)), c=c0), params)
-        assert np.allclose(state.c, 0.4)
-        assert np.allclose(state.h, 0.5 * np.tanh(0.4))
+        out, cache = lstm_sequence(np.array([[[1.0, -1.0]]]), params)
+        i, f, o, g = (cache.gates[0, k * 3:(k + 1) * 3] for k in range(4))
+        assert np.allclose(i, 0.5)
+        assert np.allclose(f, 0.5)
+        assert np.allclose(o, 0.5)
+        assert np.array_equal(g, np.zeros((3, 1)))
+        assert np.array_equal(cache.c[0], np.zeros((3, 1)))
+        assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_matches_scalar_oracle(self):
+        # The second step starts from the first step's nonzero state.
         rng = np.random.default_rng(17)
         params = random_params(rng, 1, 2)
-        x = rng.normal(size=(1, 1))
-        h0 = rng.normal(size=(1, 2))
-        c0 = rng.normal(size=(1, 2))
-        state, _ = lstm_cell_forward(x, LstmState(h=h0, c=c0), params)
+        seq = rng.normal(size=(1, 2, 1))
+        out, cache = lstm_sequence(seq, params, return_sequences=True)
         w = {g: getattr(params, f"w_{g}").tolist() for g in GATES}
         b = {g: getattr(params, f"b_{g}").tolist() for g in GATES}
-        h_ref, c_ref = scalar_lstm_cell(x[0].tolist(), h0[0].tolist(),
-                                        c0[0].tolist(), w, b)
-        assert np.allclose(state.h[0], h_ref, atol=1e-12, rtol=0)
-        assert np.allclose(state.c[0], c_ref, atol=1e-12, rtol=0)
+        h, c = [0.0, 0.0], [0.0, 0.0]
+        for t in range(2):
+            h, c = scalar_lstm_cell(seq[0, t].tolist(), h, c, w, b)
+            assert np.allclose(out[0, t], h, atol=1e-12, rtol=0)
+            assert np.allclose(cache.c[t, :, 0], c, atol=1e-12, rtol=0)
 
     def test_shape_mismatch(self):
         params = zero_params(2, 3)
         with pytest.raises(ShapeMismatch):
-            lstm_cell_forward(np.zeros((1, 5)), zero_state(1, 3), params)
-
-    def test_cell_state_shape_mismatch(self):
-        params = zero_params(2, 3)
-        state = LstmState(h=np.zeros((2, 3)), c=np.zeros((1, 3)))
-        with pytest.raises(ShapeMismatch):
-            lstm_cell_forward(np.zeros((2, 2)), state, params)
+            lstm_sequence(np.zeros((1, 1, 5)), params)
 
 
 class TestSequence:

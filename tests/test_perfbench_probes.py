@@ -23,7 +23,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench.generator import TreeShape  # noqa: E402
 from perfbench.layers import Probe  # noqa: E402
-from perfbench.spec import END_TO_END  # noqa: E402
+from perfbench.spec import END_TO_END, PER_LAYER  # noqa: E402
 from perfbench.trace import Tracer, wrap_attributes  # noqa: E402
 from perfbench.workloads import Run, Workload, load_program  # noqa: E402
 
@@ -80,3 +80,19 @@ def test_tiny_run_passes_every_check(tmp_path, metadata_feature, arch):
     metrics = run.end_to_end()
     assert set(metrics) == {m.name for m in END_TO_END}
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_traced_tiny_run_names_every_split_span(tmp_path):
+    # The split, oversampling and grid sampling run through the names the
+    # traced run wraps, and every per-layer metric comes out.
+    workload = Workload("tiny", TINY_TREE, "cell_density", "hybrid", epochs=1,
+                        insert_batches=2, step_loop="blas")
+    run = Run(workload, seed=1, seconds=0, trace=True, work=tmp_path)
+    run.run()
+    assert run.ledger.failed == 0, run.ledger.failures
+    assert run.untraced == set()
+    per_layer = run.per_layer()
+    assert set(per_layer) == {m.name for m in PER_LAYER}
+    for name in ("trainer.train_test_split_ms", "trainer.random_oversample_ms",
+                 "vectorizer.sample_cell_grids_ms"):
+        assert per_layer[name] > 0, name
