@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,18 +169,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 1
     for warning in result.warnings:
         print(f"warning: {warning.path}: {warning.error}", file=sys.stderr)
+    by_type = Counter(type(warning.error).__name__ for warning in result.warnings)
+    if by_type:
+        print("warnings: " + " ".join(f"{kind}={n}" for kind, n in sorted(by_type.items())),
+              file=sys.stderr)
 
     out = Path(args.out)
+    counts = (f"parsed_points={result.n_points} outside_spans={result.n_outside_spans}"
+              f" unmapped={result.n_unmapped}")
     if result.dataset is None:
         print("warning: no labeled samples found; writing header-only CSV",
               file=sys.stderr)
         with open(out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(ingest_mod.DATASET_COLUMNS)
-        print(f"rows=0 labels=0 users=0 parsed_points={result.n_points}")
+        print(f"rows=0 labels=0 users=0 {counts}")
         return 0
     ingest_mod.write_dataset_csv(result.dataset, out)
     print(f"rows={len(result.dataset)} labels={np.unique(result.dataset.label).size}"
-          f" users={np.unique(result.dataset.user).size} parsed_points={result.n_points}")
+          f" users={np.unique(result.dataset.user).size} {counts}")
     return 0
 
 

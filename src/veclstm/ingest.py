@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +83,64 @@ def _as_text(data: bytes | str) -> str:
 def _parse_utc(text: str, fmt: str) -> int:
     dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+# Character positions of the digits in a canonical yyyy?MM?dd date and
+# HH:mm:ss clock.
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+_CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]
+
+
+def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str,
+                 text: Callable[[int], str]) -> np.ndarray:
+    """UTC seconds of each row's date and clock, up to the first row strptime rejects.
+
+    Row i's timestamp is text(i), read as f"%Y{sep}%m{sep}%d %H:%M:%S".
+    A canonical row (a 10-character date of ASCII digits and sep, and an
+    8-character HH:MM:SS clock of ASCII digits with hours below 24 and
+    minutes and seconds below 60) gets its seconds from one strptime per distinct date plus its clock
+    digits. Every other row, and each row whose date strptime rejects,
+    goes through strptime on text(i), in row order; the values stop
+    before the first row that fails there.
+    """
+    n = len(dates)
+    date_fmt = f"%Y{sep}%m{sep}%d"
+    # Lengths come from the str objects: a numpy str array drops trailing NULs.
+    fast = ((np.fromiter(map(len, dates), np.intp, n) == 10)
+            & (np.fromiter(map(len, clocks), np.intp, n) == 8))
+    date = np.array(dates, dtype="U10").view(np.uint32).reshape(n, 10)
+    clock = np.array(clocks, dtype="U8").view(np.uint32).reshape(n, 8)
+    date_digit = date[:, _DATE_DIGITS].astype(np.int64) - ord("0")
+    clock_digit = clock[:, _CLOCK_DIGITS].astype(np.int64) - ord("0")
+    fast &= (((date_digit >= 0) & (date_digit <= 9)).all(axis=1)
+             & ((clock_digit >= 0) & (clock_digit <= 9)).all(axis=1)
+             & (date[:, 4] == ord(sep)) & (date[:, 7] == ord(sep))
+             & (clock[:, 2] == ord(":")) & (clock[:, 5] == ord(":")))
+    hms = clock_digit[:, 0::2] * 10 + clock_digit[:, 1::2]
+    fast &= (hms[:, 0] < 24) & (hms[:, 1] < 60) & (hms[:, 2] < 60)
+
+    seconds = hms @ np.array([3600, 60, 1], dtype=np.int64)
+    rows = np.flatnonzero(fast)
+    day_key = date_digit[rows] @ 10 ** np.arange(7, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(day_key, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    day_seconds = np.zeros(first.size, dtype=np.int64)
+    date_ok = np.ones(first.size, dtype=bool)
+    for k, row in enumerate(rows[first].tolist()):
+        try:
+            day_seconds[k] = _parse_utc(dates[row], date_fmt)
+        except ValueError:  # e.g. 2009-02-30: its rows go through strptime
+            date_ok[k] = False
+    seconds[rows] += day_seconds[inverse]
+    fast[rows] = date_ok[inverse]
+
+    fmt = f"{date_fmt} %H:%M:%S"
+    for row in np.flatnonzero(~fast).tolist():
+        try:
+            seconds[row] = _parse_utc(text(row), fmt)
+        except ValueError:
+            return seconds[:row]
+    return seconds
 
 
 class _FirstFailure:
@@ -162,10 +220,10 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     lat, lon, alt_feet, _ = (
         first.convert(cells, float, np.float64, lambda row, exc: f"non-numeric field: {exc}")
         for cells in (lat_s, lon_s, alt_s, days_s))
-    time = first.convert(
-        [f"{d} {c}" for d, c in zip(dates, clocks)],
-        lambda text: _parse_utc(text, "%Y-%m-%d %H:%M:%S"), np.int64,
-        lambda row, exc: f"bad date/time {dates[row]},{clocks[row]}")
+    time = _utc_seconds(dates[:first.end], clocks[:first.end], "-",
+                        lambda row: f"{dates[row]} {clocks[row]}")
+    if time.size < first.end:
+        first.fail(time.size, f"bad date/time {dates[time.size]},{clocks[time.size]}")
     first.check(~((lat >= -90.0) & (lat <= 90.0)),
                 lambda row: f"latitude {float(lat[row])} out of range")
     first.check(~((lon >= -180.0) & (lon <= 180.0)),
@@ -179,26 +237,42 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def parse_labels(data: bytes | str) -> list[LabelSpan]:
-    """Parse a labels.txt file: header row, then start/end/mode rows."""
+    """Parse a labels.txt file: header row, then start/end/mode rows.
+
+    Raises TruncatedHeader on an empty file. The first bad row raises
+    MalformedLine (wrong field count or bad timestamp) or InvertedSpan
+    (a span that ends before it starts).
+    """
     lines = _as_text(data).splitlines()
     if not lines:
         raise TruncatedHeader("labels file is empty")
-    spans: list[LabelSpan] = []
+    rows: list[list[str]] = []
+    line_nos: list[int] = []
+    short = None
     for line_no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        try:
-            start = _parse_utc(fields[0].strip(), "%Y/%m/%d %H:%M:%S")
-            end = _parse_utc(fields[1].strip(), "%Y/%m/%d %H:%M:%S")
-        except ValueError:
-            raise MalformedLine(line_no, "bad timestamp") from None
-        if start > end:
-            raise InvertedSpan(f"line {line_no}: span ends before it starts")
-        spans.append(LabelSpan(start=start, end=end, mode=fields[2].strip()))
-    return spans
+            short = MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            break
+        rows.append(fields)
+        line_nos.append(line_no)
+    # Start and end interleaved, so the first bad one is in row order.
+    texts = [text.strip() for fields in rows for text in fields[:2]]
+    dates, _, clocks = zip(*(text.partition(" ") for text in texts)) if rows else ((), (), ())
+    times = _utc_seconds(dates, clocks, "/", texts.__getitem__)
+    n_ok = times.size // 2  # rows before the first bad timestamp
+    start, end = times[:2 * n_ok:2], times[1:2 * n_ok:2]
+    inverted = np.flatnonzero(start > end)
+    if inverted.size:
+        raise InvertedSpan(f"line {line_nos[inverted[0]]}: span ends before it starts")
+    if n_ok < len(rows):
+        raise MalformedLine(line_nos[n_ok], "bad timestamp")
+    if short is not None:
+        raise short
+    return [LabelSpan(start=s, end=e, mode=fields[2].strip())
+            for s, e, fields in zip(start.tolist(), end.tolist(), rows)]
 
 
 def assign_labels(times: np.ndarray, spans: list[LabelSpan]) -> np.ndarray:
@@ -303,6 +377,8 @@ class IngestResult:
     dataset: Dataset | None
     n_points: int
     n_labeled: int
+    n_outside_spans: int  # parsed points no label span covers
+    n_unmapped: int       # points in a span whose mode map_mode rejects
     warnings: list[IngestWarning] = field(default_factory=list)
 
 
@@ -335,7 +411,7 @@ def ingest_geolife(
     """
     warnings: list[IngestWarning] = []
     labeled: list[tuple[np.ndarray, ...]] = []  # (time, lat, lon, alt, label, user) per user
-    n_points = 0
+    n_points = n_outside_spans = n_unmapped = 0
     for user_id, plt_files, labels_path in iter_geolife_users(root):
         if labels_path is None:
             continue
@@ -362,8 +438,11 @@ def ingest_geolife(
         # "no span" index -1 picks.
         codes = [map_mode(span.mode, mode_names) for span in spans]
         span_codes = np.array([-1 if c is None else c for c in codes] + [-1], dtype=np.int64)
-        label = span_codes[assign_labels(time, spans)]
+        owner = assign_labels(time, spans)
+        label = span_codes[owner]
         keep = label >= 0
+        n_outside_spans += int((owner < 0).sum())
+        n_unmapped += int(((owner >= 0) & ~keep).sum())
         labeled.append((time[keep], lat[keep], lon[keep], alt[keep], label[keep],
                         np.full(int(keep.sum()), user_id, dtype=object)))
     n_labeled = sum(part[0].size for part in labeled)
@@ -373,7 +452,7 @@ def ingest_geolife(
         dataset = build_dataset(*columns, config, metadata_feature)
     return IngestResult(
         dataset=dataset, n_points=n_points, n_labeled=n_labeled,
-        warnings=warnings,
+        n_outside_spans=n_outside_spans, n_unmapped=n_unmapped, warnings=warnings,
     )
 
 

@@ -14,12 +14,13 @@ and checkpoint code can stay generic.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteError, ShapeMismatch
 from .neuralnet import (
     Conv1dParams,
     DenseParams,
@@ -338,6 +339,16 @@ def model_forward(
     return probs, ForwardCache(logits=logits, probs=probs, internals=internals)
 
 
+@contextmanager
+def _named_block(name: str):
+    """Prefix a NonFiniteError raised inside with its parameter block's name."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _forward_rows(
     spec: ModelSpec, params: dict[str, np.ndarray], meta: np.ndarray,
     grid: np.ndarray | None,
@@ -347,9 +358,11 @@ def _forward_rows(
 
     lstm1 = _lstm_view(params, "lstm1")
     lstm2 = _lstm_view(params, "lstm2")
-    h1_seq, cache1 = lstm_sequence(meta, lstm1, return_sequences=True)
+    with _named_block("lstm1"):
+        h1_seq, cache1 = lstm_sequence(meta, lstm1, return_sequences=True)
     e1_seq = _emit(spec, h1_seq)
-    h2, cache2 = lstm_sequence(e1_seq, lstm2, return_sequences=False)
+    with _named_block("lstm2"):
+        h2, cache2 = lstm_sequence(e1_seq, lstm2, return_sequences=False)
     e2 = _emit(spec, h2)
     internals.update(h1_seq=h1_seq, cache1=cache1, h2=h2, cache2=cache2, e2=e2)
 

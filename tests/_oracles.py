@@ -312,6 +312,34 @@ def row_parse_plt(data):
             *(np.array([p[k] for p in points], dtype=np.float64) for k in (1, 2, 3)))
 
 
+def row_parse_labels(data):
+    """LabelSpans of a labels.txt file, parsed line by line."""
+    from veclstm.errors import InvertedSpan, MalformedLine, TruncatedHeader
+    from veclstm.ingest import LabelSpan
+
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    lines = data.splitlines()
+    if not lines:
+        raise TruncatedHeader("labels file is empty")
+    spans = []
+    for line_no, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        try:
+            start = _utc(fields[0].strip(), "%Y/%m/%d %H:%M:%S")
+            end = _utc(fields[1].strip(), "%Y/%m/%d %H:%M:%S")
+        except ValueError:
+            raise MalformedLine(line_no, "bad timestamp") from None
+        if start > end:
+            raise InvertedSpan(f"line {line_no}: span ends before it starts")
+        spans.append(LabelSpan(start=start, end=end, mode=fields[2].strip()))
+    return spans
+
+
 def row_read_dataset_csv(path):
     """The seven columns of a dataset CSV, read record by record.
 

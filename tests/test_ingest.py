@@ -31,7 +31,12 @@ from veclstm.ingest import (
 )
 from veclstm.vectorizer import is_missing
 
-from _oracles import bisect_assign_labels, row_parse_plt, row_read_dataset_csv
+from _oracles import (
+    bisect_assign_labels,
+    row_parse_labels,
+    row_parse_plt,
+    row_read_dataset_csv,
+)
 from conftest import labels_text, plt_text
 
 
@@ -315,25 +320,25 @@ class TestCsvRoundTrip:
 JUNK = st.text(alphabet="0123456789.-+e:/ ,x\"\n_", max_size=4)
 
 
-def _corrupt(text: str, data, header_lines: int) -> str:
-    """text after up to three damages: a cell replaced, a character
-    edit, a dropped comma or a truncation."""
+def _corrupt(text: str, data, header_lines: int, sep: str = ",") -> str:
+    """text after up to three damages: a cell (between seps) replaced, a
+    character edit, a dropped sep or a truncation."""
     for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["cell", "cell", "edit", "comma", "truncate"]))
+        kind = data.draw(st.sampled_from(["cell", "cell", "edit", "sep", "truncate"]))
         lines = text.split("\n")
         if kind == "cell" and len(lines) > header_lines:
             row = data.draw(st.integers(header_lines, len(lines) - 1))
-            cells = lines[row].split(",")
+            cells = lines[row].split(sep)
             cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(JUNK)
-            lines[row] = ",".join(cells)
+            lines[row] = sep.join(cells)
             text = "\n".join(lines)
         elif kind == "edit" and text:
             pos = data.draw(st.integers(0, len(text) - 1))
             width = data.draw(st.integers(0, 3))
             text = text[:pos] + data.draw(JUNK) + text[pos + width:]
-        elif kind == "comma" and "," in text:
-            commas = [i for i, ch in enumerate(text) if ch == ","]
-            pos = data.draw(st.sampled_from(commas))
+        elif kind == "sep" and sep in text:
+            seps = [i for i, ch in enumerate(text) if ch == sep]
+            pos = data.draw(st.sampled_from(seps))
             text = text[:pos] + text[pos + 1:]
         elif kind == "truncate":
             text = text[:data.draw(st.integers(0, len(text)))]
@@ -364,14 +369,53 @@ def _same_outcome(columnar, oracle):
     return None
 
 
+# Seconds after 2000-01-01: spread over years, or a few days so that
+# rows share a date.
+OFFSETS = st.one_of(st.integers(0, 400_000_000), st.integers(0, 3 * 86_400))
+
 # Coordinates run a little past their valid ranges, and the timestamps
-# (seconds after 2000-01-01) are sorted unless the draw says otherwise,
-# so every check of the parser gets to fail.
+# are sorted unless the draw says otherwise, so every check of the
+# parser gets to fail.
 plt_rows = st.lists(st.tuples(
     st.floats(-100, 100), st.floats(-200, 200),
     st.one_of(st.just(-777.0), st.floats(-1e4, 1e5)),
-    st.integers(0, 400_000_000),
+    OFFSETS,
 ), max_size=6)
+
+# A start offset, a duration that may invert the span, and a mode.
+label_rows = st.lists(st.tuples(
+    OFFSETS, st.integers(-600, 20_000), st.sampled_from(("walk", " Bus ", "boat")),
+), max_size=6)
+
+
+def _arabic_indic(text: str) -> str:
+    return "".join(chr(0x660 + int(ch)) if ch.isdigit() else ch for ch in text)
+
+
+# How a timestamp is written, as (date, clock) from a UTC datetime and the
+# date separator: the canonical form and the forms the fast path must
+# leave to strptime, which accepts some of them.
+STAMP_FORMS = {
+    "canonical": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t:%d}", f"{t:%H:%M:%S}"),
+    "single digits": lambda t, sep: (f"{t.year}{sep}{t.month}{sep}{t.day}",
+                                     f"{t.hour}:{t.minute}:{t.second}"),
+    "space in date": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t.day:2d}", f"{t:%H:%M:%S}"),
+    "space in clock": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t:%d}",
+                                      f"{t.hour:2d}:{t.minute:2d}:{t:%S}"),
+    "24:00:00": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t:%d}", "24:00:00"),
+    "23:59:60": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t:%d}", "23:59:60"),
+    "02-30": lambda t, sep: (f"{t:%Y}{sep}02{sep}30", f"{t:%H:%M:%S}"),
+    "non-ASCII digits": lambda t, sep: (f"{_arabic_indic(f'{t:%Y}')}{sep}{t:%m}{sep}{t:%d}",
+                                        f"{t:%H:%M:%S}"),
+    "trailing NUL": lambda t, sep: (f"{t:%Y}{sep}{t:%m}{sep}{t:%d}", f"{t:%H:%M:%S}\x00"),
+}
+stamp_forms = st.one_of(st.just("canonical"), st.sampled_from(sorted(STAMP_FORMS)))
+
+
+def _stamp(data, seconds: int, sep: str) -> tuple[str, str]:
+    form = data.draw(stamp_forms)
+    event(f"stamp: {form}")
+    return STAMP_FORMS[form](datetime.fromtimestamp(seconds, timezone.utc), sep)
 
 
 class TestColumnarReadersMatchRowOracles:
@@ -384,9 +428,8 @@ class TestColumnarReadersMatchRowOracles:
             offsets.sort()
         lines = []
         for (lat, lon, alt, _), ts in zip(rows, offsets):
-            stamp = datetime.fromtimestamp(start + ts, timezone.utc)
-            lines.append(f"{lat!r},{lon!r},0,{alt!r},39000.5,"
-                         f"{stamp:%Y-%m-%d},{stamp:%H:%M:%S}")
+            date, clock = _stamp(data, start + ts, "-")
+            lines.append(f"{lat!r},{lon!r},0,{alt!r},39000.5,{date},{clock}")
         text = _corrupt(plt_text([]) + "\n".join(lines) + "\n", data, header_lines=6)
         errors = _same_outcome(lambda: parse_plt(text), lambda: row_parse_plt(text))
         if errors:
@@ -417,6 +460,77 @@ class TestColumnarReadersMatchRowOracles:
             return [columns[name] for name in DATASET_COLUMNS]
 
         _same_outcome(columnar, oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=label_rows, data=st.data())
+    def test_parse_labels(self, rows, data):
+        start = epoch_utc(2000, 1, 1, 0, 0, 0)
+        lines = []
+        for offset, duration, mode in rows:
+            stamps = (" ".join(_stamp(data, start + offset + d, "/")) for d in (0, duration))
+            lines.append("\t".join((*stamps, mode)))
+        text = _corrupt(labels_text([]) + "\n".join(lines) + "\n", data,
+                        header_lines=1, sep="\t")
+        # Equal spans, or the same error type and message.
+        try:
+            expected = row_parse_labels(text)
+        except (MalformedLine, InvertedSpan, TruncatedHeader) as exc:
+            event(type(exc).__name__)
+            with pytest.raises(type(exc)) as got:
+                parse_labels(text)
+            assert str(got.value) == str(exc)
+            return
+        event("read")
+        assert parse_labels(text) == expected
+
+
+# (date, clock) in forms the fast path leaves to strptime, and the UTC
+# time strptime reads, or None where it rejects the row.
+NON_CANONICAL = {
+    "single digits": ("2009-3-9", "9:5:7", (2009, 3, 9, 9, 5, 7)),
+    "space-padded day": ("2009-03- 9", "12:00:00", (2009, 3, 9, 12, 0, 0)),
+    "space-padded hour": ("2009-03-10", " 2:00:00", (2009, 3, 10, 2, 0, 0)),
+    "space inside clock": ("2009-03-10", "12: 00:00", None),
+    "24:00:00": ("2009-03-10", "24:00:00", None),
+    "23:59:60": ("2009-03-10", "23:59:60", None),
+    "02-30": ("2009-02-30", "12:00:00", None),
+    "non-ASCII year": ("\u0662\u0660\u0660\u0669-03-10", "12:00:00", (2009, 3, 10, 12, 0, 0)),
+    "non-ASCII day": ("2009-03-\u0661\u0660", "12:00:00", None),
+    "trailing NUL after date": ("2009-03-10\x00", "12:00:00", None),
+    "trailing NUL after clock": ("2009-03-10", "12:00:00\x00", None),
+    "NUL as last digit": ("2009-03-10", "12:00:0\x00", None),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NON_CANONICAL))
+class TestNonCanonicalTimestamps:
+    # Each form sits between two canonical rows, one on its own date.
+
+    def test_parse_plt(self, form):
+        date, clock, utc = NON_CANONICAL[form]
+        text = plt_text([(39.9, 116.4, 100, "2009-03-01", "00:00:00"),
+                         (39.9, 116.4, 100, date, clock),
+                         (39.9, 116.4, 100, "2009-03-10", "23:59:59")])
+        if utc is None:
+            with pytest.raises(MalformedLine) as exc:
+                parse_plt(text)
+            assert exc.value.line_no == 8
+            assert exc.value.reason == f"bad date/time {date},{clock}"
+        else:
+            assert parse_plt(text)[0].tolist() == [
+                epoch_utc(2009, 3, 1, 0, 0, 0), epoch_utc(*utc), epoch_utc(2009, 3, 10, 23, 59, 59)]
+
+    def test_parse_labels(self, form):
+        date, clock, utc = NON_CANONICAL[form]
+        text = labels_text([("2009/03/01 00:00:00", "2009/03/01 00:10:00", "walk"),
+                            (f"{date.replace('-', '/')} {clock}", "2009/03/10 23:59:59", "bus")])
+        if utc is None:
+            with pytest.raises(MalformedLine) as exc:
+                parse_labels(text)
+            assert exc.value.line_no == 3
+        else:
+            assert [span.start for span in parse_labels(text)] == [
+                epoch_utc(2009, 3, 1, 0, 0, 0), epoch_utc(*utc)]
 
 
 class TestDatasetCsvErrors:

@@ -21,12 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.generator import TreeShape  # noqa: E402
+from perfbench.generator import TreeShape, write_geolife_tree  # noqa: E402
 from perfbench.layers import Probe  # noqa: E402
 from perfbench.spec import END_TO_END, PER_LAYER  # noqa: E402
 from perfbench.trace import Tracer, wrap_attributes  # noqa: E402
 from perfbench.workloads import Run, Workload, load_program  # noqa: E402
 
+from veclstm import ingest  # noqa: E402
 from veclstm.neuralnet import Conv1dParams, LstmParams, LstmSequenceCache  # noqa: E402
 
 
@@ -96,3 +97,29 @@ def test_traced_tiny_run_names_every_split_span(tmp_path):
     for name in ("trainer.train_test_split_ms", "trainer.random_oversample_ms",
                  "vectorizer.sample_cell_grids_ms"):
         assert per_layer[name] > 0, name
+
+
+def test_ingest_counts_the_points_it_drops(tmp_path):
+    expected = write_geolife_tree(tmp_path, 5, TINY_TREE)
+    result = ingest.ingest_geolife(tmp_path, strict=True)
+    assert result.n_outside_spans == expected.n_unlabeled > 0
+    assert result.n_unmapped == expected.n_unmapped > 0
+    assert result.n_points == result.n_labeled + result.n_outside_spans + result.n_unmapped
+
+
+def test_canonical_timestamps_take_one_strptime_per_date(tmp_path, monkeypatch):
+    # A regression that sends every row through strptime gives the same
+    # timestamps, so only the number of calls shows it.
+    write_geolife_tree(tmp_path, 5, TINY_TREE)
+    plt_dates = {(path, line.split(",")[5]) for path in tmp_path.rglob("*.plt")
+                 for line in path.read_text().splitlines()[6:]}
+    label_dates = {(path, stamp.split(" ")[0]) for path in tmp_path.rglob("labels.txt")
+                   for line in path.read_text().splitlines()[1:]
+                   for stamp in line.split("\t")[:2]}
+    calls = []
+    parse_utc = ingest._parse_utc
+    monkeypatch.setattr(ingest, "_parse_utc",
+                        lambda text, fmt: calls.append(text) or parse_utc(text, fmt))
+    result = ingest.ingest_geolife(tmp_path, strict=True)
+    assert result.n_points > 1000
+    assert 0 < len(calls) <= len(plt_dates) + len(label_dates)

@@ -250,6 +250,21 @@ class TestTrainModel:
             run_epochs(spec, params, features, y,
                        TrainConfig(epochs=1, batch_size=16, seed=0))
 
+    def test_non_finite_error_names_its_lstm_block(self):
+        from veclstm.errors import NonFiniteError
+        from veclstm.models import init_model_params
+        from veclstm.trainer import run_epochs
+
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        params["lstm2.w_g"][0, 0] = np.inf
+        y = encode_labels(np.array([0, 1, 2, 3] * 4))
+        with pytest.raises(NonFiniteError, match="lstm2: non-finite") as exc, \
+                np.errstate(invalid="ignore"):
+            run_epochs(spec, params, lambda idx: np.zeros((idx.size, 1, 1)), y,
+                       TrainConfig(epochs=1, batch_size=16, seed=0))
+        assert "lstm1" not in str(exc.value)
+
     def test_report_schema(self):
         x, labels = separable_features(n=60, seed=5)
         data = TrainData(x_train=x, y_train=encode_labels(labels))
