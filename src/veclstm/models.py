@@ -7,8 +7,12 @@ convolution branch over the 10x10 grid heatmap (rows as the sequence
 axis, columns as channels), concatenates both branches, and classifies
 through a fusion dense layer.
 
-Parameters live in a flat dict of named float64 arrays so the optimizer
-and checkpoint code can stay generic.
+Parameters live in a flat dict of named arrays so the optimizer and
+checkpoint code can stay generic. The forward and backward passes
+compute in the dtype of the dict they are given: the trainer keeps
+float64 master weights and passes a float32 copy. Inputs enter as
+float64 (row deduplication keys their 8-byte words) and each layer
+casts them; probabilities come out float64.
 """
 
 from __future__ import annotations
@@ -368,6 +372,8 @@ def _forward_rows(
 
     if spec.has_grid_branch:
         conv = Conv1dParams(params["conv.kernels"], params["conv.biases"])
+        # Cast once here, so that the backward pass reuses the cast grid.
+        grid = grid.astype(conv.kernels.dtype, copy=False)
         pre_conv = conv1d_forward(grid, conv)
         act_conv = np.maximum(pre_conv, 0.0)
         pooled, argmax = maxpool1d_forward(act_conv, spec.pool_size)

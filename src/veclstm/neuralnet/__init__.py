@@ -1,7 +1,12 @@
 """Minimal layer library: forward passes and hand-derived backward passes.
 
-Arrays are float64 numpy throughout compute; float32 only at the
-checkpoint boundary.
+Each layer computes in the dtype of its parameter arrays and casts its
+input to it. Training keeps float64 master weights and runs forward and
+backward on a float32 copy of them; the finite-difference checks run
+the same kernels in float64. Softmax and the loss are float64, and the
+checkpoint stores float32 values. A one-step LSTM sequence, every input
+of this pipeline, skips the forget gate and the recurrent weights,
+which only ever meet the zero state.
 """
 
 from .activations import check_finite, sigmoid_inplace

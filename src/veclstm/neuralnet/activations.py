@@ -1,6 +1,7 @@
 """Elementwise helpers for the layers: a finite-value check and sigmoid.
 
-All functions take and return float64 numpy arrays.
+Both work in the dtype of the array they are given, float32 in training
+and inference, float64 in the gradient checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ def check_finite(x: np.ndarray, context: str = "") -> np.ndarray:
 
 
 def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite the float64 array x with sigmoid(x) and return it.
+    """Overwrite the floating-point array x with sigmoid(x) and return it.
 
     Uses sigmoid(x) = 0.5 * (1 + tanh(x / 2)): one tanh, no mask, and
     nothing that can overflow.

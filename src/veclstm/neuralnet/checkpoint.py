@@ -39,7 +39,7 @@ def save_checkpoint(path: str | Path, blocks: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read arrays back as float64 (compute precision).
+    """Read arrays back as float64, the precision of the master weights.
 
     Every read is bounds-checked: a truncated or corrupted file raises
     SchemaMismatch naming the path and the byte offset of the bad field.

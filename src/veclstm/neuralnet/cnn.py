@@ -7,7 +7,9 @@ for the kernel gradient and one for the input gradient, whose window
 columns are folded back onto the input with k shifted adds. A caller
 that needs only the parameter gradients can skip the second product.
 
-Max pooling with pool = 1 is the identity: forward returns its input
+The convolution computes in the dtype of its kernels, to which it
+casts its input and upstream gradient; pooling keeps the dtype it is
+given. Max pooling with pool = 1 is the identity: forward returns its input
 and no cache, backward returns its upstream gradient.
 """
 
@@ -36,7 +38,7 @@ def _columns(x: np.ndarray, width: int) -> np.ndarray:
 
 def conv1d_forward(x: np.ndarray, params: Conv1dParams) -> np.ndarray:
     """x: (N, L, C_in) -> (N, L-k+1, K). No kernel flip, stride 1."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.kernels.dtype)
     if x.ndim == 2:  # single sample (L, C_in)
         x = x[np.newaxis]
     k_filters, c_in, width = params.kernels.shape
@@ -57,10 +59,10 @@ def conv1d_backward(
 
     With input_grad=False, d_input is not formed and is returned as None.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.kernels.dtype)
     if x.ndim == 2:
         x = x[np.newaxis]
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=params.kernels.dtype)
     k_filters, c_in, width = params.kernels.shape
     n, length, _ = x.shape
     n_windows = length - width + 1
@@ -89,7 +91,7 @@ def maxpool1d_forward(
     pool = 1 is the identity and returns x itself with no cache. A
     trailing remainder shorter than the pool window is dropped.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if pool < 1:
         raise ValueError("pool size must be >= 1")
     if pool == 1:
@@ -113,7 +115,7 @@ def maxpool1d_backward(
         raise ShapeMismatch("maxpool1d upstream gradient shape mismatch")
     if pool == 1:
         return grad_out
-    d_input = np.zeros((n, length, channels), dtype=np.float64)
+    d_input = np.zeros((n, length, channels), dtype=grad_out.dtype)
     n_idx, w_idx, c_idx = np.meshgrid(
         np.arange(n), np.arange(n_windows), np.arange(channels), indexing="ij"
     )

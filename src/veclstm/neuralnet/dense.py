@@ -1,4 +1,4 @@
-"""Fully connected layer: y = x @ W.T + b."""
+"""Fully connected layer: y = x @ W.T + b, computed in the dtype of W."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ class DenseParams:
 
 def dense_forward(x: np.ndarray, params: DenseParams) -> np.ndarray:
     """x: (N, in) or (in,). Returns matching (N, out) or (out,)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.w.dtype)
     if x.shape[-1] != params.w.shape[1]:
         raise ShapeMismatch(
             f"dense input width {x.shape[-1]} != weight width {params.w.shape[1]}"
@@ -29,8 +29,8 @@ def dense_backward(
     x: np.ndarray, params: DenseParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dW, db, dx) of sum(grad_out * forward(x))."""
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x = np.asarray(x, dtype=params.w.dtype)
+    grad_out = np.asarray(grad_out, dtype=params.w.dtype)
     if grad_out.shape != x.shape[:-1] + (params.w.shape[0],):
         raise ShapeMismatch("dense upstream gradient shape mismatch")
     if x.ndim == 1:

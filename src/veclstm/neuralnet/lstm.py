@@ -18,8 +18,16 @@ sets c = i * g. Backward runs the time loop for the gate gradients only
 and forms the weight and input gradients after it, as products over
 all T.
 
-Everything operates on batches: a sequence is (N, T, F), and each
-step's hidden output is (N, H).
+A one-step sequence (T = 1, every input of this pipeline) never reads
+its forget gate or recurrent columns: both multiply the zero state. It
+stacks only the input columns of i, o and g into a (3H, F) matrix, its
+cache holds those three gates, and its forget-gate and recurrent-column
+gradients are zero.
+
+The kernels compute in the dtype of the parameter arrays, to which
+they cast their inputs and upstream gradients. Everything operates on
+batches: a sequence is (N, T, F), and each step's hidden output is
+(N, H).
 """
 
 from __future__ import annotations
@@ -63,32 +71,43 @@ class LstmParams:
             if getattr(self, name).shape != (h,):
                 raise ShapeMismatch(f"{name} shape inconsistent")
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (4H, F+H) gate matrix and (4H,) bias, gates in i, f, o, g order."""
+    def stacked(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
+        """The gate matrix and bias a t_len-step sequence uses.
+
+        (4H, F+H) and (4H,), gates in i, f, o, g order; for t_len = 1,
+        the input columns of i, o and g only: (3H, F) and (3H,).
+        """
+        if t_len == 1:
+            cols = self.input_size
+            return (np.concatenate([self.w_i[:, :cols], self.w_o[:, :cols],
+                                    self.w_g[:, :cols]]),
+                    np.concatenate([self.b_i, self.b_o, self.b_g]))
         return (np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g]),
                 np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g]))
 
 
 def _split(a: np.ndarray, hidden: int) -> list[np.ndarray]:
-    """The i, f, o, g row blocks of a (4H, ...) array, as views."""
-    return [a[k * hidden:(k + 1) * hidden] for k in range(4)]
+    """The gate row blocks of a (4H, ...) or (3H, ...) array, as views:
+    i, f, o, g or i, o, g."""
+    return [a[k * hidden:(k + 1) * hidden] for k in range(a.shape[0] // hidden)]
 
 
 def _cell(
     a: np.ndarray, c_prev: np.ndarray | None,
     c: np.ndarray, tanh_c: np.ndarray, h: np.ndarray,
 ) -> None:
-    """Apply the gate activations in place on the (4H, N) pre-activations
-    a, then write the new cell state, its tanh and the hidden state, each
-    (H, N), into c, tanh_c and h. c_prev None is the zero state, where
-    c = i * g."""
+    """Apply the gate activations in place on the (4H, N) or, without f,
+    (3H, N) pre-activations a, then write the new cell state, its tanh
+    and the hidden state, each (H, N), into c, tanh_c and h. c_prev None
+    is the zero state, where c = i * g."""
     hidden = c.shape[0]
-    sigmoid_inplace(a[:3 * hidden])
-    np.tanh(a[3 * hidden:], out=a[3 * hidden:])
-    i, f, o, g = _split(a, hidden)
+    sigmoid_inplace(a[:-hidden])
+    np.tanh(a[-hidden:], out=a[-hidden:])
+    gates = _split(a, hidden)
+    i, o, g = gates[0], gates[-2], gates[-1]
     np.multiply(i, g, out=c)
     if c_prev is not None:
-        c += f * c_prev
+        c += gates[1] * c_prev
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
 
@@ -98,7 +117,7 @@ class LstmSequenceCache:
     # Time- and gate-major, batch last, so each gate block of a step is
     # one contiguous (H, N) array.
     x: np.ndarray       # (T, F, N) inputs
-    gates: np.ndarray   # (T, 4H, N) activated i, f, o, g
+    gates: np.ndarray   # (T, 4H, N) activated i, f, o, g; (1, 3H, N) i, o, g
     c: np.ndarray       # (T, H, N) cell states
     tanh_c: np.ndarray  # (T, H, N)
     h: np.ndarray       # (T, H, N) hidden states
@@ -116,7 +135,7 @@ def lstm_sequence(
     final step only.
     """
     params.validate()
-    seq = np.asarray(seq, dtype=np.float64)
+    seq = np.asarray(seq, dtype=params.w_i.dtype)
     if seq.ndim == 2:  # (T, F) single sample
         seq = seq[np.newaxis]
     if seq.ndim != 3:
@@ -128,12 +147,16 @@ def lstm_sequence(
         raise ShapeMismatch(f"input width {n_in} != expected {params.input_size}")
 
     hidden = params.hidden_size
-    w, b = params.stacked()
+    w, b = params.stacked(t_len)
     w_h = w[:, n_in:]
     xs = np.ascontiguousarray(seq.transpose(1, 2, 0))
-    gates = np.matmul(w[:, :n_in], xs)
+    if t_len == 1:
+        # np.dot: at F = 1, np.matmul takes several times as long
+        gates = np.dot(w, xs[0])[np.newaxis]
+    else:
+        gates = np.matmul(w[:, :n_in], xs)
     gates += b[:, np.newaxis]
-    c_all = np.empty((t_len, hidden, n), dtype=np.float64)
+    c_all = np.empty((t_len, hidden, n), dtype=gates.dtype)
     tanh_all = np.empty_like(c_all)
     h_all = np.empty_like(c_all)
     for t in range(t_len):
@@ -167,7 +190,7 @@ def lstm_backward(
 
     n, t_len, n_in = cache.input_shape
     h = params.hidden_size
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=params.w_i.dtype)
     if cache.return_sequences:
         if grad_out.shape != (n, t_len, h):
             raise ShapeMismatch("upstream gradient shape mismatch (sequences)")
@@ -177,7 +200,7 @@ def lstm_backward(
             raise ShapeMismatch("upstream gradient shape mismatch (last state)")
         grad_last = np.ascontiguousarray(grad_out.T)
 
-    w, _ = params.stacked()
+    w, _ = params.stacked(t_len)
     w_h_t = w[:, n_in:].T
     d_gates = np.empty_like(cache.gates)
     dh_next = dc_next = None
@@ -188,30 +211,39 @@ def lstm_backward(
             dh = grad_last if t == t_len - 1 else None
         if dh_next is not None:
             dh = dh_next if dh is None else dh + dh_next
-        i, f, o, g = _split(cache.gates[t], h)
+        gates, d_gates_t = _split(cache.gates[t], h), _split(d_gates[t], h)
+        i, o, g = gates[0], gates[-2], gates[-1]
         tanh_c = cache.tanh_c[t]
         dc = dh * o * (1.0 - tanh_c * tanh_c)
         if dc_next is not None:
             dc += dc_next
-        da_i, da_f, da_o, da_g = _split(d_gates[t], h)
-        np.multiply(dc * g, i * (1.0 - i), out=da_i)
+        np.multiply(dc * g, i * (1.0 - i), out=d_gates_t[0])
         if t > 0:
-            np.multiply(dc * cache.c[t - 1], f * (1.0 - f), out=da_f)
-        else:
-            da_f.fill(0.0)  # c_{-1} = 0
-        np.multiply(dh * tanh_c, o * (1.0 - o), out=da_o)
-        np.multiply(dc * i, 1.0 - g * g, out=da_g)
+            f = gates[1]
+            np.multiply(dc * cache.c[t - 1], f * (1.0 - f), out=d_gates_t[1])
+        elif t_len > 1:
+            d_gates_t[1].fill(0.0)  # c_{-1} = 0
+        np.multiply(dh * tanh_c, o * (1.0 - o), out=d_gates_t[-2])
+        np.multiply(dc * i, 1.0 - g * g, out=d_gates_t[-1])
         if t > 0:
             dh_next = w_h_t @ d_gates[t]
             dc_next = dc * f
 
     # Contract over time and batch at once: one product per weight block.
-    d_w = np.empty_like(w)
-    d_w[:, :n_in] = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2]))
-    # h_{-1} = 0: step 0 adds nothing to the recurrent weight gradient
-    d_w[:, n_in:] = np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2]))
+    d_wx = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2]))
     d_b = d_gates.sum(axis=(0, 2))
     dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)
+    if t_len == 1:
+        # c_{-1} = h_{-1} = 0: the f rows and the recurrent columns get
+        # zero gradients; the i, o, g input columns go to their rows.
+        d_w = np.zeros((4 * h, n_in + h), dtype=d_wx.dtype)
+        d_w[:h, :n_in], d_w[2 * h:, :n_in] = d_wx[:h], d_wx[h:]
+        d_b = np.concatenate([d_b[:h], np.zeros(h, dtype=d_b.dtype), d_b[h:]])
+    else:
+        d_w = np.empty_like(w)
+        d_w[:, :n_in] = d_wx
+        # h_{-1} = 0: step 0 adds nothing to the recurrent weight gradient
+        d_w[:, n_in:] = np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2]))
 
     grads = {}
     for k, gate in enumerate(GATES):

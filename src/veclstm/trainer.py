@@ -4,6 +4,11 @@ Training is deterministic given (data, spec, config, seed): the split,
 oversampling, initialization and batch order all derive from the
 configured seed, and gradient sums accumulate in a fixed sample order.
 Wall-clock timing wraps the epoch loop only.
+
+Precision follows Micikevicius et al. 2018 ("Mixed Precision Training"):
+the parameters and Adam's moments stay float64 master weights, while
+each training step and each predict call run the model on a float32
+copy of them. Softmax, the loss and the metrics stay float64.
 """
 
 from __future__ import annotations
@@ -82,14 +87,13 @@ def _length(x) -> int:
     return len(x)
 
 
-def train_test_split(x, y, test_fraction: float, seed: int):
+def train_test_split(x: np.ndarray, y, test_fraction: float, seed: int):
     """Seeded uniform shuffle then split; test gets round(n * fraction).
 
-    x may be a single array or a tuple of aligned arrays. Returns
-    ((x_train, y_train), (x_test, y_test)).
+    Returns ((x_train, y_train), (x_test, y_test)).
     """
     y = np.asarray(y)
-    n = _length(x)
+    n = len(x)
     if n != len(y):
         raise ShapeMismatch(f"{n} samples but {len(y)} labels")
     if n < 2:
@@ -98,7 +102,7 @@ def train_test_split(x, y, test_fraction: float, seed: int):
     perm = rng.permutation(n)
     n_test = int(round(n * test_fraction))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return (_take(x, train_idx), y[train_idx]), (_take(x, test_idx), y[test_idx])
+    return (x[train_idx], y[train_idx]), (x[test_idx], y[test_idx])
 
 
 class StandardScaler:
@@ -144,7 +148,7 @@ def encode_labels(codes: np.ndarray, n_classes: int = 7) -> np.ndarray:
     return out
 
 
-def random_oversample(x, y, seed: int):
+def random_oversample(x: np.ndarray, y, seed: int):
     """Duplicate minority-class samples (with replacement, seeded) until
     every present class matches the majority count. Originals all stay,
     in their original order; duplicates follow, grouped by class code.
@@ -165,7 +169,7 @@ def random_oversample(x, y, seed: int):
     if not extra:
         return x, y
     idx = np.concatenate([np.arange(y.size)] + extra)
-    return _take(x, idx), y[idx]
+    return x[idx], y[idx]
 
 
 # --- Adam ----------------------------------------------------------------
@@ -247,13 +251,20 @@ class TrainReport:
         }
 
 
+def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The float32 copy of the master weights that the model runs on."""
+    return {key: p.astype(np.float32) for key, p in params.items()}
+
+
 def predict(spec: ModelSpec, params: dict, x, batch_size: int = 4096) -> np.ndarray:
     """Probabilities over a dataset, evaluated in batches.
 
     When enough rows repeat (models.MIN_REPEAT_SHARE), each distinct
     row is evaluated once over the whole dataset, so equal rows get
     bit-identical probabilities whichever batch they would fall in.
+    The model runs on the float32 copy of params, made once per call.
     """
+    params = compute_params(params)
     distinct = distinct_rows(*normalize_batch(spec, x))
     if distinct is not None:
         x = _take(x, distinct[0])
@@ -289,6 +300,9 @@ def run_epochs(
     samples; swapping it is the only difference between the vectorized
     and non-vectorized benchmark pipelines. The CLI bench command calls
     it with its own feature function.
+
+    Each step runs the forward and backward passes on one float32 copy
+    of the parameters; adam_step updates the float64 master weights.
     """
     n = y_onehot.shape[0]
     state = AdamState.create(params)
@@ -306,9 +320,10 @@ def run_epochs(
             try:
                 x_batch = batch_features(idx)
                 y_batch = y_onehot[idx]
-                probs, cache = model_forward(spec, params, x_batch, with_cache=True)
+                work = compute_params(params)
+                probs, cache = model_forward(spec, work, x_batch, with_cache=True)
                 _, loss, d_logits = softmax_cross_entropy(cache.logits, y_batch)
-                grads = model_backward(spec, params, cache, d_logits)
+                grads = model_backward(spec, work, cache, d_logits)
                 params, state = adam_step(params, grads, state, config)
             except VecLstmError as exc:
                 exc.args = (f"epoch {epoch}, batch {lo // config.batch_size}: {exc}",)

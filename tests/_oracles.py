@@ -406,12 +406,38 @@ def bisect_assign_labels(times, spans) -> list[int]:
 # are split, oversampled and scaled stage by stage. prepare_splits must
 # return the same arrays.
 
+def _take(x, idx):
+    if isinstance(x, tuple):
+        return tuple(part[idx] for part in x)
+    return x[idx]
+
+
+def _tuple_train_test_split(x, y, test_fraction, seed):
+    """trainer.train_test_split as it was, taking an array or a tuple."""
+    perm = np.random.default_rng(seed).permutation(len(y))
+    n_test = int(round(len(y) * test_fraction))
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    return (_take(x, train_idx), y[train_idx]), (_take(x, test_idx), y[test_idx])
+
+
+def _tuple_random_oversample(x, y, seed):
+    """trainer.random_oversample as it was, taking an array or a tuple."""
+    rng = np.random.default_rng(seed)
+    classes, counts = np.unique(y, return_counts=True)
+    extra = [rng.choice(np.nonzero(y == cls)[0], size=int(counts.max() - count),
+                        replace=True)
+             for cls, count in zip(classes, counts) if count < counts.max()]
+    if not extra:
+        return x, y
+    idx = np.concatenate([np.arange(y.size)] + extra)
+    return _take(x, idx), y[idx]
+
+
 def tuple_prepare_splits(dataset, spec, config):
     """PreparedData for dataset, splitting the feature arrays themselves."""
     from veclstm.cli import PreparedData
     from veclstm.models import HYBRID
-    from veclstm.trainer import (StandardScaler, TrainData, encode_labels,
-                                 random_oversample, train_test_split)
+    from veclstm.trainer import StandardScaler, TrainData, encode_labels
     from veclstm.vectorizer import sample_cell_grids
 
     meta = dataset.metadata.reshape(-1, 1)
@@ -425,11 +451,11 @@ def tuple_prepare_splits(dataset, spec, config):
     else:
         features = meta
 
-    (x_rest, y_rest), (x_test, y_test) = train_test_split(
+    (x_rest, y_rest), (x_test, y_test) = _tuple_train_test_split(
         features, labels, config.train.test_fraction, seed)
-    (x_train, y_train), (x_val, y_val) = train_test_split(
+    (x_train, y_train), (x_val, y_val) = _tuple_train_test_split(
         x_rest, y_rest, config.train.validation_fraction, seed + 1)
-    x_train, y_train = random_oversample(x_train, y_train, seed + 2)
+    x_train, y_train = _tuple_random_oversample(x_train, y_train, seed + 2)
 
     def split_meta(x):
         return x[0] if isinstance(x, tuple) else x

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from veclstm import cli
 from veclstm.cli import (ARCH_BUILDERS, RunConfig, load_run_config, main,
                          prepare_splits, split_rows)
 from veclstm.ingest import read_dataset_csv, write_dataset_csv
-from veclstm.trainer import TrainConfig
+from veclstm.neuralnet import load_checkpoint
+from veclstm.trainer import TrainConfig, predict
 from veclstm.vecstore import open_store
 from veclstm.vectorizer import vectorize_trajectory
 
@@ -252,12 +254,38 @@ class TestTrain:
         assert "dataset load" in capsys.readouterr().err
 
     def test_checkpoint_loads_back(self, sep_csv, tmp_path, train_config):
-        from veclstm.neuralnet import load_checkpoint
         out_dir = tmp_path / "ck"
         main(["train", str(sep_csv), "--arch", "lstm",
               "--out-dir", str(out_dir), "--config", str(train_config)])
         blocks = load_checkpoint(out_dir / "model.vlnn")
         assert sum(b.size for b in blocks.values()) == 71_357
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_checkpoint_reproduces_test_predictions(self, sep_csv, tmp_path, monkeypatch,
+                                                    arch):
+        # The checkpoint stores float32 values and predict runs the model
+        # on a float32 copy of its parameters, so the blocks read back give
+        # the in-process float64 master weights' probabilities bit for bit.
+        seen = {}
+        for name in ("prepare_splits", "train_model"):
+            def keep(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                seen[_name] = (args, _fn(*args, **kwargs))
+                return seen[_name][1]
+            monkeypatch.setattr(cli, name, keep)
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"train": {"epochs": 2, "batch_size": 32,
+                                                "learning_rate": 0.01, "seed": 3}}))
+        out_dir = tmp_path / arch
+        assert main(["train", str(sep_csv), "--arch", arch, "--out-dir", str(out_dir),
+                     "--config", str(config)]) == 0
+        (spec, _, _), (params, _) = seen["train_model"]
+        x_test = seen["prepare_splits"][1].x_test
+        blocks = load_checkpoint(out_dir / "model.vlnn")
+        assert blocks.keys() == params.keys()
+        assert all(b.dtype == np.float64 for b in blocks.values())
+        assert not all(np.array_equal(blocks[k], params[k]) for k in params)
+        want = predict(spec, params, x_test)
+        assert np.array_equal(predict(spec, blocks, x_test), want)
 
 
 class TestBench:

@@ -36,14 +36,27 @@ class TestCellForward:
     """One cell step, seen through lstm_sequence from its zero state."""
 
     def test_all_zero_parameters(self):
+        # At T = 1 the cache holds i, o and g only: f multiplies the zero
+        # state and is not computed. At T = 2 every step holds all four.
         params = zero_params(2, 3)
         out, cache = lstm_sequence(np.array([[[1.0, -1.0]]]), params)
-        i, f, o, g = (cache.gates[0, k * 3:(k + 1) * 3] for k in range(4))
+        assert cache.gates.shape == (1, 9, 1)
+        i, o, g = (cache.gates[0, k * 3:(k + 1) * 3] for k in range(3))
         assert np.allclose(i, 0.5)
-        assert np.allclose(f, 0.5)
         assert np.allclose(o, 0.5)
         assert np.array_equal(g, np.zeros((3, 1)))
         assert np.array_equal(cache.c[0], np.zeros((3, 1)))
+        assert np.array_equal(out, np.zeros((1, 3)))
+
+        out, cache = lstm_sequence(np.array([[[1.0, -1.0], [0.5, 2.0]]]), params)
+        assert cache.gates.shape == (2, 12, 1)
+        for t in range(2):
+            i, f, o, g = (cache.gates[t, k * 3:(k + 1) * 3] for k in range(4))
+            assert np.allclose(i, 0.5)
+            assert np.allclose(f, 0.5)
+            assert np.allclose(o, 0.5)
+            assert np.array_equal(g, np.zeros((3, 1)))
+            assert np.array_equal(cache.c[t], np.zeros((3, 1)))
         assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_matches_scalar_oracle(self):
@@ -124,6 +137,52 @@ class TestStackedGatesMatchPerGateOracle:
             assert relative_error(grads[key], ref_grads[key]) < 1e-12, key
         assert dx.shape == seq.shape
         assert relative_error(dx, ref_dx) < 1e-12
+
+
+class TestOneStepPath:
+    """T = 1 from the zero state: only the i, o, g input columns are used."""
+
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_matches_per_gate_oracle_with_zero_f_and_recurrent_grads(
+            self, return_sequences):
+        rng = np.random.default_rng(41)
+        n_in, hidden = 3, 5
+        params = random_params(rng, n_in, hidden)
+        seq = rng.normal(size=(7, 1, n_in))
+        w = {g: getattr(params, f"w_{g}") for g in GATES}
+        b = {g: getattr(params, f"b_{g}") for g in GATES}
+
+        out, cache = lstm_sequence(seq, params, return_sequences=return_sequences)
+        assert cache.gates.shape == (1, 3 * hidden, 7)
+        ref_out, ref_steps = per_gate_lstm(seq, w, b, return_sequences)
+        assert out.dtype == np.float64
+        assert relative_error(out, ref_out) < 1e-12
+
+        direction = rng.normal(size=out.shape)
+        grads, dx = lstm_backward(cache, params, direction)
+        ref_grads, ref_dx = per_gate_lstm_backward(ref_steps, w, direction,
+                                                   return_sequences)
+        for key in PARAM_KEYS:
+            assert grads[key].dtype == np.float64, key
+            assert relative_error(grads[key], ref_grads[key]) < 1e-12, key
+        assert relative_error(dx, ref_dx) < 1e-12
+        assert np.array_equal(grads["w_f"], np.zeros((hidden, n_in + hidden)))
+        assert np.array_equal(grads["b_f"], np.zeros(hidden))
+        for gate in GATES:
+            assert np.array_equal(grads[f"w_{gate}"][:, n_in:], np.zeros((hidden, hidden)))
+
+    def test_float32_parameters_compute_in_float32(self):
+        rng = np.random.default_rng(42)
+        params = random_params(rng, 2, 4)
+        params32 = LstmParams(**{k: getattr(params, k).astype(np.float32)
+                                 for k in PARAM_KEYS})
+        seq = rng.normal(size=(3, 1, 2))  # float64 input, cast by the kernel
+        out, cache = lstm_sequence(seq, params32, return_sequences=True)
+        grads, dx = lstm_backward(cache, params32, np.ones((3, 1, 4)))
+        assert out.dtype == dx.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+        ref, _ = lstm_sequence(seq, params, return_sequences=True)
+        assert relative_error(out, ref) < 1e-6
 
 
 class TestBackward:

@@ -236,6 +236,25 @@ class TestMaxPool:
         assert argmax[0, 0, 0] == 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layers_compute_in_their_parameter_dtype(dtype):
+    # float64 inputs and gradients are cast to the parameters' dtype;
+    # pooling keeps the dtype it is given.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 8, 4))
+    dense = DenseParams(rng.normal(size=(5, 4)).astype(dtype), np.zeros(5, dtype))
+    y = dense_forward(x[:, 0], dense)
+    assert y.dtype == dtype
+    assert all(a.dtype == dtype for a in dense_backward(x[:, 0], dense, np.ones(y.shape)))
+    conv = Conv1dParams(rng.normal(size=(2, 4, 3)).astype(dtype), np.zeros(2, dtype))
+    y = conv1d_forward(x, conv)
+    assert y.dtype == dtype
+    assert all(a.dtype == dtype for a in conv1d_backward(x, conv, np.ones(y.shape)))
+    pooled, argmax = maxpool1d_forward(y, 2)
+    assert pooled.dtype == dtype
+    assert maxpool1d_backward(y.shape, 2, argmax, pooled).dtype == dtype
+
+
 class TestInit:
     def test_seed_determinism_and_bounds(self):
         rng1 = np.random.default_rng(42)

@@ -92,6 +92,9 @@ def test_traced_tiny_run_names_every_split_span(tmp_path):
     run.run()
     assert run.ledger.failed == 0, run.ledger.failures
     assert run.untraced == set()
+    # Layers are named by the identity of the parameter arrays that
+    # model_forward received, so the float32 copy must be that dict.
+    assert not any("unknown" in span.name for span in run.tracer.spans)
     per_layer = run.per_layer()
     assert set(per_layer) == {m.name for m in PER_LAYER}
     for name in ("trainer.train_test_split_ms", "trainer.random_oversample_ms",

@@ -11,7 +11,9 @@ from veclstm.errors import (
     OutOfRange,
     TooFewSamples,
 )
-from veclstm.models import build_lstm_stack, build_veclstm
+from veclstm import trainer
+from veclstm.models import build_hybrid, build_lstm_stack, build_veclstm, init_model_params
+from veclstm.neuralnet import LstmSequenceCache
 from veclstm.trainer import (
     AdamState,
     StandardScaler,
@@ -20,7 +22,9 @@ from veclstm.trainer import (
     adam_step,
     benchmark_pipelines,
     encode_labels,
+    predict,
     random_oversample,
+    run_epochs,
     train_model,
     train_test_split,
 )
@@ -51,14 +55,6 @@ class TestSplit:
         assert as_sorted_multiset(np.vstack([xtr, xte])) == as_sorted_multiset(x)
         assert sorted(np.concatenate([ytr, yte]).tolist()) == sorted(y.tolist())
         assert len(ytr) + len(yte) == 37
-
-    def test_tuple_inputs_stay_aligned(self):
-        x1 = np.arange(12).reshape(-1, 1).astype(float)
-        x2 = np.arange(12).reshape(-1, 1).astype(float) * 10
-        y = np.arange(12)
-        (xtr, ytr), _ = train_test_split((x1, x2), y, 0.25, seed=2)
-        assert np.array_equal(xtr[0] * 10, xtr[1])
-        assert np.array_equal(xtr[0].reshape(-1), ytr)
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
@@ -231,8 +227,6 @@ class TestTrainModel:
 
     def test_numeric_errors_carry_epoch_batch_context(self):
         from veclstm.errors import VecLstmError
-        from veclstm.models import init_model_params
-        from veclstm.trainer import run_epochs
 
         spec = build_lstm_stack(1)
         params = init_model_params(spec, seed=0)
@@ -252,8 +246,6 @@ class TestTrainModel:
 
     def test_non_finite_error_names_its_lstm_block(self):
         from veclstm.errors import NonFiniteError
-        from veclstm.models import init_model_params
-        from veclstm.trainer import run_epochs
 
         spec = build_lstm_stack(1)
         params = init_model_params(spec, seed=0)
@@ -274,6 +266,69 @@ class TestTrainModel:
         assert len(doc["epoch_losses"]) == 2
         assert doc["train_seconds"] >= 0
         assert doc["vectorize_seconds"] is None
+
+
+def _float_arrays(cache):
+    """Every floating-point array of a model forward cache, by name."""
+    out = {"logits": cache.logits}
+    for name, value in cache.internals.items():
+        if isinstance(value, LstmSequenceCache):
+            for field in ("x", "gates", "c", "tanh_c", "h"):
+                out[f"{name}.{field}"] = getattr(value, field)
+        elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            out[name] = value
+    return out
+
+
+class TestPrecision:
+    """Float64 master weights and Adam state, float32 forward and backward."""
+
+    @staticmethod
+    def batch(arch, n, seed):
+        """(spec, x, rows -> model input) for n random samples."""
+        rng = np.random.default_rng(seed)
+        meta = rng.normal(size=(n, 1, 1))
+        if arch == "hybrid":
+            grids = np.zeros((n, 100))
+            grids[np.arange(n), rng.integers(0, 100, n)] = 1.0
+            grids = grids.reshape(n, 10, 10)
+            return build_hybrid(1), (meta, grids), lambda idx: (meta[idx], grids[idx])
+        return build_veclstm(1), meta, lambda idx: meta[idx]
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_one_step_dtypes(self, monkeypatch, arch):
+        spec, _, rows = self.batch(arch, n=64, seed=0)
+        calls = {}
+        for name in ("model_forward", "model_backward", "adam_step"):
+            def keep(*args, _name=name, _fn=getattr(trainer, name), **kwargs):
+                calls[_name] = (args, _fn(*args, **kwargs))
+                return calls[_name][1]
+            monkeypatch.setattr(trainer, name, keep)
+        params = init_model_params(spec, seed=1)
+        master, _, _, _ = run_epochs(spec, params, rows, encode_labels(np.arange(64) % 7),
+                                     TrainConfig(epochs=1, batch_size=64, seed=0))
+
+        (_, work, _), (_, cache) = calls["model_forward"]
+        assert calls["model_backward"][0][1] is work
+        assert {k: p.dtype for k, p in work.items() if p.dtype != np.float32} == {}
+        arrays = _float_arrays(cache)
+        assert {"logits", "cache1.gates", "cache2.h", "head_in"} <= set(arrays)
+        assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
+        assert cache.probs.dtype == np.float64
+
+        (_, grads, _, _), (_, state) = calls["adam_step"]
+        assert grads.keys() == params.keys()
+        assert {k: g.dtype for k, g in grads.items() if g.dtype != np.float32} == {}
+        for blocks in (master, state.m, state.v):
+            assert blocks.keys() == params.keys()
+            assert {k: a.dtype for k, a in blocks.items() if a.dtype != np.float64} == {}
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_predict_returns_float64_rows_summing_to_one(self, arch):
+        spec, x, _ = self.batch(arch, n=300, seed=2)
+        probs = predict(spec, init_model_params(spec, seed=3), x, batch_size=128)
+        assert probs.dtype == np.float64 and probs.shape == (300, 7)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
 
 class TestBenchmark:
