@@ -256,7 +256,17 @@ def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {key: p.astype(np.float32) for key, p in params.items()}
 
 
-def predict(spec: ModelSpec, params: dict, x, batch_size: int = 4096) -> np.ndarray:
+# Rows per model_forward call in predict. One batch's buffers (~1.2 MB
+# in float32 at 512 rows) stay in the allocator's free lists between
+# batches and calls. A batch of several MB may be handed back to the OS
+# after each call, depending on what earlier work left in the heap, and
+# page-faulted in again on the next: at 4,096 rows that cost ~10 of
+# ~38 ms per call on a 4,800-row split, in some runs and not others.
+PREDICT_BATCH_ROWS = 512
+
+
+def predict(spec: ModelSpec, params: dict, x,
+            batch_size: int = PREDICT_BATCH_ROWS) -> np.ndarray:
     """Probabilities over a dataset, evaluated in batches.
 
     When enough rows repeat (models.MIN_REPEAT_SHARE), each distinct
@@ -278,7 +288,7 @@ def predict(spec: ModelSpec, params: dict, x, batch_size: int = 4096) -> np.ndar
 
 
 def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,
-                  batch_size: int = 4096) -> tuple[float, float]:
+                  batch_size: int = PREDICT_BATCH_ROWS) -> tuple[float, float]:
     """(mean loss, accuracy) without updating anything."""
     probs = predict(spec, params, x, batch_size)
     logp = np.log(np.maximum(probs, 1e-300))
