@@ -161,6 +161,24 @@ def param_count(spec: ModelSpec) -> int:
     return sum(int(np.prod(shape)) for shape in _block_shapes(spec).values())
 
 
+def trained_entries(spec: ModelSpec) -> dict[str, Any]:
+    """The entries of each parameter block that training can move.
+
+    Maps a block key to a basic index into the block; a block that is
+    absent is never read. The LSTM blocks follow
+    LstmParams.read_entries for spec.timesteps; the conv, fusion and
+    head blocks are read whole.
+    """
+    entries = {}
+    for prefix, n_in in (("lstm1", spec.n_features), ("lstm2", spec.lstm_units[0])):
+        for name, index in LstmParams.read_entries(spec.timesteps, n_in).items():
+            entries[f"{prefix}.{name}"] = index
+    for key in _block_shapes(spec):
+        if not key.startswith("lstm"):
+            entries[key] = np.s_[...]
+    return entries
+
+
 def init_model_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     """Seeded Glorot init; same seed always yields identical arrays."""
     rng = np.random.default_rng(seed)

@@ -22,7 +22,8 @@ A one-step sequence (T = 1, every input of this pipeline) never reads
 its forget gate or recurrent columns: both multiply the zero state. It
 stacks only the input columns of i, o and g into a (3H, F) matrix, its
 cache holds those three gates, and its forget-gate and recurrent-column
-gradients are zero.
+gradients are zero, so the optimizer never touches them
+(LstmParams.read_entries).
 
 The kernels compute in the dtype of the parameter arrays, to which
 they cast their inputs and upstream gradients. Everything operates on
@@ -33,6 +34,7 @@ batches: a sequence is (N, T, F), and each step's hidden output is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -71,19 +73,33 @@ class LstmParams:
             if getattr(self, name).shape != (h,):
                 raise ShapeMismatch(f"{name} shape inconsistent")
 
+    @staticmethod
+    def read_entries(t_len: int, input_size: int) -> dict[str, Any]:
+        """The entries of each field that a t_len-step sequence reads.
+
+        Maps a field name to a basic index into that field; a field that
+        is never read is absent. For t_len = 1 these are the input
+        columns of w_i, w_o and w_g and all of b_i, b_o and b_g; a
+        longer sequence reads every entry. Only these entries can get a
+        nonzero gradient, so they are the ones training updates.
+        """
+        if t_len == 1:
+            cols = np.s_[:, :input_size]
+            return {"w_i": cols, "w_o": cols, "w_g": cols,
+                    "b_i": np.s_[:], "b_o": np.s_[:], "b_g": np.s_[:]}
+        return {f"{kind}_{gate}": np.s_[...] for kind in "wb" for gate in GATES}
+
     def stacked(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
         """The gate matrix and bias a t_len-step sequence uses.
 
         (4H, F+H) and (4H,), gates in i, f, o, g order; for t_len = 1,
         the input columns of i, o and g only: (3H, F) and (3H,).
         """
-        if t_len == 1:
-            cols = self.input_size
-            return (np.concatenate([self.w_i[:, :cols], self.w_o[:, :cols],
-                                    self.w_g[:, :cols]]),
-                    np.concatenate([self.b_i, self.b_o, self.b_g]))
-        return (np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g]),
-                np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g]))
+        read = self.read_entries(t_len, self.input_size)
+        gates = [gate for gate in GATES if f"b_{gate}" in read]
+        w = np.concatenate([getattr(self, f"w_{gate}")[read[f"w_{gate}"]] for gate in gates])
+        b = np.concatenate([getattr(self, f"b_{gate}")[read[f"b_{gate}"]] for gate in gates])
+        return w, b
 
 
 def _split(a: np.ndarray, hidden: int) -> list[np.ndarray]:

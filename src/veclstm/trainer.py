@@ -7,15 +7,18 @@ Wall-clock timing wraps the epoch loop only.
 
 Precision follows Micikevicius et al. 2018 ("Mixed Precision Training"):
 the parameters and Adam's moments stay float64 master weights, while
-each training step and each predict call run the model on a float32
-copy of them. Softmax, the loss and the metrics stay float64.
+training and each predict call run the model on a float32 copy of them.
+Softmax, the loss and the metrics stay float64. Training keeps one
+float32 copy for the whole run. Adam updates, in place, only the
+entries the model reads (models.trained_entries), held as flat vectors,
+and then rewrites those entries of the float32 copy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .models import (
     model_backward,
     model_forward,
     normalize_batch,
+    trained_entries,
 )
 from .neuralnet import softmax_cross_entropy
 from .vectorizer import (
@@ -68,6 +72,14 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for name in ("learning_rate", "epsilon"):  # epsilon: see adam_step
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -174,43 +186,89 @@ def random_oversample(x: np.ndarray, y, seed: int):
 
 # --- Adam ----------------------------------------------------------------
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+    """Adam's state over the entries of a parameter dict that training
+    moves (trained: block key -> basic index, models.trained_entries).
 
-    @classmethod
-    def create(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    The float64 master values of those entries, m, v and adam_step's
+    scratch are each one flat vector. work is the copy of every block,
+    in work_dtype, that the model runs on for the whole of training;
+    adam_step rewrites its trained entries in place.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], trained: dict[str, Any],
+                 work_dtype=np.float32):
+        self._params = params
+        self.work = {key: p.astype(work_dtype) for key, p in params.items()}
+        size = sum(params[key][index].size for key, index in trained.items())
+        self.p = np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self.g = np.empty(size, dtype=work_dtype)
+        self.g2 = np.empty(size, dtype=work_dtype)
+        self.step = np.empty(size)
+        self.denom = np.empty(size)
+        # key, index, and the block's part of g, p and work, as views
+        self.parts = []
+        lo = 0
+        for key, index in trained.items():
+            block = params[key][index]
+            part = slice(lo, lo + block.size)
+            lo += block.size
+            p_part = self.p[part].reshape(block.shape)
+            p_part[...] = block
+            self.parts.append((key, index, self.g[part].reshape(block.shape), p_part,
+                               self.work[key][index]))
+
+    def master(self) -> dict[str, np.ndarray]:
+        """Float64 copies of the full blocks with the trained entries as
+        trained; the dict given at construction is left as it was."""
+        out = {key: p.astype(np.float64) for key, p in self._params.items()}
+        for key, index, _, p_part, _ in self.parts:
+            out[key][index] = p_part
+        return out
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias correction; t increments first."""
-    if set(grads) != set(params):
+def adam_step(grads: dict[str, np.ndarray], state: AdamState, config: TrainConfig) -> None:
+    """One Adam update with bias correction (t increments first), in
+    place over state's trained entries and then their work copies.
+
+    The arithmetic and its dtypes are those of the per-block formula
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    whose (1 - beta) products round in g's dtype. An entry whose
+    gradient is always zero keeps its value exactly (eps > 0), so the
+    entries outside the trained set can be left out.
+    """
+    if grads.keys() != state.work.keys():
         raise ShapeMismatch("gradient keys do not match parameter keys")
+    for key, index, g_part, _, _ in state.parts:
+        grad = grads[key]
+        if grad.shape != state.work[key].shape:
+            raise ShapeMismatch(f"gradient shape mismatch for {key}")
+        np.copyto(g_part, grad[index])
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t
-    new_params: dict[str, np.ndarray] = {}
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape mismatch for {key}")
-        state.m[key] = config.beta1 * state.m[key] + (1.0 - config.beta1) * g
-        state.v[key] = config.beta2 * state.v[key] + (1.0 - config.beta2) * (g * g)
-        m_hat = state.m[key] / bc1
-        v_hat = state.v[key] / bc2
-        new_params[key] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return new_params, state
+    g, g2, m, v, step, denom = state.g, state.g2, state.m, state.v, state.step, state.denom
+    np.multiply(g, g, out=g2)
+    np.multiply(g2, 1.0 - config.beta2, out=g2)
+    np.multiply(g, 1.0 - config.beta1, out=g)
+    m *= config.beta1
+    m += g
+    v *= config.beta2
+    v += g2
+    np.divide(m, bc1, out=step)
+    step *= config.learning_rate
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.epsilon
+    step /= denom
+    state.p -= step
+    for _, _, _, p_part, work_part in state.parts:
+        np.copyto(work_part, p_part)
 
 
 # --- training loop -------------------------------------------------------
@@ -311,11 +369,14 @@ def run_epochs(
     and non-vectorized benchmark pipelines. The CLI bench command calls
     it with its own feature function.
 
-    Each step runs the forward and backward passes on one float32 copy
-    of the parameters; adam_step updates the float64 master weights.
+    Every step runs the forward and backward passes on the same float32
+    copy of the parameters, whose trained entries adam_step rewrites
+    after updating the float64 master weights in place. The caller's
+    arrays are not written to.
     """
     n = y_onehot.shape[0]
-    state = AdamState.create(params)
+    state = AdamState(params, trained_entries(spec))
+    work = state.work
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     accuracies: list[float] = []
@@ -330,11 +391,10 @@ def run_epochs(
             try:
                 x_batch = batch_features(idx)
                 y_batch = y_onehot[idx]
-                work = compute_params(params)
                 probs, cache = model_forward(spec, work, x_batch, with_cache=True)
                 _, loss, d_logits = softmax_cross_entropy(cache.logits, y_batch)
                 grads = model_backward(spec, work, cache, d_logits)
-                params, state = adam_step(params, grads, state, config)
+                adam_step(grads, state, config)
             except VecLstmError as exc:
                 exc.args = (f"epoch {epoch}, batch {lo // config.batch_size}: {exc}",)
                 raise
@@ -343,7 +403,7 @@ def run_epochs(
         losses.append(loss_sum / n)
         accuracies.append(correct / n)
     seconds = time.perf_counter() - start
-    return params, losses, accuracies, seconds
+    return state.master(), losses, accuracies, seconds
 
 
 def train_model(

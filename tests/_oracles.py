@@ -257,6 +257,28 @@ def adam_scalar_recurrence(grads, alpha, beta1, beta2, eps, theta0=0.0):
     return theta
 
 
+def per_block_adam_step(params, grads, m, v, t, alpha, beta1, beta2, eps):
+    """One Adam update of every block at step t, each result a new array.
+
+    The update equations written block by block in numpy, whose dtype
+    rules decide the precision: with float32 gradients the two
+    (1 - beta) products round in float32 and the rest runs in float64.
+    m and v are dicts of moments, replaced block by block; returns the
+    new parameter dict.
+    """
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    new = {}
+    for key, p in params.items():
+        g = grads[key]
+        m[key] = beta1 * m[key] + (1.0 - beta1) * g
+        v[key] = beta2 * v[key] + (1.0 - beta2) * (g * g)
+        m_hat = m[key] / bc1
+        v_hat = v[key] / bc2
+        new[key] = p - alpha * m_hat / (np.sqrt(v_hat) + eps)
+    return new
+
+
 def as_sorted_multiset(rows) -> list:
     """Canonical form for multiset equality of sample rows."""
     return sorted(tuple(np.asarray(r).reshape(-1).tolist()) for r in rows)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from veclstm import cli
 from veclstm.cli import (ARCH_BUILDERS, RunConfig, load_run_config, main,
                          prepare_splits, split_rows)
+from veclstm.errors import ConfigError
 from veclstm.ingest import read_dataset_csv, write_dataset_csv
 from veclstm.neuralnet import load_checkpoint
 from veclstm.trainer import TrainConfig, predict
@@ -51,6 +53,22 @@ class TestConfig:
                    "--out-dir", str(tmp_path / "o"), "--config", str(path)])
         assert rc == 1
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("learning_rate", 0.0), ("beta1", 1.0), ("beta2", -0.1),
+        ("epsilon", 0.0),
+    ])
+    def test_out_of_range_optimizer_setting_names_path_and_field(
+            self, sep_csv, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": {field: value}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {field} must be")):
+            load_run_config(str(path), None)
+        rc = main(["train", str(sep_csv), "--arch", "lstm",
+                   "--out-dir", str(tmp_path / "o"), "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
 
     def test_every_documented_key_loads(self, tmp_path):
         doc = RunConfig().to_dict()

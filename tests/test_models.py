@@ -22,10 +22,11 @@ from veclstm.models import (
     model_forward,
     normalize_batch,
     param_count,
+    trained_entries,
 )
 from veclstm.models import _backward_rows, _forward_rows, _row_keys
 from veclstm.neuralnet import softmax, softmax_cross_entropy
-from veclstm.trainer import compute_params, predict
+from veclstm.trainer import AdamState, TrainConfig, compute_params, predict, run_epochs
 
 from _oracles import central_difference_grads, per_row_model_gradients, relative_error
 
@@ -192,6 +193,67 @@ class TestBackward:
         numeric = central_difference_grads(loss, params)
         for key in params:
             assert relative_error(grads[key], numeric[key]) < 1e-4, key
+
+
+def _trained_masks(spec, params):
+    """Per block, the entries trained_entries selects, as a boolean mask."""
+    masks = {key: np.zeros(p.shape, dtype=bool) for key, p in params.items()}
+    for key, index in trained_entries(spec).items():
+        masks[key][index] = True
+    return masks
+
+
+class TestTrainedEntries:
+    """Training updates exactly the entries that can get a gradient."""
+
+    @staticmethod
+    def batch(arch, n, seed):
+        rng = np.random.default_rng(seed)
+        meta = rng.normal(size=(n, 1, 1))
+        if arch == "hybrid":
+            return build_hybrid(1), (meta, _one_hot_grids(rng.integers(0, 100, n), 10))
+        return build_veclstm(1), meta
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_one_step_gradient_is_zero_outside_the_trained_entries(self, arch):
+        spec, batch = self.batch(arch, n=40, seed=6)
+        params = compute_params(init_model_params(spec, seed=2))
+        _, cache = model_forward(spec, params, batch, with_cache=True)
+        targets = np.eye(7)[np.arange(40) % 7]
+        _, _, d_logits = softmax_cross_entropy(cache.logits, targets)
+        grads = model_backward(spec, params, cache, d_logits)
+        masks = _trained_masks(spec, params)
+        for key, grad in grads.items():
+            assert np.all(grad[~masks[key]] == 0.0), key
+        # per LSTM layer: the recurrent columns of all four gates, and
+        # the input columns and bias of the forget gate
+        untrained = sum(4 * h * h + h * n_in + h for h, n_in in ((100, 1), (50, 100)))
+        assert sum(int((~mask).sum()) for mask in masks.values()) == untrained == 55_250
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_flat_state_holds_each_trained_entry_once(self, arch):
+        spec, _ = self.batch(arch, n=1, seed=0)
+        params = init_model_params(spec, seed=2)
+        masks = _trained_masks(spec, params)
+        state = AdamState(params, trained_entries(spec))
+        assert state.p.size == sum(int(mask.sum()) for mask in masks.values())
+        state.p[:] = 10.0 + np.arange(state.p.size)  # unlike any initial value
+        master = state.master()
+        written = np.concatenate([master[key][mask] for key, mask in masks.items()])
+        assert np.array_equal(np.sort(written), state.p)
+        for key, mask in masks.items():
+            assert np.array_equal(master[key][~mask], params[key][~mask]), key
+
+    def test_longer_sequences_train_every_entry(self):
+        spec = ModelSpec(architecture=VECLSTM, timesteps=2, lstm_units=(4, 3))
+        params = init_model_params(spec, seed=3)
+        assert all(mask.all() for mask in _trained_masks(spec, params).values())
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(32, 2, 1))
+        y = np.eye(7)[rng.integers(0, 7, 32)]
+        master, _, _, _ = run_epochs(spec, params, lambda idx: x[idx], y,
+                                     TrainConfig(epochs=1, batch_size=16, seed=0))
+        assert np.all(master["lstm1.w_f"] != params["lstm1.w_f"])
 
 
 def _small_hybrid():

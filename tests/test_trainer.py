@@ -12,7 +12,13 @@ from veclstm.errors import (
     TooFewSamples,
 )
 from veclstm import trainer
-from veclstm.models import build_hybrid, build_lstm_stack, build_veclstm, init_model_params
+from veclstm.models import (
+    build_hybrid,
+    build_lstm_stack,
+    build_veclstm,
+    init_model_params,
+    trained_entries,
+)
 from veclstm.neuralnet import LstmSequenceCache
 from veclstm.trainer import (
     AdamState,
@@ -21,6 +27,7 @@ from veclstm.trainer import (
     TrainData,
     adam_step,
     benchmark_pipelines,
+    compute_params,
     encode_labels,
     predict,
     random_oversample,
@@ -29,7 +36,7 @@ from veclstm.trainer import (
     train_test_split,
 )
 
-from _oracles import adam_scalar_recurrence, as_sorted_multiset
+from _oracles import adam_scalar_recurrence, as_sorted_multiset, per_block_adam_step
 
 
 class TestSplit:
@@ -142,20 +149,24 @@ class TestOversample:
 
 
 class TestAdam:
-    def config(self, **kw):
-        return TrainConfig(**kw)
+    @staticmethod
+    def run(params, grads, config=TrainConfig()):
+        """The master weights after one adam_step per gradient dict, every
+        block trained whole and the model run in float64."""
+        state = AdamState(params, {key: np.s_[...] for key in params},
+                          work_dtype=np.float64)
+        for g in grads:
+            adam_step(g, state, config)
+        return state.master()
 
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = AdamState.create(params)
-        new, _ = adam_step(params, {"w": np.zeros(2)}, state, self.config())
+        new = self.run(params, [{"w": np.zeros(2)}])
         assert np.array_equal(new["w"], params["w"])
 
     def test_first_step_magnitude_is_learning_rate(self):
-        config = self.config()
-        params = {"w": np.array([0.0])}
-        state = AdamState.create(params)
-        new, _ = adam_step(params, {"w": np.array([3.7])}, state, config)
+        config = TrainConfig()
+        new = self.run({"w": np.array([0.0])}, [{"w": np.array([3.7])}], config)
         delta = abs(new["w"][0])
         assert abs(delta - config.learning_rate) < config.learning_rate * 1e-6
         assert new["w"][0] < 0  # moved against the gradient sign
@@ -163,21 +174,46 @@ class TestAdam:
     def test_five_steps_match_scalar_recurrence(self):
         rng = np.random.default_rng(15)
         grads = rng.normal(size=5).tolist()
-        config = self.config()
-        params = {"w": np.array([0.25])}
-        state = AdamState.create(params)
-        for g in grads:
-            params, state = adam_step(params, {"w": np.array([g])}, state, config)
+        config = TrainConfig()
+        new = self.run({"w": np.array([0.25])}, [{"w": np.array([g])} for g in grads], config)
         expected = adam_scalar_recurrence(
             grads, config.learning_rate, config.beta1, config.beta2,
             config.epsilon, theta0=0.25)
-        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
+        assert new["w"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_no_nan_for_finite_inputs(self):
-        params = {"w": np.array([1e300, -1e-300])}
-        state = AdamState.create(params)
-        new, _ = adam_step(params, {"w": np.array([1e3, -1e3])}, state, self.config())
+        new = self.run({"w": np.array([1e300, -1e-300])}, [{"w": np.array([1e3, -1e3])}])
         assert np.all(np.isfinite(new["w"]))
+
+    @pytest.mark.parametrize("build", [build_veclstm, build_hybrid], ids=["veclstm", "hybrid"])
+    def test_matches_per_block_oracle_bit_for_bit(self, build):
+        spec = build(1)
+        params = init_model_params(spec, seed=4)
+        trained = trained_entries(spec)
+        config = TrainConfig()
+        state = AdamState(params, trained)
+        oracle = dict(params)
+        m = {key: np.zeros_like(p) for key, p in params.items()}
+        v = {key: np.zeros_like(p) for key, p in params.items()}
+        rng = np.random.default_rng(8)
+        for t in range(1, 21):
+            grads = {key: np.zeros(p.shape, dtype=np.float32) for key, p in params.items()}
+            for key, index in trained.items():
+                part = grads[key][index]
+                # magnitudes over six decades, and some exact zeros
+                part[...] = (rng.normal(size=part.shape) * 10.0 ** rng.uniform(-5, 1, part.shape)
+                             * (rng.random(part.shape) > 0.1))
+            adam_step(grads, state, config)
+            oracle = per_block_adam_step(oracle, grads, m, v, t, config.learning_rate,
+                                         config.beta1, config.beta2, config.epsilon)
+
+        master = state.master()
+        assert all(np.array_equal(master[key], oracle[key]) for key in params)
+        work = compute_params(oracle)
+        assert all(np.array_equal(state.work[key], work[key]) for key in params)
+        for flat, blocks in ((state.m, m), (state.v, v)):
+            assert np.array_equal(
+                flat, np.concatenate([blocks[key][index].ravel() for key, index in trained.items()]))
 
 
 def separable_features(n=300, seed=7):
@@ -298,30 +334,46 @@ class TestPrecision:
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
     def test_one_step_dtypes(self, monkeypatch, arch):
         spec, _, rows = self.batch(arch, n=64, seed=0)
-        calls = {}
-        for name in ("model_forward", "model_backward", "adam_step"):
+        calls = {"model_forward": [], "model_backward": [], "adam_step": []}
+        for name in calls:
             def keep(*args, _name=name, _fn=getattr(trainer, name), **kwargs):
-                calls[_name] = (args, _fn(*args, **kwargs))
-                return calls[_name][1]
+                out = _fn(*args, **kwargs)
+                calls[_name].append((args, out))
+                return out
             monkeypatch.setattr(trainer, name, keep)
         params = init_model_params(spec, seed=1)
+        arrays_before = dict(params)
+        bytes_before = {key: p.tobytes() for key, p in params.items()}
+        config = TrainConfig(epochs=2, batch_size=24, seed=0)
         master, _, _, _ = run_epochs(spec, params, rows, encode_labels(np.arange(64) % 7),
-                                     TrainConfig(epochs=1, batch_size=64, seed=0))
+                                     config)
 
-        (_, work, _), (_, cache) = calls["model_forward"]
-        assert calls["model_backward"][0][1] is work
+        # one update per batch, through the module attribute
+        assert len(calls["adam_step"]) == config.epochs * math.ceil(64 / config.batch_size)
+        # one work dict, read by every forward and backward pass
+        work = calls["model_forward"][0][0][1]
+        model_calls = calls["model_forward"] + calls["model_backward"]
+        assert len(model_calls) == 2 * len(calls["adam_step"])
+        assert all(args[1] is work for args, _ in model_calls)
+        # the caller's arrays are neither replaced nor written to
+        assert all(params[key] is arrays_before[key] for key in arrays_before)
+        assert {key: p.tobytes() for key, p in params.items()} == bytes_before
+
         assert {k: p.dtype for k, p in work.items() if p.dtype != np.float32} == {}
+        _, cache = calls["model_forward"][0][1]
         arrays = _float_arrays(cache)
         assert {"logits", "cache1.gates", "cache2.h", "head_in"} <= set(arrays)
         assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
         assert cache.probs.dtype == np.float64
 
-        (_, grads, _, _), (_, state) = calls["adam_step"]
+        grads, state, _ = calls["adam_step"][-1][0]
+        assert state.work is work
         assert grads.keys() == params.keys()
         assert {k: g.dtype for k, g in grads.items() if g.dtype != np.float32} == {}
-        for blocks in (master, state.m, state.v):
-            assert blocks.keys() == params.keys()
-            assert {k: a.dtype for k, a in blocks.items() if a.dtype != np.float64} == {}
+        assert state.p.dtype == state.m.dtype == state.v.dtype == np.float64
+        assert master.keys() == params.keys()
+        assert {k: (a.dtype, a.shape) for k, a in master.items()} == \
+            {k: (np.dtype(np.float64), p.shape) for k, p in params.items()}
 
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
     def test_predict_returns_float64_rows_summing_to_one(self, arch):
