@@ -250,11 +250,10 @@ def lstm_backward(
     d_b = d_gates.sum(axis=(0, 2))
     dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)
     if t_len == 1:
-        # c_{-1} = h_{-1} = 0: the f rows and the recurrent columns get
-        # zero gradients; the i, o, g input columns go to their rows.
+        # c_{-1} = h_{-1} = 0: every entry outside read_entries gets a
+        # zero gradient.
         d_w = np.zeros((4 * h, n_in + h), dtype=d_wx.dtype)
-        d_w[:h, :n_in], d_w[2 * h:, :n_in] = d_wx[:h], d_wx[h:]
-        d_b = np.concatenate([d_b[:h], np.zeros(h, dtype=d_b.dtype), d_b[h:]])
+        d_b_read, d_b = d_b, np.zeros(4 * h, dtype=d_b.dtype)
     else:
         d_w = np.empty_like(w)
         d_w[:, :n_in] = d_wx
@@ -265,4 +264,11 @@ def lstm_backward(
     for k, gate in enumerate(GATES):
         grads[f"w_{gate}"] = d_w[k * h:(k + 1) * h]
         grads[f"b_{gate}"] = d_b[k * h:(k + 1) * h]
+    if t_len == 1:
+        # d_wx and d_b_read hold the gates read, in stacked's row order
+        read = params.read_entries(t_len, n_in)
+        for k, gate in enumerate(gate for gate in GATES if f"b_{gate}" in read):
+            rows = slice(k * h, (k + 1) * h)
+            grads[f"w_{gate}"][read[f"w_{gate}"]] = d_wx[rows]
+            grads[f"b_{gate}"][read[f"b_{gate}"]] = d_b_read[rows]
     return grads, np.ascontiguousarray(dx.transpose(2, 0, 1))

@@ -191,20 +191,21 @@ class AdamState:
     moves (trained: block key -> basic index, models.trained_entries).
 
     The float64 master values of those entries, m, v and adam_step's
-    scratch are each one flat vector. work is the copy of every block,
-    in work_dtype, that the model runs on for the whole of training;
-    adam_step rewrites its trained entries in place.
+    scratch are each one flat vector. work is the compute_params copy of
+    every block that the model runs on for the whole of training;
+    adam_step rewrites its trained entries in place. The gradients are
+    staged in work's dtype.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], trained: dict[str, Any],
-                 work_dtype=np.float32):
+    def __init__(self, params: dict[str, np.ndarray], trained: dict[str, Any]):
         self._params = params
-        self.work = {key: p.astype(work_dtype) for key, p in params.items()}
+        self.work = compute_params(params)
         size = sum(params[key][index].size for key, index in trained.items())
         self.p = np.empty(size)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        work_dtype = np.result_type(*self.work.values())
         self.g = np.empty(size, dtype=work_dtype)
         self.g2 = np.empty(size, dtype=work_dtype)
         self.step = np.empty(size)
@@ -244,11 +245,11 @@ def adam_step(grads: dict[str, np.ndarray], state: AdamState, config: TrainConfi
     """
     if grads.keys() != state.work.keys():
         raise ShapeMismatch("gradient keys do not match parameter keys")
-    for key, index, g_part, _, _ in state.parts:
-        grad = grads[key]
+    for key, grad in grads.items():
         if grad.shape != state.work[key].shape:
             raise ShapeMismatch(f"gradient shape mismatch for {key}")
-        np.copyto(g_part, grad[index])
+    for key, index, g_part, _, _ in state.parts:
+        np.copyto(g_part, grads[key][index])
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t

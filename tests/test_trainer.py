@@ -9,6 +9,7 @@ from veclstm.errors import (
     EmptyClassSet,
     NotFittedError,
     OutOfRange,
+    ShapeMismatch,
     TooFewSamples,
 )
 from veclstm import trainer
@@ -149,40 +150,45 @@ class TestOversample:
 
 
 class TestAdam:
-    @staticmethod
-    def run(params, grads, config=TrainConfig()):
+    @pytest.fixture
+    def run(self, monkeypatch):
         """The master weights after one adam_step per gradient dict, every
-        block trained whole and the model run in float64."""
-        state = AdamState(params, {key: np.s_[...] for key in params},
-                          work_dtype=np.float64)
-        for g in grads:
-            adam_step(g, state, config)
-        return state.master()
+        block trained whole and the work copy (so the gradients) in
+        float64."""
+        monkeypatch.setattr(trainer, "compute_params",
+                            lambda params: {k: p.astype(np.float64) for k, p in params.items()})
 
-    def test_zero_gradient_keeps_params(self):
+        def run(params, grads, config=TrainConfig()):
+            state = AdamState(params, {key: np.s_[...] for key in params})
+            for g in grads:
+                adam_step(g, state, config)
+            return state.master()
+        return run
+
+    def test_zero_gradient_keeps_params(self, run):
         params = {"w": np.array([1.0, -2.0])}
-        new = self.run(params, [{"w": np.zeros(2)}])
+        new = run(params, [{"w": np.zeros(2)}])
         assert np.array_equal(new["w"], params["w"])
 
-    def test_first_step_magnitude_is_learning_rate(self):
+    def test_first_step_magnitude_is_learning_rate(self, run):
         config = TrainConfig()
-        new = self.run({"w": np.array([0.0])}, [{"w": np.array([3.7])}], config)
+        new = run({"w": np.array([0.0])}, [{"w": np.array([3.7])}], config)
         delta = abs(new["w"][0])
         assert abs(delta - config.learning_rate) < config.learning_rate * 1e-6
         assert new["w"][0] < 0  # moved against the gradient sign
 
-    def test_five_steps_match_scalar_recurrence(self):
+    def test_five_steps_match_scalar_recurrence(self, run):
         rng = np.random.default_rng(15)
         grads = rng.normal(size=5).tolist()
         config = TrainConfig()
-        new = self.run({"w": np.array([0.25])}, [{"w": np.array([g])} for g in grads], config)
+        new = run({"w": np.array([0.25])}, [{"w": np.array([g])} for g in grads], config)
         expected = adam_scalar_recurrence(
             grads, config.learning_rate, config.beta1, config.beta2,
             config.epsilon, theta0=0.25)
         assert new["w"][0] == pytest.approx(expected, abs=1e-12)
 
-    def test_no_nan_for_finite_inputs(self):
-        new = self.run({"w": np.array([1e300, -1e-300])}, [{"w": np.array([1e3, -1e3])}])
+    def test_no_nan_for_finite_inputs(self, run):
+        new = run({"w": np.array([1e300, -1e-300])}, [{"w": np.array([1e3, -1e3])}])
         assert np.all(np.isfinite(new["w"]))
 
     @pytest.mark.parametrize("build", [build_veclstm, build_hybrid], ids=["veclstm", "hybrid"])
@@ -214,6 +220,17 @@ class TestAdam:
         for flat, blocks in ((state.m, m), (state.v, v)):
             assert np.array_equal(
                 flat, np.concatenate([blocks[key][index].ravel() for key, index in trained.items()]))
+
+    def test_misshapen_untrained_block_is_rejected(self):
+        spec = build_veclstm(1)
+        params = init_model_params(spec, seed=4)
+        assert "lstm1.w_f" not in trained_entries(spec)
+        state = AdamState(params, trained_entries(spec))
+        grads = {key: np.zeros(p.shape, dtype=np.float32) for key, p in params.items()}
+        grads["lstm1.w_f"] = grads["lstm1.w_f"][:, :-1]
+        with pytest.raises(ShapeMismatch, match="lstm1.w_f"):
+            adam_step(grads, state, TrainConfig())
+        assert state.t == 0
 
 
 def separable_features(n=300, seed=7):
