@@ -285,24 +285,24 @@ def prepare_splits(
     spec: ModelSpec,
     config: RunConfig,
 ) -> PreparedData:
-    """split -> oversample (train only) -> scale -> one-hot.
+    """split -> oversample (train only) -> scale -> one-hot labels.
 
     The rows come from split_rows, and each split's inputs are gathered
     once from them. The scaler is fit on the oversampled training rows
-    only; hybrid grid inputs pass through unscaled.
+    only; the hybrid's grid input is each row's cell index, unscaled.
     """
     (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
         dataset.label, config.train)
     meta = dataset.metadata.reshape(-1, 1)
     scaler = StandardScaler().fit(meta[train_rows])
     scaled = scaler.transform(meta).reshape(-1, 1, 1)  # (N, T=1, F=1)
-    grids = None
+    cells = None
     if spec.architecture == HYBRID:
-        grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
+        cells = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                                   dataset.stats, config.vectorizer)
 
     def inputs(rows):
-        return scaled[rows] if grids is None else (scaled[rows], grids[rows])
+        return scaled[rows] if cells is None else (scaled[rows], cells[rows])
 
     data = TrainData(
         x_train=inputs(train_rows),
@@ -405,20 +405,20 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     t_vectorize = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
+    cells = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                               pipeline.stats, config.vectorizer)
-    t_grids = time.perf_counter() - t0
+    t_cells = time.perf_counter() - t0
 
     x_train_pre = x_all[train_os_idx]
-    grids_train = grids[train_os_idx]
+    cells_train = cells[train_os_idx]
 
     variants = [
         ("lstm_novec", build_lstm_stack(1), pipeline.batch_fn(train_os_idx), 0.0),
         ("veclstm_vec", build_veclstm(1),
          lambda pos: x_train_pre[pos], t_vectorize),
         ("hybrid_vec", build_hybrid(1),
-         lambda pos: (x_train_pre[pos], grids_train[pos]),
-         t_vectorize + t_grids),
+         lambda pos: (x_train_pre[pos], cells_train[pos]),
+         t_vectorize + t_cells),
     ]
 
     rows = []
@@ -429,7 +429,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
 
         def eval_features(idx):
             if spec.architecture == HYBRID:
-                return (x_all[idx], grids[idx])
+                return (x_all[idx], cells[idx])
             return x_all[idx]
 
         val_probs = predict(spec, params, eval_features(val_idx))

@@ -3,28 +3,32 @@
 LSTM_BASELINE and VECLSTM share one structure -- LSTM(100, sequences) ->
 LSTM(50) -> Dense(7) -> softmax over a single-timestep feature input;
 they differ only in which pipeline feeds them. HYBRID adds a parallel
-convolution branch over the 10x10 grid heatmap (rows as the sequence
-axis, columns as channels), concatenates both branches, and classifies
-through a fusion dense layer.
+convolution branch over a 10x10 grid (rows as the sequence axis,
+columns as channels), concatenates both branches, and classifies
+through a fusion dense layer. Its grid input is either each sample's
+cell as one flat index r * G + c, run as that cell's one-hot grid, or
+a float (G, G) heatmap per sample.
 
 Parameters live in a flat dict of named arrays so the optimizer and
 checkpoint code can stay generic. The forward and backward passes
 compute in the dtype of the dict they are given: the trainer keeps
-float64 master weights and passes a float32 copy. Inputs enter as
-float64 (row deduplication keys their 8-byte words) and each layer
-casts them; probabilities come out float64.
+float64 master weights and passes a float32 copy. Features and
+heatmaps enter as float64 (row deduplication keys their 8-byte words),
+cell indices as int64, and each layer casts its input; probabilities
+come out float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatch
+from .errors import NonFiniteError, OutOfRange, ShapeMismatch
 from .neuralnet import (
     Conv1dParams,
     DenseParams,
@@ -226,16 +230,17 @@ class ForwardCache:
 
 
 def normalize_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray | None]:
-    """(features, grids or None) of a model input as checked float64 arrays."""
+    """(features, grid input or None) of a model input, checked.
+
+    The features come back as float64. The hybrid's grid input is either
+    an (N,) integer array of flat cell indices r * G + c, returned as
+    int64, or an (N, G, G) heatmap, returned as float64.
+    """
     if spec.has_grid_branch:
         if not (isinstance(batch, (tuple, list)) and len(batch) == 2):
-            raise ShapeMismatch("hybrid model expects (features, grids) inputs")
+            raise ShapeMismatch("hybrid model expects (features, cells or grids) inputs")
         meta, grid = batch
-        grid = np.asarray(grid, dtype=np.float64)
-        if grid.ndim != 3 or grid.shape[1:] != (spec.grid_size, spec.grid_size):
-            raise ShapeMismatch(
-                f"grid batch must be (N, {spec.grid_size}, {spec.grid_size})"
-            )
+        grid = _grid_input(np.asarray(grid), spec.grid_size)
     else:
         meta, grid = batch, None
     meta = np.asarray(meta, dtype=np.float64)
@@ -247,6 +252,32 @@ def normalize_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray | No
     if grid is not None and grid.shape[0] != meta.shape[0]:
         raise ShapeMismatch("feature and grid batches disagree on N")
     return meta, grid
+
+
+def _grid_input(grid: np.ndarray, grid_size: int) -> np.ndarray:
+    """A checked int64 (N,) cell index or float64 (N, G, G) heatmap."""
+    if grid.ndim == 1:
+        if not np.issubdtype(grid.dtype, np.integer):
+            raise ShapeMismatch(f"cell indices must be integers, got {grid.dtype}")
+        n_cells = grid_size * grid_size
+        if grid.size and (grid.min() < 0 or grid.max() >= n_cells):
+            raise OutOfRange(f"cell index outside [0, {n_cells})")
+        return grid.astype(np.int64, copy=False)
+    if grid.ndim != 3 or grid.shape[1:] != (grid_size, grid_size):
+        raise ShapeMismatch(
+            f"grid batch must be (N,) cell indices or (N, {grid_size}, {grid_size})"
+            f" heatmaps, got {grid.shape}"
+        )
+    return grid.astype(np.float64, copy=False)
+
+
+def _conv_input(grid: np.ndarray, grid_size: int, dtype) -> np.ndarray:
+    """The (N, G, G) conv input in dtype: a heatmap cast, or each cell's one-hot grid."""
+    if grid.ndim == 3:
+        return grid.astype(dtype, copy=False)
+    out = np.zeros((grid.size, grid_size * grid_size), dtype=dtype)
+    out[np.arange(grid.size), grid] = 1
+    return out.reshape(grid.size, grid_size, grid_size)
 
 
 def _emit(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
@@ -269,22 +300,34 @@ _ODD_WEIGHT = np.uint64(0x9E3779B97F4A7C15)
 _CHUNK_ROWS = 4096
 
 
-def _row_keys(words: np.ndarray, first_column: int) -> np.ndarray:
+# The bits of 1.0: the one nonzero word of a cell's one-hot grid.
+_ONE_WORD = np.float64(1.0).view(np.uint64)
+
+
+def _row_keys(words: np.ndarray, first_column) -> np.ndarray:
     """A 64-bit hash of each row of a (N, D) uint64 array whose columns
-    start at first_column of the whole row.
+    start at first_column of the whole row: an int, or an (N, 1) array
+    giving each row its own.
 
     Each word is mixed on its own (round floats keep all their bits at
     the top), then the words are summed with odd per-column weights.
     Integer sums wrap exactly in any order, so equal rows get equal
-    keys wherever they sit in the batch.
+    keys wherever they sit in the batch. A zero word mixes to 0.
     """
     mixed = words >> np.uint64(32)
     mixed ^= words
     mixed *= _MIX
     mixed ^= mixed >> np.uint64(29)
-    start = 2 * first_column + 1
-    mixed *= np.arange(start, start + 2 * words.shape[1], 2, dtype=np.uint64) * _ODD_WEIGHT
+    columns = np.asarray(first_column, dtype=np.uint64) + np.arange(
+        words.shape[1], dtype=np.uint64)
+    mixed *= (2 * columns + 1) * _ODD_WEIGHT
     return mixed.sum(axis=1)
+
+
+def _words(part: np.ndarray) -> np.ndarray:
+    """The 8-byte words of each row of part, as an (N, D) uint64 array."""
+    n = part.shape[0]
+    return np.ascontiguousarray(part).reshape(n, math.prod(part.shape[1:])).view(np.uint64)
 
 
 def distinct_rows(
@@ -292,16 +335,21 @@ def distinct_rows(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(first, inverse) over the byte-distinct rows of a batch.
 
-    A row is one sample's features together with its grid. ``first``
-    indexes one occurrence of each distinct row and ``first[inverse]``
-    maps every row to the occurrence it repeats. Returns None when fewer
-    than MIN_REPEAT_SHARE of the rows repeat. Rows are keyed by a hash
-    of their bytes, checked against the bytes themselves; where two
-    different rows share a key, they are keyed by their bytes directly.
+    A row is one sample's features together with its grid input, as
+    normalize_batch returns them. ``first`` indexes one occurrence of
+    each distinct row and ``first[inverse]`` maps every row to the
+    occurrence it repeats. Returns None when fewer than MIN_REPEAT_SHARE
+    of the rows repeat. Rows are keyed by a hash of their bytes, checked
+    against the bytes themselves; where two different rows share a key,
+    they are keyed by their bytes directly.
+
+    A cell index gets the key of its one-hot grid: that grid's only
+    nonzero word is 1.0, at the cell's column, so the distinct rows and
+    their order are those of the same batch given as one-hot grids.
     """
     n = meta.shape[0]
-    parts = [np.ascontiguousarray(p).reshape(n, -1).view(np.uint64)
-             for p in (meta, grid) if p is not None]
+    parts = [_words(p) for p in (meta, grid) if p is not None]
+    cells = grid if grid is not None and grid.ndim == 1 else None
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
 
     def unique(keys):
@@ -316,10 +364,12 @@ def distinct_rows(
 
     keys = np.zeros(n, dtype=np.uint64)
     column = 0
-    for words in parts:
+    for words in parts if cells is None else parts[:1]:
         for rows in chunks:
             keys[rows] += _row_keys(words[rows], column)
         column += words.shape[1]
+    if cells is not None:
+        keys += _row_keys(np.full((n, 1), _ONE_WORD), (column + cells)[:, None])
     found = unique(keys)
     if found is None:
         return None
@@ -338,7 +388,9 @@ def model_forward(
     """Class probabilities for a batch; optionally return the backward cache.
 
     batch is (N, timesteps, features) for the LSTM architectures and a
-    (features, grids) pair for the hybrid, grids being (N, G, G).
+    (features, grid input) pair for the hybrid, the grid input being
+    (N,) integer cell indices r * G + c or (N, G, G) heatmaps. A cell
+    index runs as its one-hot grid, built for the distinct rows only.
 
     Rows that repeat byte for byte run through the layers once: the
     model starts every row from a zero state, so equal rows give equal
@@ -390,8 +442,8 @@ def _forward_rows(
 
     if spec.has_grid_branch:
         conv = Conv1dParams(params["conv.kernels"], params["conv.biases"])
-        # Cast once here, so that the backward pass reuses the cast grid.
-        grid = grid.astype(conv.kernels.dtype, copy=False)
+        # Built once here, so that the backward pass reuses the conv input.
+        grid = _conv_input(grid, spec.grid_size, conv.kernels.dtype)
         pre_conv = conv1d_forward(grid, conv)
         act_conv = np.maximum(pre_conv, 0.0)
         pooled, argmax = maxpool1d_forward(act_conv, spec.pool_size)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     EmptyClassSet,
+    EmptyInput,
     NotFittedError,
     OutOfRange,
     ShapeMismatch,
@@ -332,9 +333,13 @@ def predict(spec: ModelSpec, params: dict, x,
     row is evaluated once over the whole dataset, so equal rows get
     bit-identical probabilities whichever batch they would fall in.
     The model runs on the float32 copy of params, made once per call.
+    Zero rows give a (0, n_classes) array.
     """
+    meta, grid = normalize_batch(spec, x)
+    if meta.shape[0] == 0:
+        return np.zeros((0, spec.n_classes))
     params = compute_params(params)
-    distinct = distinct_rows(*normalize_batch(spec, x))
+    distinct = distinct_rows(meta, grid)
     if distinct is not None:
         x = _take(x, distinct[0])
     n = _length(x)
@@ -350,6 +355,8 @@ def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,
                   batch_size: int = PREDICT_BATCH_ROWS) -> tuple[float, float]:
     """(mean loss, accuracy) without updating anything."""
     probs = predict(spec, params, x, batch_size)
+    if probs.shape[0] == 0:
+        raise EmptyInput("cannot evaluate the loss over no rows")
     logp = np.log(np.maximum(probs, 1e-300))
     loss = float(-(y_onehot * logp).sum(axis=1).mean())
     acc = float((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).mean())

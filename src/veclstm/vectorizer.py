@@ -181,16 +181,16 @@ def sample_cell_grids(
     stats: NormalizationStats,
     config: VectorizationConfig = VectorizationConfig(),
 ) -> np.ndarray:
-    """One single-point heatmap per sample: (N, G, G) with a 1 at the
-    sample's grid cell. These are the spatial inputs of the hybrid
-    model's convolution branch.
+    """Each sample's grid cell as one int64 flat index r * G + c, shape
+    (N,). These are the spatial inputs of the hybrid model's convolution
+    branch, which runs each index as the one-hot (G, G) grid of its cell.
     """
     norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
     g = config.grid_size
     rows, cols = cell_indices(norm_lat, norm_lon, g)
-    grids = np.zeros((norm_lat.size, g, g), dtype=np.float64)
-    grids[np.arange(norm_lat.size), rows, cols] = 1.0
-    return grids
+    rows *= g
+    rows += cols
+    return rows
 
 
 def vectorize_metadata(

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestSplit:
         _, counts = np.unique(y_train, return_counts=True)
         assert counts.size == 3 and (counts == counts[0]).all()
 
+    def test_hybrid_splits_hold_cell_indices_not_grids(self):
+        # One (10, 10) float64 grid per row would be 800 B, so the splits
+        # of 100k rows (~130k after oversampling) would take over 100 MB.
+        dataset = separable_dataset(100_000, seed=8)
+        spec = ARCH_BUILDERS["hybrid"](n_features=1, seed=4)
+        tracemalloc.start()
+        try:
+            prepare_splits(dataset, spec, RunConfig(train=TrainConfig(seed=4)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
+
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
     def test_prepare_splits_matches_tuple_oracle(self, dataset, arch):
         config = RunConfig(train=TrainConfig(seed=4))
@@ -234,6 +248,19 @@ class TestTrain:
         for name in ("train_report.json", "confusion.csv", "model.vlnn",
                      "model_spec.json", "roc_micro.csv"):
             assert (out_dir / name).exists(), name
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_empty_test_split_fails_with_a_typed_error(self, sep_csv, tmp_path, capsys,
+                                                       arch):
+        # round(300 * 0.001) = 0 test rows: the model predicts nothing and
+        # scoring nothing is an EmptyInput, not a reshape error.
+        config = tmp_path / "tiny_test.json"
+        config.write_text(json.dumps({"train": {"epochs": 1, "test_fraction": 0.001}}),
+                          encoding="utf-8")
+        rc = main(["train", str(sep_csv), "--arch", arch,
+                   "--out-dir", str(tmp_path / arch), "--config", str(config)])
+        assert rc == 1
+        assert "train failed at stage evaluation: no samples to score" in capsys.readouterr().err
 
     def test_unknown_arch_is_usage_error(self, sep_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

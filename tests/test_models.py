@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from veclstm import models
-from veclstm.errors import ShapeMismatch
+from veclstm.errors import OutOfRange, ShapeMismatch
 from veclstm.models import (
     HYBRID,
     LSTM_BASELINE,
@@ -153,7 +153,8 @@ class TestOutputActivationFlag:
 
 class TestBackward:
     @pytest.mark.parametrize(
-        "case", ["lstm", "hybrid", "hybrid_relu", "lstm_repeated", "hybrid_repeated"])
+        "case", ["lstm", "hybrid", "hybrid_relu", "lstm_repeated", "hybrid_repeated",
+                 "hybrid_cells"])
     def test_whole_model_gradient_check(self, case):
         if case.startswith("lstm"):
             spec = ModelSpec(architecture=LSTM_BASELINE, n_features=2,
@@ -169,7 +170,14 @@ class TestBackward:
         meta = rng.normal(size=(3, 1, 2))
         grids = rng.normal(size=(3, 6, 6))
         labels = [1, 4, 6]
-        if case.endswith("repeated"):
+        if case == "hybrid_cells":
+            grids = np.array([5, 20, 33])  # flat cell indices r * 6 + c
+            # With the zero initial bias, every conv output whose window
+            # misses the cell sits on the ReLU kink, where a central
+            # difference is not the derivative.
+            params["conv.biases"] = rng.normal(size=params["conv.biases"].shape)
+        repeated = case.endswith("repeated") or case == "hybrid_cells"
+        if repeated:
             # repeated rows carry different labels, so their gradients differ
             rows = [0, 1, 0, 2, 0, 1]
             meta, grids, labels = meta[rows], grids[rows], [1, 4, 2, 6, 5, 4]
@@ -185,7 +193,7 @@ class TestBackward:
             return softmax_cross_entropy(cache.logits, targets)[1]
 
         _, cache = model_forward(spec, params, batch, with_cache=True)
-        assert ("inverse" in cache.internals) == case.endswith("repeated")
+        assert ("inverse" in cache.internals) == repeated
         _, _, d_logits = softmax_cross_entropy(cache.logits, targets)
         grads = model_backward(spec, params, cache, d_logits)
 
@@ -277,12 +285,14 @@ class TestDeduplication:
 
     def batch(self, case):
         rng = np.random.default_rng(21)
-        if case == "hybrid":
+        if case.startswith("hybrid"):
             spec = _small_hybrid()
             cells = rng.choice([3, 17, 30], size=40)
             # each cell carries its own scalar, as cell_density does
             meta = np.array([0.2, -1.1, 0.7])[np.searchsorted([3, 17, 30], cells)]
-            batch = (meta.reshape(-1, 1, 1), _one_hot_grids(cells, spec.grid_size))
+            if case == "hybrid":
+                cells = _one_hot_grids(cells, spec.grid_size)
+            batch = (meta.reshape(-1, 1, 1), cells)
         else:
             timesteps = int(case[-1])
             spec = ModelSpec(architecture=VECLSTM, timesteps=timesteps, lstm_units=(4, 3))
@@ -290,7 +300,7 @@ class TestDeduplication:
             batch = values[rng.integers(0, 4, size=40)]
         return spec, batch
 
-    @pytest.mark.parametrize("case", ["hybrid", "veclstm_t1", "veclstm_t3"])
+    @pytest.mark.parametrize("case", ["hybrid", "hybrid_cells", "veclstm_t1", "veclstm_t3"])
     def test_matches_per_row_oracle(self, case):
         spec, batch = self.batch(case)
         params = init_model_params(spec, seed=5)
@@ -389,3 +399,54 @@ class TestDeduplication:
         _, cache = model_forward(spec, params, batch, with_cache=True)
         with pytest.raises(ShapeMismatch):
             model_backward(spec, params, cache, np.zeros((4, 7)))
+
+
+class TestCellIndexInput:
+    """A hybrid cell index r * G + c runs as the one-hot grid of its cell."""
+
+    @staticmethod
+    def batch(n, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, 100, n)
+        # a few feature values per cell, so that rows repeat as in training
+        meta = rng.normal(size=(100, 3))[cells, rng.integers(0, 3, n)].reshape(n, 1, 1)
+        return meta, cells
+
+    def test_rows_get_the_keys_of_their_one_hot_grids(self):
+        meta, cells = self.batch(512, seed=41)
+        expected = distinct_rows(meta, _one_hot_grids(cells, 10))
+        first, inverse = distinct_rows(meta, cells)
+        assert first.size < 512
+        assert np.array_equal(first, expected[0])
+        assert np.array_equal(inverse, expected[1])
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_bit_identical_to_one_hot_grids(self, monkeypatch, dedup):
+        if not dedup:
+            monkeypatch.setattr(models, "MIN_REPEAT_SHARE", 2.0)
+        spec = build_hybrid(1)
+        params = compute_params(init_model_params(spec, seed=42))
+        meta, cells = self.batch(512, seed=43)
+        targets = np.eye(7)[np.random.default_rng(44).integers(0, 7, 512)]
+        results = []
+        for grid in (cells, _one_hot_grids(cells, spec.grid_size)):
+            probs, cache = model_forward(spec, params, (meta, grid), with_cache=True)
+            assert ("inverse" in cache.internals) == dedup
+            _, _, d_logits = softmax_cross_entropy(cache.logits, targets)
+            results.append((probs, model_backward(spec, params, cache, d_logits)))
+        (probs, grads), (want_probs, want_grads) = results
+        assert np.array_equal(probs, want_probs)
+        for key in params:
+            assert np.array_equal(grads[key], want_grads[key]), key
+
+    @pytest.mark.parametrize("cells,error", [
+        (np.array([3, -1, 4]), OutOfRange),
+        (np.array([3, 100, 4]), OutOfRange),
+        (np.array([3.0, 1.0, 4.0]), ShapeMismatch),
+        (np.array([[3], [1], [4]]), ShapeMismatch),
+    ], ids=["negative", "too_large", "float", "two_dimensional"])
+    def test_bad_index_is_rejected(self, cells, error):
+        spec = build_hybrid(1)
+        params = init_model_params(spec, seed=45)
+        with pytest.raises(error):
+            model_forward(spec, params, (np.zeros((3, 1, 1)), cells))

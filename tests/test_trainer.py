@@ -7,6 +7,7 @@ import pytest
 
 from veclstm.errors import (
     EmptyClassSet,
+    EmptyInput,
     NotFittedError,
     OutOfRange,
     ShapeMismatch,
@@ -30,6 +31,7 @@ from veclstm.trainer import (
     benchmark_pipelines,
     compute_params,
     encode_labels,
+    evaluate_loss,
     predict,
     random_oversample,
     run_epochs,
@@ -398,6 +400,18 @@ class TestPrecision:
         probs = predict(spec, init_model_params(spec, seed=3), x, batch_size=128)
         assert probs.dtype == np.float64 and probs.shape == (300, 7)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid", "hybrid_cells"])
+    def test_zero_rows_give_an_empty_prediction(self, arch):
+        spec, x, rows = self.batch(arch.split("_")[0], n=4, seed=4)
+        if arch == "hybrid_cells":
+            x = (x[0], np.arange(4))
+        empty = trainer._take(x, np.arange(0))
+        params = init_model_params(spec, seed=3)
+        probs = predict(spec, params, empty)
+        assert probs.dtype == np.float64 and probs.shape == (0, 7)
+        with pytest.raises(EmptyInput):
+            evaluate_loss(spec, params, empty, np.zeros((0, 7)))
 
 
 class TestBenchmark:

@@ -202,7 +202,7 @@ class TestSampleCellGrids:
         lon = np.array([0.0, 10.0])
         alt = np.array([0.0, 0.0])
         stats = fit_stats(*columns([(0, 0, 0), (10, 10, 0)]))
-        grids = sample_cell_grids(lat, lon, alt, stats)
-        assert grids.shape == (2, 10, 10)
-        assert grids[0, 0, 0] == 1 and grids[0].sum() == 1
-        assert grids[1, 9, 9] == 1 and grids[1].sum() == 1
+        cells = sample_cell_grids(lat, lon, alt, stats)
+        # one flat index r * G + c per sample: the 1 of its one-hot grid
+        assert cells.dtype == np.int64 and cells.shape == (2,)
+        assert cells.tolist() == [0 * 10 + 0, 9 * 10 + 9]
