@@ -324,12 +324,6 @@ def _row_keys(words: np.ndarray, first_column) -> np.ndarray:
     return mixed.sum(axis=1)
 
 
-def _words(part: np.ndarray) -> np.ndarray:
-    """The 8-byte words of each row of part, as an (N, D) uint64 array."""
-    n = part.shape[0]
-    return np.ascontiguousarray(part).reshape(n, math.prod(part.shape[1:])).view(np.uint64)
-
-
 def distinct_rows(
     meta: np.ndarray, grid: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -348,7 +342,8 @@ def distinct_rows(
     their order are those of the same batch given as one-hot grids.
     """
     n = meta.shape[0]
-    parts = [_words(p) for p in (meta, grid) if p is not None]
+    parts = [np.ascontiguousarray(p).reshape(n, math.prod(p.shape[1:])).view(np.uint64)
+             for p in (meta, grid) if p is not None]
     cells = grid if grid is not None and grid.ndim == 1 else None
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
 
