@@ -21,7 +21,6 @@ come out float64.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -342,7 +341,7 @@ def distinct_rows(
     their order are those of the same batch given as one-hot grids.
     """
     n = meta.shape[0]
-    parts = [np.ascontiguousarray(p).reshape(n, math.prod(p.shape[1:])).view(np.uint64)
+    parts = [np.ascontiguousarray(p).reshape(n, -1).view(np.uint64)
              for p in (meta, grid) if p is not None]
     cells = grid if grid is not None and grid.ndim == 1 else None
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]

@@ -188,9 +188,7 @@ def sample_cell_grids(
     norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
     g = config.grid_size
     rows, cols = cell_indices(norm_lat, norm_lon, g)
-    rows *= g
-    rows += cols
-    return rows
+    return rows * g + cols
 
 
 def vectorize_metadata(

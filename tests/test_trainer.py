@@ -403,7 +403,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid", "hybrid_cells"])
     def test_zero_rows_give_an_empty_prediction(self, arch):
-        spec, x, rows = self.batch(arch.split("_")[0], n=4, seed=4)
+        spec, x, _ = self.batch(arch.split("_")[0], n=4, seed=4)
         if arch == "hybrid_cells":
             x = (x[0], np.arange(4))
         empty = trainer._take(x, np.arange(0))

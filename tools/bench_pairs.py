@@ -40,7 +40,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(result_line)
     return {
         "env": json.loads(env_line)["env"],
-        "seed": seed,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
