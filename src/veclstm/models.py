@@ -363,7 +363,10 @@ def distinct_rows(
             keys[rows] += _row_keys(words[rows], column)
         column += words.shape[1]
     if cells is not None:
-        keys += _row_keys(np.full((n, 1), _ONE_WORD), (column + cells)[:, None])
+        ones = np.full((min(n, _CHUNK_ROWS), 1), _ONE_WORD)
+        for rows in chunks:
+            at = (column + cells[rows])[:, None]
+            keys[rows] += _row_keys(ones[:len(at)], at)
     found = unique(keys)
     if found is None:
         return None

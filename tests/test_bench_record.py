@@ -1,5 +1,6 @@
 """The committed benchmark records (BENCH_<n>.json at the repository root)
-cover every end-to-end metric of BENCHMARK.json on every workload."""
+cover every end-to-end metric of BENCHMARK.json on every workload, over
+PAIRS pairs of runs as long as BENCHMARK.json's run_seconds."""
 
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import PAIRS, SIDES, summarize  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -27,8 +28,13 @@ def test_record_has_medians_quartiles_and_wins(path):
     assert {"parent", "change"} <= set(doc["env"])
     for side in ("parent", "change"):
         assert {"numpy", "blas_threads", "nproc", "commit"} <= set(doc["env"][side])
+    assert doc["seconds"] == BENCHMARK["run_seconds"]
+    assert len(doc["seeds"]) == PAIRS
     for workload in BENCHMARK["workloads"]:
-        metrics = doc["workloads"][workload["name"]]["metrics"]
+        record = doc["workloads"][workload["name"]]
+        metrics = record["metrics"]
+        for side in SIDES:
+            assert len(record["failed"][side]) == PAIRS
         for metric in BENCHMARK["end_to_end"]:
             entry = metrics[metric["name"]]
             where = f"{workload['name']} {metric['name']}"
@@ -37,13 +43,20 @@ def test_record_has_medians_quartiles_and_wins(path):
                 assert all(math.isfinite(stats[k]) for k in ("median", "q1", "q3")), where
                 assert stats["q1"] <= stats["median"] <= stats["q3"], where
             assert 0 <= entry["change_wins"] + entry["parent_wins"] <= entry["pairs"], where
-            assert entry["pairs"] >= 1, where
+            assert entry["pairs"] == PAIRS, where
+        # the stored wins and claims are those the tool derives from the
+        # stored values and failure counts
+        runs = {side: [{"metrics": {m["name"]: metrics[m["name"]][side]["values"][i]
+                                    for m in BENCHMARK["end_to_end"]},
+                        "failed": record["failed"][side][i]} for i in range(PAIRS)]
+                for side in SIDES}
+        assert summarize(runs, BENCHMARK["end_to_end"]) == metrics, workload["name"]
 
 
 def test_pair_wins_follow_each_metric_direction():
     runs = {
-        "parent": [{"metrics": {"ms": 5.0, "rate": 10.0}} for _ in range(4)],
-        "change": [{"metrics": {"ms": v, "rate": v}} for v in (4.0, 4.0, 5.0, 6.0)],
+        "parent": [{"metrics": {"ms": 5.0, "rate": 10.0}, "failed": 0} for _ in range(4)],
+        "change": [{"metrics": {"ms": v, "rate": v}, "failed": 0} for v in (4.0, 4.0, 5.0, 6.0)],
     }
     out = summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"},
                            {"name": "rate", "unit": "1/s", "better": "higher"}])
@@ -51,5 +64,10 @@ def test_pair_wins_follow_each_metric_direction():
     assert (out["rate"]["change_wins"], out["rate"]["parent_wins"]) == (0, 4)
     assert out["ms"]["parent"]["median"] == 5.0 and out["ms"]["change"]["median"] == 4.5
     assert not out["ms"]["claim_met"]
-    runs["change"] = [{"metrics": {"ms": 4.0, "rate": 4.0}} for _ in range(4)]
+    runs["change"] = [{"metrics": {"ms": 4.0, "rate": 4.0}, "failed": 0} for _ in range(4)]
+    assert summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+    # a gain does not count when the change fails more operations
+    runs["change"][2]["failed"] = 1
+    assert not summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+    runs["parent"][0]["failed"] = 1
     assert summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]

@@ -412,9 +412,11 @@ class TestCellIndexInput:
         meta = rng.normal(size=(100, 3))[cells, rng.integers(0, 3, n)].reshape(n, 1, 1)
         return meta, cells
 
-    def test_rows_get_the_keys_of_their_one_hot_grids(self):
+    @pytest.mark.parametrize("chunk_rows", [models._CHUNK_ROWS, 7])
+    def test_rows_get_the_keys_of_their_one_hot_grids(self, monkeypatch, chunk_rows):
         meta, cells = self.batch(512, seed=41)
         expected = distinct_rows(meta, _one_hot_grids(cells, 10))
+        monkeypatch.setattr(models, "_CHUNK_ROWS", chunk_rows)
         first, inverse = distinct_rows(meta, cells)
         assert first.size < 512
         assert np.array_equal(first, expected[0])

@@ -1,20 +1,22 @@
 """Run alternating parent/change benchmark pairs and record their summary.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --first-seed 501 --seconds 35 --out BENCH_<n>.json
+        --first-seed 501 --out BENCH_<n>.json
 
 --parent and --change are two checkouts, each with its own
-``perfbench/run.py`` and ``src/``. Pair i runs every workload of the
-change's ``BENCHMARK.json`` once on each side, with seed first-seed + i;
-even pairs run the parent first and odd pairs the change first. Runs go
-one at a time, so that the two sides never share the CPUs.
+``perfbench/run.py`` and ``src/``. Pair i of PAIRS runs every workload of
+the change's ``BENCHMARK.json`` once on each side for its ``run_seconds``,
+with seed first-seed + i; even pairs run the parent first and odd pairs
+the change first. Runs go one at a time, so that the two sides never
+share the CPUs.
 
 The output holds each side's environment line, every run's metrics and,
 per workload and end-to-end metric, each side's median and quartiles
 over the pairs and the number of pairs the change won (a tie counts for
 neither side). ``claim_met`` applies the gain rule: the change wins at
-least nine tenths of the pairs, and the medians differ by more than the
-distance between the parent's quartiles.
+least nine tenths of the pairs, the medians differ by more than the
+distance between the parent's quartiles, and the change fails no more
+operations than the parent.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,8 +58,10 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, and pair wins.
 
     runs maps "parent" and "change" to equally long lists of run records
-    in pair order; metrics are BENCHMARK.json's end-to-end entries.
+    in pair order, each with its "metrics" and its "failed" count;
+    metrics are BENCHMARK.json's end-to-end entries.
     """
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -71,7 +76,8 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             unit=metric["unit"], better=metric["better"], pairs=len(pairs),
             change_wins=int(wins), parent_wins=int(losses),
             claim_met=bool(wins >= 0.9 * len(pairs)
-                           and (gap if lower else -gap) > parent_iqr),
+                           and (gap if lower else -gap) > parent_iqr
+                           and failed["change"] <= failed["parent"]),
         )
         out[name] = entry
     return out
@@ -81,21 +87,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                record = run_once(checkouts[side], workload, args.first_seed + i, args.seconds)
+                record = run_once(checkouts[side], workload, args.first_seed + i, seconds)
                 runs[workload][side].append(record)
                 print(f"pair {i} {workload} {side}: step_ms_p50"
                       f" {record['metrics']['step_ms_p50']:.3f} failed {record['failed']}",
@@ -104,8 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     first = runs[workloads[0]]
     doc = {
         "env": {side: first[side][0]["env"] for side in SIDES},
-        "seconds": args.seconds,
-        "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "seconds": seconds,
+        "seeds": [args.first_seed + i for i in range(PAIRS)],
         "workloads": {
             w: {
                 "failed": {side: [r["failed"] for r in runs[w][side]] for side in SIDES},
