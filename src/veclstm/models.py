@@ -13,14 +13,15 @@ Parameters live in a flat dict of named arrays so the optimizer and
 checkpoint code can stay generic. The forward and backward passes
 compute in the dtype of the dict they are given: the trainer keeps
 float64 master weights and passes a float32 copy. Features and
-heatmaps enter as float64 (row deduplication keys their 8-byte words),
-cell indices as int64, and each layer casts its input; probabilities
-come out float64.
+heatmaps enter as float64, cell indices as int64, and each layer casts
+its input; probabilities come out float64. Row deduplication groups
+rows exactly by their bytes, in first-occurrence order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -292,36 +293,6 @@ def _emit(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
 # deduplicates.
 MIN_REPEAT_SHARE = 0.05
 
-_MIX = np.uint64(0xBF58476D1CE4E5B9)
-_ODD_WEIGHT = np.uint64(0x9E3779B97F4A7C15)
-# Rows are hashed and compared this many at a time, so a whole dataset
-# passed to predict is never copied at once.
-_CHUNK_ROWS = 4096
-
-
-# The bits of 1.0: the one nonzero word of a cell's one-hot grid.
-_ONE_WORD = np.float64(1.0).view(np.uint64)
-
-
-def _row_keys(words: np.ndarray, first_column) -> np.ndarray:
-    """A 64-bit hash of each row of a (N, D) uint64 array whose columns
-    start at first_column of the whole row: an int, or an (N, 1) array
-    giving each row its own.
-
-    Each word is mixed on its own (round floats keep all their bits at
-    the top), then the words are summed with odd per-column weights.
-    Integer sums wrap exactly in any order, so equal rows get equal
-    keys wherever they sit in the batch. A zero word mixes to 0.
-    """
-    mixed = words >> np.uint64(32)
-    mixed ^= words
-    mixed *= _MIX
-    mixed ^= mixed >> np.uint64(29)
-    columns = np.asarray(first_column, dtype=np.uint64) + np.arange(
-        words.shape[1], dtype=np.uint64)
-    mixed *= (2 * columns + 1) * _ODD_WEIGHT
-    return mixed.sum(axis=1)
-
 
 def distinct_rows(
     meta: np.ndarray, grid: np.ndarray | None
@@ -329,58 +300,38 @@ def distinct_rows(
     """(first, inverse) over the byte-distinct rows of a batch.
 
     A row is one sample's features together with its grid input, as
-    normalize_batch returns them. ``first`` indexes one occurrence of
-    each distinct row and ``first[inverse]`` maps every row to the
-    occurrence it repeats. Returns None when fewer than MIN_REPEAT_SHARE
-    of the rows repeat. Rows are keyed by a hash of their bytes, checked
-    against the bytes themselves; where two different rows share a key,
-    they are keyed by their bytes directly.
+    normalize_batch returns them. ``first`` indexes the first occurrence
+    of each distinct row, in ascending order, and ``first[inverse]``
+    maps every row to the occurrence it repeats. Returns None when fewer
+    than MIN_REPEAT_SHARE of the rows repeat.
 
-    A cell index gets the key of its one-hot grid: that grid's only
-    nonzero word is 1.0, at the cell's column, so the distinct rows and
-    their order are those of the same batch given as one-hot grids.
+    Rows are grouped exactly, by one sort over their 8-byte words. The
+    groups come out in first-occurrence order, so a cell index gives the
+    same result as its one-hot grid.
     """
     n = meta.shape[0]
-    parts = [np.ascontiguousarray(p).reshape(n, -1).view(np.uint64)
-             for p in (meta, grid) if p is not None]
-    cells = grid if grid is not None and grid.ndim == 1 else None
-    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
-
-    def unique(keys):
-        # A plain sort counts the repeats at a tenth of np.unique's cost,
-        # so a batch that is not deduplicated pays only for the sort.
-        ordered = np.sort(keys)
-        repeats = np.count_nonzero(ordered[1:] == ordered[:-1])
-        if repeats == 0 or repeats < MIN_REPEAT_SHARE * n:
-            return None
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return first, inverse
-
-    keys = np.zeros(n, dtype=np.uint64)
-    column = 0
-    for words in parts if cells is None else parts[:1]:
-        for rows in chunks:
-            keys[rows] += _row_keys(words[rows], column)
-        column += words.shape[1]
-    if cells is not None:
-        ones = np.full((min(n, _CHUNK_ROWS), 1), _ONE_WORD)
-        for rows in chunks:
-            at = (column + cells[rows])[:, None]
-            keys[rows] += _row_keys(ones[:len(at)], at)
-    found = unique(keys)
-    if found is None:
+    words = np.concatenate(
+        [np.ascontiguousarray(p).view(np.uint64).reshape(n, math.prod(p.shape[1:]))
+         for p in (meta, grid) if p is not None], axis=1)
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    starts = np.flatnonzero(starts)
+    if n - starts.size < max(1, MIN_REPEAT_SHARE * n):
         return None
-    copy_of = found[0][found[1]]
-    if all(np.array_equal(words[copy_of[rows]], words[rows])
-           for words in parts for rows in chunks):
-        return found
-    rows = np.concatenate(parts, axis=1)
-    return unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    group = np.empty_like(by_first)
+    group[by_first] = np.arange(first.size)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.repeat(group, np.diff(starts, append=n))
+    return first[by_first], inverse
 
 
 def model_forward(
     spec: ModelSpec, params: dict[str, np.ndarray], batch,
-    with_cache: bool = False,
+    with_cache: bool = False, deduplicate: bool = True,
 ):
     """Class probabilities for a batch; optionally return the backward cache.
 
@@ -389,13 +340,15 @@ def model_forward(
     (N,) integer cell indices r * G + c or (N, G, G) heatmaps. A cell
     index runs as its one-hot grid, built for the distinct rows only.
 
-    Rows that repeat byte for byte run through the layers once: the
-    model starts every row from a zero state, so equal rows give equal
-    activations. Logits and probabilities are expanded back to N rows,
-    so each sample keeps its own entry.
+    Rows that repeat byte for byte run through the layers once, in the
+    order they first occur (distinct_rows): the model starts every row
+    from a zero state, so equal rows give equal activations. Logits and
+    probabilities are expanded back to N rows, so each sample keeps its
+    own entry. A caller whose rows are distinct already passes
+    deduplicate=False, and every row runs as it is.
     """
     meta, grid = normalize_batch(spec, batch)
-    distinct = distinct_rows(meta, grid)
+    distinct = distinct_rows(meta, grid) if deduplicate else None
     if distinct is not None:
         first, inverse = distinct
         meta = meta[first]

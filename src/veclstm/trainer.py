@@ -341,12 +341,13 @@ def predict(spec: ModelSpec, params: dict, x,
     params = compute_params(params)
     distinct = distinct_rows(meta, grid)
     if distinct is not None:
-        x = _take(x, distinct[0])
-    n = _length(x)
-    parts = [
-        model_forward(spec, params, _take(x, np.arange(lo, min(lo + batch_size, n))))
-        for lo in range(0, n, batch_size)
-    ]
+        meta = meta[distinct[0]]
+        grid = None if grid is None else grid[distinct[0]]
+    parts = []
+    for lo in range(0, meta.shape[0], batch_size):
+        rows = slice(lo, lo + batch_size)
+        batch = meta[rows] if grid is None else (meta[rows], grid[rows])
+        parts.append(model_forward(spec, params, batch, deduplicate=False))
     probs = np.concatenate(parts, axis=0)
     return probs if distinct is None else probs[distinct[1]]
 
@@ -357,6 +358,8 @@ def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,
     probs = predict(spec, params, x, batch_size)
     if probs.shape[0] == 0:
         raise EmptyInput("cannot evaluate the loss over no rows")
+    if probs.shape[0] != len(y_onehot):
+        raise ShapeMismatch(f"{probs.shape[0]} samples but {len(y_onehot)} labels")
     logp = np.log(np.maximum(probs, 1e-300))
     loss = float(-(y_onehot * logp).sum(axis=1).mean())
     acc = float((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).mean())
@@ -375,7 +378,8 @@ def run_epochs(
     batch_features maps an index array to the model input for those
     samples; swapping it is the only difference between the vectorized
     and non-vectorized benchmark pipelines. The CLI bench command calls
-    it with its own feature function.
+    it with its own feature function. It must cover every row of
+    y_onehot: an index past the end of its inputs raises ShapeMismatch.
 
     Every step runs the forward and backward passes on the same float32
     copy of the parameters, whose trained entries adam_step rewrites
@@ -397,7 +401,10 @@ def run_epochs(
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             try:
-                x_batch = batch_features(idx)
+                try:
+                    x_batch = batch_features(idx)
+                except IndexError as exc:
+                    raise ShapeMismatch(f"{n} labels, more than the samples: {exc}") from exc
                 y_batch = y_onehot[idx]
                 probs, cache = model_forward(spec, work, x_batch, with_cache=True)
                 _, loss, d_logits = softmax_cross_entropy(cache.logits, y_batch)

@@ -284,6 +284,19 @@ def as_sorted_multiset(rows) -> list:
     return sorted(tuple(np.asarray(r).reshape(-1).tolist()) for r in rows)
 
 
+def first_occurrence_rows(*parts):
+    """(first, inverse) over the distinct rows of the aligned arrays in
+    parts, a row being all of its bytes: a dict from each row's bytes to
+    the index where it first occurs, in the order rows first occur."""
+    keys = [b"".join(np.ascontiguousarray(p[i]).tobytes() for p in parts)
+            for i in range(len(parts[0]))]
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    rank = {key: r for r, key in enumerate(first)}
+    return np.array(list(first.values())), np.array([rank[key] for key in keys])
+
+
 # --- row-by-row readers -------------------------------------------------
 # The ingest readers as they were before the dataset became columnar:
 # one row at a time, raising at the first bad row. The columnar readers

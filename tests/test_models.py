@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veclstm import models
 from veclstm.errors import OutOfRange, ShapeMismatch
@@ -24,11 +26,16 @@ from veclstm.models import (
     param_count,
     trained_entries,
 )
-from veclstm.models import _backward_rows, _forward_rows, _row_keys
+from veclstm.models import _backward_rows, _forward_rows
 from veclstm.neuralnet import softmax, softmax_cross_entropy
 from veclstm.trainer import AdamState, TrainConfig, compute_params, predict, run_epochs
 
-from _oracles import central_difference_grads, per_row_model_gradients, relative_error
+from _oracles import (
+    central_difference_grads,
+    first_occurrence_rows,
+    per_row_model_gradients,
+    relative_error,
+)
 
 
 class TestBuilders:
@@ -360,32 +367,44 @@ class TestDeduplication:
         for key in params:
             assert np.array_equal(grads[key], plain[key]), key
 
-    def test_key_collision_falls_back_to_row_bytes(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        meta = rng.normal(size=(3, 1, 1))[[0, 1, 0, 2, 1, 0]]
-        grids = rng.normal(size=(3, 6, 6))[[0, 1, 0, 2, 1, 0]]
-        expected = distinct_rows(meta, grids)
-        monkeypatch.setattr(models, "_row_keys", lambda words, column: np.zeros(len(words), np.uint64))
-        first, inverse = distinct_rows(meta, grids)
-        assert np.array_equal(meta[first][inverse], meta)
-        assert np.array_equal(grids[first][inverse], grids)
-        assert first.size == expected[0].size == 3
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_first_occurrence_oracle(self, data):
+        # Few distinct values and few prototype rows, so that batches fall
+        # on both sides of MIN_REPEAT_SHARE.
+        n = data.draw(st.integers(1, 60), label="n")
+        timesteps = data.draw(st.sampled_from([1, 3]), label="timesteps")
+        grid_kind = data.draw(st.sampled_from(["none", "cells", "heatmap"]), label="grid")
+        values = st.sampled_from([0.0, -0.0, np.nan, 1.0, -2.5])
 
-    def test_chunked_hashing_matches_one_chunk(self, monkeypatch):
-        _, (meta, grids) = self.batch("hybrid")
-        expected = distinct_rows(meta, grids)
-        monkeypatch.setattr(models, "_CHUNK_ROWS", 7)
-        first, inverse = distinct_rows(meta, grids)
-        assert np.array_equal(first, expected[0])
-        assert np.array_equal(inverse, expected[1])
+        def rows(width):
+            protos = data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                                        min_size=1, max_size=6))
+            picks = data.draw(st.lists(st.integers(0, len(protos) - 1), min_size=n, max_size=n))
+            return np.array(protos)[picks]
 
-    def test_structured_rows_get_distinct_keys(self):
-        # a key collision is only slower, but common inputs must not need it
-        grids = _one_hot_grids(np.arange(100), 10).reshape(100, -1)
-        pairs = np.stack(np.meshgrid(np.arange(100.0), np.arange(100.0)), -1).reshape(-1, 2)
-        for rows in (grids, pairs, np.concatenate([grids, grids[:, :1] / 8], axis=1)):
-            keys = _row_keys(np.ascontiguousarray(rows).view(np.uint64), 0)
-            assert np.unique(keys).size == len(rows)
+        meta = rows(timesteps).reshape(n, timesteps, 1)
+        if grid_kind == "cells":
+            grid = np.array(data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+        else:
+            grid = None if grid_kind == "none" else rows(9).reshape(n, 3, 3)
+
+        found = distinct_rows(meta, grid)
+        want_first, want_inverse = first_occurrence_rows(
+            *(p for p in (meta, grid) if p is not None))
+        repeats = n - want_first.size
+        if repeats == 0 or repeats < MIN_REPEAT_SHARE * n:
+            assert found is None
+        else:
+            first, inverse = found
+            assert np.all(np.diff(first) > 0)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(inverse, want_inverse)
+        if grid_kind == "cells":
+            as_grids = distinct_rows(meta, _one_hot_grids(grid, 3))
+            assert (found is None) == (as_grids is None)
+            if found is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(found, as_grids))
 
     def test_negative_zero_is_a_distinct_row(self):
         meta = np.array([0.0, -0.0, 0.0, -0.0]).reshape(4, 1, 1)
@@ -412,11 +431,9 @@ class TestCellIndexInput:
         meta = rng.normal(size=(100, 3))[cells, rng.integers(0, 3, n)].reshape(n, 1, 1)
         return meta, cells
 
-    @pytest.mark.parametrize("chunk_rows", [models._CHUNK_ROWS, 7])
-    def test_rows_get_the_keys_of_their_one_hot_grids(self, monkeypatch, chunk_rows):
+    def test_rows_group_as_their_one_hot_grids(self):
         meta, cells = self.batch(512, seed=41)
         expected = distinct_rows(meta, _one_hot_grids(cells, 10))
-        monkeypatch.setattr(models, "_CHUNK_ROWS", chunk_rows)
         first, inverse = distinct_rows(meta, cells)
         assert first.size < 512
         assert np.array_equal(first, expected[0])

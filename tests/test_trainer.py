@@ -312,6 +312,24 @@ class TestTrainModel:
                        TrainConfig(epochs=1, batch_size=16, seed=0))
         assert "lstm1" not in str(exc.value)
 
+    def test_evaluate_loss_rejects_a_label_count_that_does_not_match(self):
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        x = np.zeros((6, 1, 1))
+        for y in (np.eye(7)[[2]], np.eye(7)[np.arange(8) % 7]):
+            with pytest.raises(ShapeMismatch, match=f"6 samples but {len(y)} labels"):
+                evaluate_loss(spec, params, x, y)
+
+    def test_run_epochs_rejects_more_labels_than_samples(self):
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        x = np.zeros((6, 1, 1))
+        y = encode_labels(np.arange(8) % 7)
+        with pytest.raises(ShapeMismatch, match="8 labels.*size 6"):
+            run_epochs(spec, params, lambda idx: x[idx], y, TrainConfig(epochs=1, seed=0))
+        with pytest.raises(ShapeMismatch, match="6 samples but 8 labels"):
+            train_model(spec, TrainData(x_train=x, y_train=y), TrainConfig(epochs=1, seed=0))
+
     def test_report_schema(self):
         x, labels = separable_features(n=60, seed=5)
         data = TrainData(x_train=x, y_train=encode_labels(labels))
