@@ -310,17 +310,18 @@ def distinct_rows(
     same result as its one-hot grid.
     """
     n = meta.shape[0]
-    words = np.concatenate(
-        [np.ascontiguousarray(p).view(np.uint64).reshape(n, math.prod(p.shape[1:]))
-         for p in (meta, grid) if p is not None], axis=1)
+    parts = [np.ascontiguousarray(p).view(np.uint64).reshape(n, math.prod(p.shape[1:]))
+             for p in (meta, grid) if p is not None]
+    words = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     ordered = words[order]
-    starts = np.ones(n, dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    starts = np.flatnonzero(starts)
-    if n - starts.size < max(1, MIN_REPEAT_SHARE * n):
+    new_row = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new_row[1:])
+    if n - np.count_nonzero(new_row) < max(1, MIN_REPEAT_SHARE * n):
         return None
+    starts = np.flatnonzero(new_row)
     first = np.minimum.reduceat(order, starts)
+    # Number the groups by where they first occur, not by sort order.
     by_first = np.argsort(first)
     group = np.empty_like(by_first)
     group[by_first] = np.arange(first.size)
