@@ -30,6 +30,7 @@ from . import metrics as metrics_mod
 from .errors import ConfigError, VecLstmError
 from .models import (
     HYBRID,
+    LSTM_OUTPUT_ACTIVATIONS,
     ModelSpec,
     build_hybrid,
     build_lstm_stack,
@@ -38,10 +39,10 @@ from .models import (
 )
 from .neuralnet import save_checkpoint
 from .trainer import (
-    DensityFeaturePipeline,
     TrainConfig,
     TrainData,
     StandardScaler,
+    benchmark_pipelines,
     encode_labels,
     predict,
     random_oversample,
@@ -83,6 +84,12 @@ class RunConfig:
         self.modes = tuple(self.modes)
         if len(self.modes) != 7 or not all(isinstance(m, str) for m in self.modes):
             raise ValueError("modes must list exactly 7 transportation modes")
+        for name, allowed in (("metadata_feature", ingest_mod.METADATA_FEATURES),
+                              ("regression_basis", metrics_mod.REGRESSION_BASES),
+                              ("lstm_output_activation", LSTM_OUTPUT_ACTIVATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)},"
+                                 f" got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -121,8 +128,9 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
     """Defaults, overridden by the JSON file at path, then by seed.
 
     Invalid JSON, an unknown key at any level, a value of the wrong type
-    or out of range, and a modes list without 7 names raise ConfigError
-    naming the path.
+    or out of range, a metadata feature, regression basis or LSTM output
+    activation that its module does not know, and a modes list without
+    7 names raise ConfigError naming the path.
     """
     doc = {}
     if path:
@@ -385,58 +393,49 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     """Run the three Table-style variants over one shared split.
 
-    lstm_novec recomputes its scalar feature per batch every epoch;
-    veclstm_vec and hybrid_vec train on precomputed features. All share
-    seed, split, oversampling and batch order, so the lstm_novec /
-    veclstm_vec pair differs only in feature supply.
+    lstm_novec and veclstm_vec are trainer.benchmark_pipelines' pair:
+    the count-grid density of vectorizer.vectorize_metadata recomputed
+    per sample every epoch vs. computed once, so they differ only in
+    feature supply. hybrid_vec adds each row's grid cell to the
+    precomputed feature. All three share seed, split, oversampling and
+    batch order, and are scored on the same rows. Returns the table rows
+    and the pair's reduction_pct.
     """
-    seed = config.train.seed
     tcfg = config.train
-    (train_os_idx, y_os), (val_idx, y_val), (test_idx, y_test) = split_rows(
+    (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
         dataset.label, tcfg)
-    y_os_onehot = encode_labels(y_os)
-
-    pipeline = DensityFeaturePipeline(
-        dataset.lat, dataset.lon, dataset.alt,
-        vec_config=config.vectorizer, fit_idx=train_os_idx,
-    )
-    t0 = time.perf_counter()
-    x_all = pipeline.precompute()
-    t_vectorize = time.perf_counter() - t0
+    report = benchmark_pipelines(dataset.lat, dataset.lon, dataset.alt, dataset.label,
+                                 tcfg, config.vectorizer, train_rows)
+    x_all = report.features
 
     t0 = time.perf_counter()
     cells = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
-                              pipeline.stats, config.vectorizer)
+                              dataset.stats, config.vectorizer)
     t_cells = time.perf_counter() - t0
-
-    x_train_pre = x_all[train_os_idx]
-    cells_train = cells[train_os_idx]
+    hybrid = build_hybrid(1)
+    x_train, cells_train = x_all[train_rows], cells[train_rows]
+    params_hybrid, _, _, t_hybrid = run_epochs(
+        hybrid, init_model_params(hybrid, seed=tcfg.seed),
+        lambda pos: (x_train[pos], cells_train[pos]), encode_labels(y_train), tcfg)
 
     variants = [
-        ("lstm_novec", build_lstm_stack(1), pipeline.batch_fn(train_os_idx), 0.0),
-        ("veclstm_vec", build_veclstm(1),
-         lambda pos: x_train_pre[pos], t_vectorize),
-        ("hybrid_vec", build_hybrid(1),
-         lambda pos: (x_train_pre[pos], cells_train[pos]),
-         t_vectorize + t_cells),
+        ("lstm_novec", build_lstm_stack(1), report.params_novec, report.t_novec, 0.0),
+        ("veclstm_vec", build_veclstm(1), report.params_vec, report.t_vec,
+         report.t_vectorization),
+        ("hybrid_vec", hybrid, params_hybrid, t_hybrid, report.t_vectorization + t_cells),
     ]
-
     rows = []
-    for name, spec, feature_fn, vec_seconds in variants:
-        params = init_model_params(spec, seed=seed)
-        params, _, _, seconds = run_epochs(spec, params, feature_fn,
-                                           y_os_onehot, tcfg)
+    for name, spec, params, seconds, vec_seconds in variants:
+        def inputs(idx):
+            return (x_all[idx], cells[idx]) if spec.has_grid_branch else x_all[idx]
 
-        def eval_features(idx):
-            if spec.architecture == HYBRID:
-                return (x_all[idx], cells[idx])
-            return x_all[idx]
-
-        val_probs = predict(spec, params, eval_features(val_idx))
-        val_acc = float((val_probs.argmax(axis=1) == y_val).mean())
-        test_probs = predict(spec, params, eval_features(test_idx))
+        val_acc = None
+        if val_rows.size:
+            val_probs = predict(spec, params, inputs(val_rows))
+            val_acc = float((val_probs.argmax(axis=1) == y_val).mean())
         bundle = metrics_mod.evaluate_classifier(
-            test_probs, y_test, regression_basis=config.regression_basis)
+            predict(spec, params, inputs(test_rows)), y_test,
+            regression_basis=config.regression_basis)
         rows.append({
             "variant": name,
             "train_seconds": seconds,
@@ -448,7 +447,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
             "mae": bundle.mae,
             "mse": bundle.mse,
         })
-    return rows
+    return rows, report.reduction_pct
 
 
 def _store_workload(dataset: ingest_mod.Dataset, config: RunConfig,
@@ -492,7 +491,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
 
         stage = "benchmark"
-        rows = _bench_variants(dataset, config)
+        rows, reduction = _bench_variants(dataset, config)
 
         store_bench = None
         descriptor = _resolve_store(args.store)
@@ -501,11 +500,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             store_bench = _store_workload(dataset, config, descriptor)
 
         stage = "report writing"
-        by_name = {row["variant"]: row for row in rows}
-        t_novec = by_name["lstm_novec"]["train_seconds"]
-        t_vec = by_name["veclstm_vec"]["train_seconds"]
-        reduction = 100.0 * (t_novec - t_vec) / t_novec if t_novec > 0 else 0.0
-
         with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
             writer.writeheader()

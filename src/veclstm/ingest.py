@@ -45,6 +45,7 @@ PLT_HEADER_LINES = 6
 DEFAULT_MODES = ("walk", "bike", "bus", "car", "taxi", "subway", "train")
 
 DATASET_COLUMNS = ("time", "lat", "lon", "alt", "label", "user", "metadata")
+METADATA_FEATURES = ("cell_density", "normalized_alt", "normalized_speed")
 
 @dataclass(frozen=True)
 class LabelSpan:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateClass, EmptyInput, LengthMismatch, OutOfRange
 
 N_CLASSES = 7
+REGRESSION_BASES = ("class_codes", "probabilities")
 
 
 def accuracy(pred: np.ndarray, true: np.ndarray) -> float:

@@ -51,6 +51,7 @@ LSTM_BASELINE = "LSTM_BASELINE"
 VECLSTM = "VECLSTM"
 HYBRID = "HYBRID"
 ARCHITECTURES = (LSTM_BASELINE, VECLSTM, HYBRID)
+LSTM_OUTPUT_ACTIVATIONS = ("tanh", "relu")
 
 N_CLASSES = 7
 

@@ -5,6 +5,10 @@ oversampling, initialization and batch order all derive from the
 configured seed, and gradient sums accumulate in a fixed sample order.
 Wall-clock timing wraps the epoch loop only.
 
+benchmark_pipelines is the one comparison of the non-vectorized and
+vectorized feature pipelines that the paper's efficiency claim rests
+on; `veclstm bench` and the acceptance tests both run it.
+
 Precision follows Micikevicius et al. 2018 ("Mixed Precision Training"):
 the parameters and Adam's moments stay float64 master weights, while
 training and each predict call run the model on a float32 copy of them.
@@ -17,7 +21,7 @@ and then rewrites those entries of the float32 copy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -33,6 +37,7 @@ from .errors import (
 )
 from .models import (
     ModelSpec,
+    build_lstm_stack,
     build_veclstm,
     distinct_rows,
     init_model_params,
@@ -45,12 +50,12 @@ from .neuralnet import softmax_cross_entropy
 from .vectorizer import (
     VectorizationConfig,
     cell_index,
-    cell_indices,
     fit_stats,
     histogram2d,
     impute_missing,
     min_max_normalize,
     normalize_columns,
+    vectorize_metadata,
 )
 
 
@@ -295,7 +300,6 @@ class TrainReport:
     epoch_accuracies: list[float]
     val_accuracy: float | None
     train_seconds: float
-    vectorize_seconds: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -307,7 +311,6 @@ class TrainReport:
             "epoch_accuracies": self.epoch_accuracies,
             "val_accuracy": self.val_accuracy,
             "train_seconds": self.train_seconds,
-            "vectorize_seconds": self.vectorize_seconds,
         }
 
 
@@ -448,72 +451,13 @@ def train_model(
 
 # --- pipeline benchmark --------------------------------------------------
 
-class DensityFeaturePipeline:
-    """The single-scalar feature pipeline in both of its forms.
-
-    Shared state (normalization stats, the dataset-wide count grid, the
-    feature scaler) is built once at construction. ``precompute`` runs
-    the whole-column vectorized transformation; ``batch_fn`` returns an
-    on-the-fly per-sample computation for the non-vectorized pipeline.
-    """
-
-    def __init__(self, lat, lon, alt, vec_config=None, fit_idx=None):
-        self.vec_config = vec_config or VectorizationConfig()
-        self.lat = np.asarray(lat, dtype=np.float64)
-        self.lon = np.asarray(lon, dtype=np.float64)
-        self.alt = np.asarray(alt, dtype=np.float64)
-        self.stats = fit_stats(self.lat, self.lon, self.alt)
-        norm_lat, norm_lon, _ = normalize_columns(
-            self.lat, self.lon, self.alt, self.stats, self.vec_config
-        )
-        self._norm_lat = norm_lat
-        self._norm_lon = norm_lon
-        self.grid = histogram2d(norm_lat, norm_lon, self.vec_config).grid
-        self.peak = self.grid.max()
-        raw = self._raw_scalars()
-        fit_rows = raw if fit_idx is None else raw[fit_idx]
-        self.scaler = StandardScaler().fit(fit_rows.reshape(-1, 1))
-
-    def _raw_scalars(self) -> np.ndarray:
-        rows, cols = cell_indices(self._norm_lat, self._norm_lon, self.vec_config.grid_size)
-        return self.grid[rows, cols] / self.peak
-
-    def precompute(self) -> np.ndarray:
-        """Vectorized one-shot features for every sample: (N, 1, 1)."""
-        scaled = self.scaler.transform(self._raw_scalars().reshape(-1, 1))
-        return scaled.reshape(-1, 1, 1)
-
-    def batch_fn(self, source_rows: np.ndarray | None = None):
-        """Per-sample scalar computation, evaluated batch by batch.
-
-        source_rows maps loop indices to dataset rows (identity when
-        omitted). Deliberately unvectorized: this is exactly the work
-        the precomputed path avoids every epoch.
-        """
-        lat_bounds = self.stats.bounds("lat")
-        lon_bounds = self.stats.bounds("lon")
-        g = self.vec_config.grid_size
-
-        def compute(idx: np.ndarray) -> np.ndarray:
-            out = np.empty((idx.size, 1, 1), dtype=np.float64)
-            for slot, i in enumerate(idx):
-                row = int(i) if source_rows is None else int(source_rows[i])
-                nlat = impute_missing(
-                    min_max_normalize(float(self.lat[row]), *lat_bounds),
-                    self.vec_config)
-                nlon = impute_missing(
-                    min_max_normalize(float(self.lon[row]), *lon_bounds),
-                    self.vec_config)
-                density = self.grid[cell_index(nlat, g), cell_index(nlon, g)] / self.peak
-                out[slot, 0, 0] = self.scaler.transform_value(density)
-            return out
-
-        return compute
-
-
 @dataclass
 class BenchmarkReport:
-    """Timing comparison of the two feature-supply pipelines."""
+    """Timing comparison of the two feature-supply pipelines.
+
+    features (every row's scaled feature, (N, 1, 1)) and the two trained
+    parameter dicts are kept for scoring; to_dict leaves them out.
+    """
 
     t_novec: float
     t_vec: float
@@ -524,6 +468,9 @@ class BenchmarkReport:
     n_samples: int
     epochs: int
     seed: int
+    features: np.ndarray = field(repr=False)
+    params_novec: dict[str, np.ndarray] = field(repr=False)
+    params_vec: dict[str, np.ndarray] = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -545,36 +492,59 @@ def benchmark_pipelines(
     alt: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
-    spec: ModelSpec | None = None,
+    vec_config: VectorizationConfig = VectorizationConfig(),
+    rows: np.ndarray | None = None,
 ) -> BenchmarkReport:
-    """Train the same model twice: features recomputed per batch every
-    epoch (non-vectorized) vs. precomputed once (vectorized).
+    """Train an LSTM with its density feature recomputed per sample every
+    epoch (non-vectorized) and VecLSTM with the feature computed once for
+    the whole dataset by vectorize_metadata (vectorized).
 
-    Both pipelines share the normalization stats and the dataset-wide
-    count grid (built outside either timer, favoring the non-vectorized
-    side), the same seed, and the identical training loop; only the
-    feature supply differs. Reported times cover the epoch loops;
-    t_vectorization is the one-time cost of the precomputed path.
+    rows are the dataset rows trained on, in order, and may repeat as
+    oversampled rows do; every row when omitted. The feature scaler is
+    fit on them. The normalization bounds and count grid that the
+    per-sample side reads are built outside either timer, favoring it.
+    Both sides share the seed and the training loop and see bit-identical
+    features, so they end with bit-identical parameters and losses.
+    t_novec and t_vec cover the epoch loops; t_vectorization is the
+    vectorized side's one-time cost.
     """
-    if spec is None:
-        spec = build_veclstm(n_features=1)
-    y_onehot = encode_labels(labels, spec.n_classes)
+    lat, lon, alt = (np.asarray(col, dtype=np.float64) for col in (lat, lon, alt))
+    rows = np.arange(lat.size) if rows is None else np.asarray(rows)
+    y_onehot = encode_labels(np.asarray(labels)[rows])
 
-    pipeline = DensityFeaturePipeline(lat, lon, alt)
+    stats = fit_stats(lat, lon, alt)
+    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, vec_config)
+    grid = histogram2d(norm_lat, norm_lon, replace(vec_config, value_mode="count")).grid
+    peak = grid.max()
 
     t0 = time.perf_counter()
-    x_vec = pipeline.precompute()
+    raw = vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
+    scaler = StandardScaler().fit(raw[rows])
+    features = scaler.transform(raw).reshape(-1, 1, 1)
     t_vectorization = time.perf_counter() - t0
+    x_vec = features[rows]
 
-    params = init_model_params(spec, seed=config.seed)
-    _, losses_novec, _, t_novec = run_epochs(
-        spec, params, pipeline.batch_fn(), y_onehot, config
-    )
+    lat_bounds, lon_bounds = stats.bounds("lat"), stats.bounds("lon")
+    g = vec_config.grid_size
 
-    params = init_model_params(spec, seed=config.seed)
-    _, losses_vec, _, t_vec = run_epochs(
-        spec, params, lambda idx: x_vec[idx], y_onehot, config
-    )
+    def per_sample(idx: np.ndarray) -> np.ndarray:
+        # deliberately unvectorized: the work the vectorized side does once
+        out = np.empty((idx.size, 1, 1), dtype=np.float64)
+        for slot, i in enumerate(idx):
+            row = int(rows[i])
+            nlat = impute_missing(min_max_normalize(float(lat[row]), *lat_bounds), vec_config)
+            nlon = impute_missing(min_max_normalize(float(lon[row]), *lon_bounds), vec_config)
+            density = grid[cell_index(nlat, g), cell_index(nlon, g)] / peak
+            out[slot, 0, 0] = scaler.transform_value(density)
+        return out
+
+    novec_spec, vec_spec = build_lstm_stack(1), build_veclstm(1)
+    params_novec, losses_novec, _, t_novec = run_epochs(
+        novec_spec, init_model_params(novec_spec, seed=config.seed), per_sample,
+        y_onehot, config)
+    params_vec, losses_vec, _, t_vec = run_epochs(
+        vec_spec, init_model_params(vec_spec, seed=config.seed), lambda idx: x_vec[idx],
+        y_onehot, config)
 
     reduction = 100.0 * (t_novec - t_vec) / t_novec if t_novec > 0 else 0.0
     return BenchmarkReport(
@@ -587,4 +557,7 @@ def benchmark_pipelines(
         n_samples=y_onehot.shape[0],
         epochs=config.epochs,
         seed=config.seed,
+        features=features,
+        params_novec=params_novec,
+        params_vec=params_vec,
     )

@@ -45,8 +45,12 @@ class TestConfig:
         '{"vectorizer": {"grid": 12}}',                  # unknown nested key
         '{"train": {"epochs": "3"}}',                    # wrong type
         '{"modes": ["walk", "bike", "bus"]}',            # not 7 modes
+        '{"lstm_output_activation": "sigmoid"}',         # unknown activation
+        '{"regression_basis": "probs"}',                 # unknown basis
+        '{"metadata_feature": "nope"}',                  # unknown feature
     ], ids=["invalid_json", "unknown_key", "unknown_nested_key", "wrong_type",
-            "six_modes_short"])
+            "six_modes_short", "unknown_activation", "unknown_basis",
+            "unknown_feature"])
     def test_bad_config_names_its_path(self, sep_csv, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -366,6 +370,25 @@ class TestBench:
         assert workload["insert_seconds"] >= 0
         assert workload["fetch_seconds"] >= 0
         assert "workload" in workload
+
+    def test_empty_validation_split_writes_null(self, tmp_path):
+        data_csv = tmp_path / "small.csv"
+        write_dataset_csv(separable_dataset(12, seed=7), data_csv)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {
+            "epochs": 1, "batch_size": 4, "validation_fraction": 0.01, "seed": 3}}))
+        out_dir = tmp_path / "bench"
+        rc = main(["bench", str(data_csv), "--out-dir", str(out_dir),
+                   "--config", str(config)])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"bench.json holds {name}")
+
+        doc = json.loads((out_dir / "bench.json").read_text(), parse_constant=reject)
+        assert [row["val_acc"] for row in doc["rows"]] == [None] * 3
+        with open(out_dir / "bench.csv", newline="") as fh:
+            assert [row["val_acc"] for row in csv.DictReader(fh)] == [""] * 3
 
     def test_vec_and_novec_pair_learn_identically(self, sep_csv, tmp_path,
                                                   train_config):

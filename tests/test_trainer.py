@@ -39,6 +39,8 @@ from veclstm.trainer import (
     train_test_split,
 )
 
+from veclstm.vectorizer import VectorizationConfig, vectorize_metadata
+
 from _oracles import adam_scalar_recurrence, as_sorted_multiset, per_block_adam_step
 
 
@@ -338,7 +340,6 @@ class TestTrainModel:
         doc = report.to_dict()
         assert len(doc["epoch_losses"]) == 2
         assert doc["train_seconds"] >= 0
-        assert doc["vectorize_seconds"] is None
 
 
 def _float_arrays(cache):
@@ -452,12 +453,22 @@ class TestBenchmark:
         assert doc["reduction_pct"] == pytest.approx(
             100.0 * (doc["t_novec"] - doc["t_vec"]) / doc["t_novec"], abs=1e-9)
 
-    def test_pipelines_learn_the_same_thing(self):
-        # same seed, same math: both pipelines see identical features,
-        # so the loss trajectories must coincide
+    @pytest.mark.parametrize("value_mode", ["count", "density"])
+    def test_pipelines_learn_the_same_thing(self, value_mode):
+        # same seed, same math: both pipelines see the scaled
+        # vectorize_metadata bit for bit, so they end bit-identical
         lat, lon, alt, labels = self.make_columns(n=400, seed=22)
+        lat[::37] = np.nan
+        lon[5::41] = np.nan
+        rows = np.random.default_rng(23).choice(400, size=500)  # repeats, as oversampled
         config = TrainConfig(epochs=2, batch_size=128, seed=7)
-        report = benchmark_pipelines(lat, lon, alt, labels, config,
-                                     spec=build_veclstm(1))
-        assert report.final_loss_novec == pytest.approx(report.final_loss_vec,
-                                                        abs=1e-9)
+        vec_config = VectorizationConfig(value_mode=value_mode)
+        report = benchmark_pipelines(lat, lon, alt, labels, config, vec_config, rows)
+        assert report.n_samples == rows.size
+        assert report.final_loss_novec == report.final_loss_vec
+        assert report.params_novec.keys() == report.params_vec.keys()
+        for key, block in report.params_novec.items():
+            assert np.array_equal(block, report.params_vec[key]), key
+        raw = vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
+        scaled = StandardScaler().fit(raw[rows]).transform(raw)
+        assert np.array_equal(report.features.reshape(-1, 1), scaled)
