@@ -508,8 +508,7 @@ def benchmark_pipelines(
     t_novec and t_vec cover the epoch loops; t_vectorization is the
     vectorized side's one-time cost.
     """
-    lat, lon, alt = (np.asarray(col, dtype=np.float64) for col in (lat, lon, alt))
-    rows = np.arange(lat.size) if rows is None else np.asarray(rows)
+    rows = np.arange(len(lat)) if rows is None else np.asarray(rows)
     y_onehot = encode_labels(np.asarray(labels)[rows])
 
     stats = fit_stats(lat, lon, alt)
