@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -506,8 +506,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
+        # _bench_variants trains tanh specs on the cell-density feature,
+        # whatever the config names.
+        trained = replace(config, metadata_feature="cell_density", lstm_output_activation="tanh")
         doc = {
-            "config": config.to_dict(),
+            "config": trained.to_dict(),
             "seed": config.train.seed,
             "rows": rows,
             "reduction_pct": reduction,

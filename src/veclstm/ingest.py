@@ -19,6 +19,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -153,7 +154,7 @@ class _FirstFailure:
     the earliest row, and within it the earliest check.
     """
 
-    def __init__(self, line_nos: list[int], error: MalformedLine | None = None):
+    def __init__(self, line_nos: Sequence[int], error: MalformedLine | None = None):
         self.line_nos = line_nos
         self.end = len(line_nos)  # rows [0, end) have passed every check so far
         self.error = error
@@ -459,66 +460,219 @@ def ingest_geolife(
 
 # --- CSV round trip ----------------------------------------------------
 
+# Rows per chunk of the dataset CSV writer and of the csv.reader path of
+# its reader, and bytes per chunk of the reader's other path: 64k rows
+# of 64 bytes. A chunk is what either holds at once besides the columns.
+_CHUNK_ROWS = 1 << 16
+_CHUNK_BYTES = 64 * _CHUNK_ROWS
+
+# Per dataset column: its dtype, the text of a value in a dataset CSV and
+# the value of a cell. User cells are quoted by the csv module instead,
+# and an empty alt cell reads as "nan", MISSING.
+_CSV_FORMATS = (
+    (np.int64, str, int), (np.float64, repr, float), (np.float64, repr, float),
+    (np.float64, lambda value: "" if is_missing(value) else repr(value), float),
+    (np.int64, str, int), (object, None, None), (np.float64, repr, float))
+
+
+def _distinct_text(values: np.ndarray, fmt: Callable, end: str) -> list[str]:
+    """fmt(v) + end for each value, calling fmt once per distinct 64-bit pattern.
+
+    Keying by bits keeps -0.0 apart from 0.0 and each NaN as written.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt(v) + end for v in keys.view(values.dtype).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
+def _csv_fields(values: list, end: str) -> dict:
+    """Each distinct value as the csv module writes it inside a row, + end."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = {}
+    for value in dict.fromkeys(values):
+        buf.seek(0)
+        buf.truncate()
+        # Not alone in its row, where csv would quote an empty string.
+        writer.writerow(("", value, ""))
+        fields[value] = buf.getvalue()[1:-3] + end
+    return fields
+
+
 def write_dataset_csv(dataset: Dataset, path: Path) -> None:
     """RFC-4180 CSV with the 7-column header; missing alt is an empty field.
 
-    Floats are written as the repr of Python floats, so they read back
-    exactly.
+    Lines end in CRLF and only fields that need it are quoted. Floats are
+    written as the repr of Python floats, so they read back exactly.
+    Each column of a chunk of rows formats each distinct value once.
     """
-    alt = ["" if is_missing(a) else repr(a) for a in dataset.alt.tolist()]
+    n = len(dataset)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_COLUMNS)
-        writer.writerows(zip(
-            dataset.time.tolist(),
-            map(repr, dataset.lat.tolist()),
-            map(repr, dataset.lon.tolist()),
-            alt,
-            dataset.label.tolist(),
-            dataset.user.tolist(),
-            map(repr, dataset.metadata.tolist()),
-        ))
+        fh.write(",".join(DATASET_COLUMNS) + "\r\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            cells: list = [None] * (7 * min(_CHUNK_ROWS, n - lo))
+            for k, (name, (dtype, fmt, _)) in enumerate(zip(DATASET_COLUMNS, _CSV_FORMATS)):
+                end = "\r\n" if k == 6 else ","
+                column = getattr(dataset, name)[rows]
+                if fmt is None:
+                    users = column.tolist()
+                    cells[k::7] = map(_csv_fields(users, end).__getitem__, users)
+                else:
+                    cells[k::7] = _distinct_text(np.asarray(column, dtype), fmt, end)
+            fh.write("".join(cells))
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of binary file fh in blocks of about _CHUNK_BYTES, each
+    ending after a LF or at the end of the file, so that no block cuts a
+    line, a UTF-8 sequence or a CRLF."""
+    while block := fh.read(_CHUNK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield block
+
+
+def _scan_dataset_csv(path: Path) -> tuple[int, bool]:
+    """(rows after the header at most, whether the file is plain).
+
+    Raises MalformedLine at the first byte that is not UTF-8, by physical
+    line and byte offset. A plain file has no '"', no NUL and no CR
+    outside CRLF, so each line is one record whose fields are the
+    comma-separated parts of the line.
+    """
+    newlines = breaks = offset = 0
+    plain, last = True, b"\n"
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line_no = newlines + block.count(b"\n", 0, exc.start) + 1
+                raise MalformedLine(line_no, f"invalid UTF-8 at byte {offset + exc.start}") from None
+            data = np.frombuffer(block, np.uint8)
+            cr = np.flatnonzero(data == ord("\r"))
+            # A CR ending the file has no LF after it; it is its own index.
+            lone_cr = np.count_nonzero(data[np.minimum(cr + 1, data.size - 1)] != ord("\n"))
+            lf = np.count_nonzero(data == ord("\n"))
+            newlines += lf
+            breaks += lf + lone_cr
+            plain = plain and not lone_cr and b'"' not in block and b"\0" not in block
+            offset += len(block)
+            last = block[-1:]
+    records = breaks + (last not in (b"\n", b"\r"))
+    return max(records - 1, 0), plain
+
+
+def _check_header(reader) -> None:
+    """Read the header record from csv.reader reader; MalformedLine at line 1 if wrong."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise MalformedLine(1, str(exc)) from None
+    if header is None or tuple(header) != DATASET_COLUMNS:
+        raise MalformedLine(1, f"expected header {','.join(DATASET_COLUMNS)}")
+
+
+def _plain_rows(block: bytes, limit: int) -> tuple[int, str | None, int]:
+    """(rows, stop, size) of block, whole lines of a plain file.
+
+    rows counts the lines before the first one that csv.reader rejects
+    (a field over limit characters) or reads with other than 7 fields,
+    stop is the reason for that line or None, and size is the bytes of
+    those rows. Separators are found in the bytes, and csv.reader reads
+    only the lines whose separators or widths are suspect.
+    """
+    data = np.frombuffer(block, np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    ends = np.flatnonzero(data[seps] == ord("\n"))  # the separator ending each line
+    if not block.endswith(b"\n"):  # an unterminated last line
+        seps = np.append(seps, data.size)
+        ends = np.append(ends, seps.size - 1)
+    # Line i has 7 fields when separator 7i + 6 ends it. Up to the first
+    # line that has not, separator s ends a field of line s // 7; a field
+    # of more than limit bytes may have more than limit characters.
+    wide = np.diff(seps, prepend=-1) - 1 > limit
+    suspects = np.union1d(np.flatnonzero(ends != np.arange(6, 7 * ends.size, 7)),
+                          np.flatnonzero(wide) // 7)
+    starts = np.concatenate(([0], seps[ends] + 1)).tolist()
+    for row in suspects.tolist():
+        try:
+            fields = next(csv.reader([block[starts[row]:starts[row + 1]].decode("utf-8")]))
+        except csv.Error as exc:
+            return row, str(exc), starts[row]
+        if len(fields) != 7:
+            return row, f"expected 7 columns, got {len(fields)}", starts[row]
+    return ends.size, None, len(block)
+
+
+def _split_chunks(fh) -> Iterator[tuple[list, str | None]]:
+    """The records of binary file fh, plain, in chunks after its header.
+
+    Yields (cells by column, stop): the cells of a chunk's records up to
+    the first bad one, and the reason that record is bad, or None. Each
+    chunk is cut with one line-end replace and one comma split.
+    """
+    limit = csv.field_size_limit()
+    _check_header(csv.reader([fh.readline().decode("utf-8")]))
+    for block in _line_blocks(fh):
+        rows, stop, size = _plain_rows(block, limit)
+        text = block[:size].decode("utf-8").replace("\r", "")
+        cells = text.replace("\n", ",").split(",")
+        del cells[7 * rows:]  # the empty cell after the last line end
+        yield [cells[k::7] for k in range(7)], stop
+        if stop is not None:
+            return
+
+
+def _csv_chunks(fh) -> Iterator[tuple[list, str | None]]:
+    """_split_chunks for a text file of any form, cut by csv.reader."""
+    reader = csv.reader(fh)
+    _check_header(reader)
+    while True:
+        rows, stop = [], None
+        try:
+            for row in islice(reader, _CHUNK_ROWS):
+                if len(row) != 7:
+                    stop = f"expected 7 columns, got {len(row)}"
+                    break
+                rows.append(row)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            stop = str(exc)
+        if rows or stop is not None:
+            yield list(zip(*rows)) or [()] * 7, stop
+        if stop is not None or len(rows) < _CHUNK_ROWS:
+            return
 
 
 def read_dataset_csv(path: Path) -> Dataset:
     """Read a dataset CSV; the first bad row raises MalformedLine.
 
     Line numbers count CSV records, the header being record 1; bytes
-    that are not UTF-8 are reported by physical line and byte offset.
+    that are not UTF-8 are reported by physical line and byte offset,
+    before any other error. The rows are read in chunks into columns
+    sized by a first pass over the bytes.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise MalformedLine(line_no, f"invalid UTF-8 at byte {exc.start}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows: list[list[str]] = []
-    header = short = None
-    try:
-        header = next(reader, None)
-        if header is None or tuple(header) != DATASET_COLUMNS:
-            raise MalformedLine(1, f"expected header {','.join(DATASET_COLUMNS)}")
-        for row in reader:
-            if len(row) != 7:
-                short = MalformedLine(len(rows) + 2, f"expected 7 columns, got {len(row)}")
-                break
-            rows.append(row)
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        line_no = len(rows) + 2 if header is not None else 1
-        raise MalformedLine(line_no, str(exc)) from None
-    first = _FirstFailure(list(range(2, len(rows) + 2)), short)
-    if not rows:
-        raise first.error or EmptyDataset(f"{path} contains a header but no rows")
-    time_s, lat_s, lon_s, alt_s, label_s, user_s, meta_s = zip(*rows)
-    time, lat, lon, alt, label, metadata = (
-        first.convert(cells, convert, dtype, lambda row, exc: str(exc))
-        for cells, convert, dtype in (
-            (time_s, int, np.int64), (lat_s, float, np.float64), (lon_s, float, np.float64),
-            (alt_s, lambda cell: MISSING if cell == "" else float(cell), np.float64),
-            (label_s, int, np.int64), (meta_s, float, np.float64)))
-    if first.error is not None:
-        raise first.error
-    return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label,
-                   user=np.array(user_s, dtype=object), metadata=metadata,
-                   stats=fit_stats(lat, lon, alt))
+    capacity, plain = _scan_dataset_csv(path)
+    columns = [np.empty(capacity, dtype) for dtype, _, _ in _CSV_FORMATS]
+    users: dict[str, str] = {}  # one str object per distinct user
+    n = 0
+    with open(path, "rb") if plain else open(path, encoding="utf-8", newline="") as fh:
+        for cells, stop in _split_chunks(fh) if plain else _csv_chunks(fh):
+            size, line_no = len(cells[0]), n + 2
+            first = _FirstFailure(range(line_no, line_no + size),
+                                  None if stop is None else MalformedLine(line_no + size, stop))
+            cells[3] = [cell or "nan" for cell in cells[3]]
+            for k, (dtype, _, parse) in enumerate(_CSV_FORMATS):
+                if parse is not None:
+                    values = first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
+                    columns[k][n:n + values.size] = values
+            if first.error is not None:
+                raise first.error
+            columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))
+            n += size
+    if not n:
+        raise EmptyDataset(f"{path} contains a header but no rows")
+    time, lat, lon, alt, label, user, metadata = (column[:n] for column in columns)
+    return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label, user=user,
+                   metadata=metadata, stats=fit_stats(lat, lon, alt))

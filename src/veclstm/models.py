@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import NonFiniteError, OutOfRange, ShapeMismatch
+from .errors import ConfigError, NonFiniteError, OutOfRange, ShapeMismatch
 from .neuralnet import (
     Conv1dParams,
     DenseParams,
@@ -73,6 +73,12 @@ class ModelSpec:
     # hidden states (the recurrent state itself stays tanh-wired).
     lstm_output_activation: str = "tanh"
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.lstm_output_activation not in LSTM_OUTPUT_ACTIVATIONS:
+            raise ConfigError(f"lstm_output_activation must be one of"
+                              f" {', '.join(LSTM_OUTPUT_ACTIVATIONS)},"
+                              f" got {self.lstm_output_activation!r}")
 
     @property
     def has_grid_branch(self) -> bool:

@@ -297,10 +297,12 @@ def first_occurrence_rows(*parts):
     return np.array(list(first.values())), np.array([rank[key] for key in keys])
 
 
-# --- row-by-row readers -------------------------------------------------
+# --- row-by-row readers and writer --------------------------------------
 # The ingest readers as they were before the dataset became columnar:
 # one row at a time, raising at the first bad row. The columnar readers
-# must return the same columns or raise at the same line.
+# must return the same columns or raise at the same line. The dataset
+# CSV writer as it was before it formatted columns: the columnar writer
+# must write the same bytes.
 
 def _utc(text: str, fmt: str) -> int:
     return int(datetime.strptime(text, fmt).replace(tzinfo=timezone.utc).timestamp())
@@ -414,6 +416,26 @@ def row_read_dataset_csv(path):
     dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, object, np.float64)
     return {name: np.array([r[k] for r in rows], dtype=dtype)
             for k, (name, dtype) in enumerate(zip(columns, dtypes))}
+
+
+def row_write_dataset_csv(dataset, path) -> None:
+    """A dataset CSV written row by row through csv.writer, as the writer
+    was before it formatted columns: floats as repr, missing alt empty."""
+    import csv
+
+    alt = ["" if math.isnan(a) else repr(a) for a in dataset.alt.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time", "lat", "lon", "alt", "label", "user", "metadata"))
+        writer.writerows(zip(
+            dataset.time.tolist(),
+            map(repr, dataset.lat.tolist()),
+            map(repr, dataset.lon.tolist()),
+            alt,
+            dataset.label.tolist(),
+            dataset.user.tolist(),
+            map(repr, dataset.metadata.tolist()),
+        ))
 
 
 def bisect_assign_labels(times, spans) -> list[int]:

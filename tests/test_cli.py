@@ -390,6 +390,27 @@ class TestBench:
         with open(out_dir / "bench.csv", newline="") as fh:
             assert [row["val_acc"] for row in csv.DictReader(fh)] == [""] * 3
 
+    def test_json_records_the_settings_it_trained_with(self, sep_csv, tmp_path):
+        # The bench trains tanh specs on the cell-density feature whatever
+        # the config names; bench.json used to record the configured names.
+        train = {"epochs": 2, "batch_size": 32, "learning_rate": 0.01, "seed": 3}
+        docs, scores = [], []
+        for name, extra in (("default", {}), ("other", {
+                "lstm_output_activation": "relu", "metadata_feature": "normalized_alt"})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"train": train, **extra}), encoding="utf-8")
+            out_dir = tmp_path / name
+            assert main(["bench", str(sep_csv), "--out-dir", str(out_dir),
+                         "--config", str(config)]) == 0
+            doc = json.loads((out_dir / "bench.json").read_text())
+            docs.append(doc["config"])
+            scores.append([{k: v for k, v in row.items() if not k.endswith("seconds")}
+                           for row in doc["rows"]])
+        assert docs[1]["lstm_output_activation"] == "tanh"
+        assert docs[1]["metadata_feature"] == "cell_density"
+        assert docs[0] == docs[1]
+        assert scores[0] == scores[1]
+
     def test_vec_and_novec_pair_learn_identically(self, sep_csv, tmp_path,
                                                   train_config):
         # identical seed and identical feature math: accuracy must agree

@@ -3,6 +3,8 @@
 import calendar
 import csv
 import io
+import math
+import struct
 from datetime import datetime, timezone
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from veclstm import ingest as ingest_mod
 from veclstm.errors import (
     EmptyDataset,
     InvertedSpan,
@@ -19,6 +22,7 @@ from veclstm.errors import (
 from veclstm.ingest import (
     DATASET_COLUMNS,
     DEFAULT_MODES,
+    Dataset,
     LabelSpan,
     assign_labels,
     build_dataset,
@@ -29,13 +33,14 @@ from veclstm.ingest import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from veclstm.vectorizer import is_missing
+from veclstm.vectorizer import NormalizationStats, is_missing
 
 from _oracles import (
     bisect_assign_labels,
     row_parse_labels,
     row_parse_plt,
     row_read_dataset_csv,
+    row_write_dataset_csv,
 )
 from conftest import labels_text, plt_text
 
@@ -559,3 +564,148 @@ class TestDatasetCsvErrors:
         with pytest.raises(MalformedLine) as exc:
             read_dataset_csv(path)
         assert exc.value.line_no == 2
+
+
+# --- the columnar CSV writer, and reads across a chunk boundary --------
+
+# Float edge values, each with its own 64-bit pattern.
+FLOAT_EDGES = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf)
+# Users the csv module quotes, or does not, or that are not ASCII.
+QUOTED_USERS = ("", ",", '"', "\n", "\r", " a", "é", "北京", "u1")
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _column(data, n: int, values):
+    """n values: all equal, all distinct or drawn one by one."""
+    kind = data.draw(st.sampled_from(["equal", "distinct", "mixed"]))
+    event(f"column: {kind}")
+    if kind == "equal":
+        return [data.draw(values)] * n
+    if kind == "distinct":
+        return data.draw(st.lists(values, min_size=n, max_size=n, unique_by=_bits))
+    return data.draw(st.lists(values, min_size=n, max_size=n))
+
+
+class TestDatasetCsvWriterMatchesRowOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 30), data=st.data())
+    def test_same_bytes(self, tmp_path_factory, n, data):
+        floats = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats())
+        ints = st.integers(-2**63, 2**63 - 1)
+        users = st.one_of(st.sampled_from(QUOTED_USERS), st.text(max_size=3))
+        dataset = Dataset(
+            time=np.array(_column(data, n, ints), dtype=np.int64),
+            lat=np.array(_column(data, n, floats), dtype=np.float64),
+            lon=np.array(_column(data, n, floats), dtype=np.float64),
+            alt=np.array(_column(data, n, floats), dtype=np.float64),
+            label=np.array(_column(data, n, ints), dtype=np.int64),
+            user=np.array(_column(data, n, users), dtype=object),
+            metadata=np.array(_column(data, n, floats), dtype=np.float64),
+            stats=NormalizationStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        folder = tmp_path_factory.mktemp("csv")
+        write_dataset_csv(dataset, folder / "columnar.csv")
+        row_write_dataset_csv(dataset, folder / "rows.csv")
+        assert (folder / "columnar.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    def test_same_bytes_over_more_than_one_chunk(self, tmp_path):
+        # Values that repeat across the chunks of the writer, and some
+        # that do not.
+        n = 70_000
+        rng = np.random.default_rng(3)
+        dataset = Dataset(
+            time=np.arange(n, dtype=np.int64) * 5,
+            lat=rng.choice([0.0, -0.0, math.nan, 39.9], n), lon=rng.uniform(116, 117, n),
+            alt=rng.choice([math.nan, 1.5, -math.inf], n), label=rng.integers(0, 7, n),
+            user=np.array(rng.choice(QUOTED_USERS, n), dtype=object),
+            metadata=rng.choice(rng.uniform(0, 1, 90), n),
+            stats=NormalizationStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        write_dataset_csv(dataset, tmp_path / "columnar.csv")
+        row_write_dataset_csv(dataset, tmp_path / "rows.csv")
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# Records of 64 bytes, so that the reader's first chunk of bytes after
+# the header ends at a known record.
+ROW_BYTES = 64
+
+
+def _row(i: int) -> bytes:
+    head = f"{1_230_000_000 + i},{39 + i * 1e-6:.6f},{116 + i * 1e-6:.6f},,{i % 7},"
+    tail = ",0.25\r\n"
+    return (head + "u" * (ROW_BYTES - len(head) - len(tail)) + tail).encode()
+
+
+class TestDatasetCsvChunkBoundary:
+    """Files one chunk plus a few records long, read against the row oracle."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        per_chunk = ingest_mod._CHUNK_BYTES // ROW_BYTES
+        rows = [_row(i) for i in range(per_chunk + 5)]
+        assert {len(row) for row in rows} == {ROW_BYTES}
+        return per_chunk, rows
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(",".join(DATASET_COLUMNS).encode() + b"\r\n" + b"".join(rows))
+        return path
+
+    def _same_columns(self, path):
+        expected = row_read_dataset_csv(path)
+        got = read_dataset_csv(path)
+        for name in DATASET_COLUMNS:
+            a, b = getattr(got, name), expected[name]
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        return expected
+
+    def _same_error(self, path, line_no):
+        with pytest.raises(MalformedLine) as expected:
+            row_read_dataset_csv(path)
+        with pytest.raises(MalformedLine) as got:
+            read_dataset_csv(path)
+        assert expected.value.line_no == line_no
+        assert (got.value.line_no, got.value.reason) == (line_no, expected.value.reason)
+
+    def test_whole_file_reads_as_the_oracle_does(self, tmp_path, rows):
+        per_chunk, rows = rows
+        assert len(self._same_columns(self._write(tmp_path, rows))["time"]) == per_chunk + 5
+
+    def test_bad_cell_first_in_the_second_chunk(self, tmp_path, rows):
+        per_chunk, rows = rows
+        rows = list(rows)
+        rows[per_chunk] = rows[per_chunk].replace(b",0.25", b",0.2x")
+        self._same_error(self._write(tmp_path, rows), per_chunk + 2)
+
+    def test_short_row_first_in_the_second_chunk(self, tmp_path, rows):
+        per_chunk, rows = rows
+        rows = list(rows)
+        rows[per_chunk] = rows[per_chunk].replace(b",0.25", b"")
+        self._same_error(self._write(tmp_path, rows), per_chunk + 2)
+
+    def test_invalid_utf8_first_in_the_second_chunk(self, tmp_path, rows):
+        per_chunk, rows = rows
+        rows = list(rows)
+        rows[per_chunk] = rows[per_chunk].replace(b"u", b"\xff", 1)
+        path = self._write(tmp_path, rows)
+        raw = path.read_bytes()
+        offset = raw.index(b"\xff")
+        with pytest.raises(UnicodeDecodeError):
+            row_read_dataset_csv(path)
+        with pytest.raises(MalformedLine) as got:
+            read_dataset_csv(path)
+        assert got.value.line_no == per_chunk + 2 == raw.count(b"\n", 0, offset) + 1
+        assert got.value.reason == f"invalid UTF-8 at byte {offset}"
+
+    def test_quoted_user_across_the_boundary(self, tmp_path, rows):
+        # The last record of the first chunk holds a quoted user with a line
+        # end in it, and runs past the first chunk's bytes.
+        per_chunk, rows = rows
+        rows = list(rows)
+        rows[per_chunk - 1] = rows[per_chunk - 1].replace(b",uuu", b',"a\r\nb,""c""', 1).replace(
+            b"uu,0.25", b'"u,0.25', 1)
+        expected = self._same_columns(self._write(tmp_path, rows))
+        assert expected["user"][per_chunk - 1].startswith('a\r\nb,"c"u')

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veclstm import models
-from veclstm.errors import OutOfRange, ShapeMismatch
+from veclstm.errors import ConfigError, OutOfRange, ShapeMismatch
 from veclstm.models import (
     HYBRID,
     LSTM_BASELINE,
@@ -156,6 +156,11 @@ class TestOutputActivationFlag:
         spec = build_veclstm(1, lstm_output_activation="relu")
         doc = json.loads(spec.to_json())
         assert doc["layers"][0]["output_activation"] == "relu"
+
+    def test_unknown_activation_is_rejected(self):
+        # It used to run as tanh and be written to model_spec.json as given.
+        with pytest.raises(ConfigError, match="'sigmoid'"):
+            build_lstm_stack(1, lstm_output_activation="sigmoid")
 
 
 class TestBackward:
