@@ -491,7 +491,7 @@ def _backward_rows(
     else:
         d_h1_seq = d_e1_seq
     lstm1 = _lstm_view(params, "lstm1")
-    lstm1_grads, _ = lstm_backward(iv["cache1"], lstm1, d_h1_seq)
+    lstm1_grads, _ = lstm_backward(iv["cache1"], lstm1, d_h1_seq, input_grad=False)
     for name, grad in lstm1_grads.items():
         grads[f"lstm1.{name}"] = grad
 

@@ -12,8 +12,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     check_finite(logits, "softmax logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    # The row max as a loop of np.maximum over the columns: the same
+    # values as logits.max(axis=-1), several times faster on the short
+    # rows of a class axis.
+    row_max = logits[..., 0].copy()
+    for k in range(1, logits.shape[-1]):
+        np.maximum(row_max, logits[..., k], out=row_max)
+    e = logits - row_max[..., np.newaxis]
+    np.exp(e, out=e)
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -14,9 +14,20 @@ activations are applied in place. The batch is the last axis inside the
 kernels so that each gate block is one contiguous (H, N) array. A
 sequence computes the input projection W_x x_t + b for all T before the
 time loop, and its first step, from the zero state, skips W_h h and
-sets c = i * g. Backward runs the time loop for the gate gradients only
+sets c = i * g. Backward runs the time loop for the gate gradients only,
+writing its elementwise products into a few arrays made once per call,
 and forms the weight and input gradients after it, as products over
-all T.
+all T. A caller that does not need the input gradient skips it with
+input_grad=False.
+
+Sequences cross the API batch-first, (N, T, F) in and (N, T, H) out,
+but the hidden sequence and the input gradient come back as transposed
+views of the kernels' batch-last (T, H, N) and (T, F, N) buffers. A
+second LSTM fed such a view, or the input gradient of one fed back to
+the LSTM that produced the view, transposes it back to batch-last
+without a copy. The last hidden state alone is returned as a
+C-contiguous (N, H) array, the layout the dense layers after it
+expect.
 
 A one-step sequence (T = 1, every input of this pipeline) never reads
 its forget gate or recurrent columns: both multiply the zero state. It
@@ -128,6 +139,18 @@ def _cell(
     np.multiply(o, tanh_c, out=h)
 
 
+def _sigmoid_slope(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = s * (1 - s), the slope of a sigmoid whose output is s."""
+    np.subtract(1.0, s, out=out)
+    return np.multiply(s, out, out=out)
+
+
+def _tanh_slope(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = 1 - t * t, the slope of a tanh whose output is t."""
+    np.multiply(t, t, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 @dataclass
 class LstmSequenceCache:
     # Time- and gate-major, batch last, so each gate block of a step is
@@ -147,8 +170,9 @@ def lstm_sequence(
 ) -> tuple[np.ndarray, LstmSequenceCache]:
     """Run the cell over seq (N, T, F) from a zero initial state.
 
-    Returns (N, T, H) when return_sequences is set, else (N, H) for the
-    final step only.
+    Returns (N, T, H) when return_sequences is set, a transposed view of
+    the cache's batch-last hidden states (cache.h), else a C-contiguous
+    (N, H) copy of the final step only.
     """
     params.validate()
     seq = np.asarray(seq, dtype=params.w_i.dtype)
@@ -187,18 +211,21 @@ def lstm_sequence(
         input_shape=seq.shape, return_sequences=return_sequences,
     )
     if return_sequences:
-        return np.ascontiguousarray(h_all.transpose(2, 0, 1)), seq_cache
+        return h_all.transpose(2, 0, 1), seq_cache
     return np.ascontiguousarray(h_all[-1].T), seq_cache
 
 
 def lstm_backward(
-    cache: LstmSequenceCache, params: LstmParams, grad_out: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    cache: LstmSequenceCache, params: LstmParams, grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Exact BPTT gradients for a completed lstm_sequence pass.
 
     grad_out is (N, T, H) when the forward returned sequences, else
     (N, H) against the last hidden state. Returns (param grads keyed
-    like LstmParams fields, input grads of shape (N, T, F)).
+    like LstmParams fields, input grads of shape (N, T, F)); the input
+    grads are a transposed view of a batch-last (T, F, N) array. With
+    input_grad=False they are not formed and are returned as None.
     """
     if cache.consumed:
         raise StaleCacheError("lstm cache already consumed by a backward pass")
@@ -219,6 +246,13 @@ def lstm_backward(
     w, _ = params.stacked(t_len)
     w_h_t = w[:, n_in:].T
     d_gates = np.empty_like(cache.gates)
+    # The elementwise products go through out= into dc, tmp, the carried
+    # dc_next and the gate gradient blocks, in the order of the plain
+    # expressions: dc = dh * o * (1 - tanh_c^2) + dc_next, then
+    # d_i = (dc * g) * (i * (1 - i)), d_f = (dc * c_{t-1}) * (f * (1 - f)),
+    # d_o = (dh * tanh_c) * (o * (1 - o)) and d_g = (dc * i) * (1 - g^2).
+    dc = np.empty((h, n), dtype=d_gates.dtype)
+    tmp = np.empty_like(dc)
     dh_next = dc_next = None
     for t in range(t_len - 1, -1, -1):
         if cache.return_sequences:
@@ -229,26 +263,36 @@ def lstm_backward(
             dh = dh_next if dh is None else dh + dh_next
         gates, d_gates_t = _split(cache.gates[t], h), _split(d_gates[t], h)
         i, o, g = gates[0], gates[-2], gates[-1]
+        d_i, d_o, d_g = d_gates_t[0], d_gates_t[-2], d_gates_t[-1]
         tanh_c = cache.tanh_c[t]
-        dc = dh * o * (1.0 - tanh_c * tanh_c)
+        np.multiply(dh, o, out=dc)
+        dc *= _tanh_slope(tanh_c, tmp)
         if dc_next is not None:
             dc += dc_next
-        np.multiply(dc * g, i * (1.0 - i), out=d_gates_t[0])
+        np.multiply(dc, g, out=d_i)
+        d_i *= _sigmoid_slope(i, tmp)
         if t > 0:
-            f = gates[1]
-            np.multiply(dc * cache.c[t - 1], f * (1.0 - f), out=d_gates_t[1])
+            f, d_f = gates[1], d_gates_t[1]
+            np.multiply(dc, cache.c[t - 1], out=d_f)
+            d_f *= _sigmoid_slope(f, tmp)
         elif t_len > 1:
             d_gates_t[1].fill(0.0)  # c_{-1} = 0
-        np.multiply(dh * tanh_c, o * (1.0 - o), out=d_gates_t[-2])
-        np.multiply(dc * i, 1.0 - g * g, out=d_gates_t[-1])
+        np.multiply(dh, tanh_c, out=d_o)
+        d_o *= _sigmoid_slope(o, tmp)
+        np.multiply(dc, i, out=d_g)
+        d_g *= _tanh_slope(g, tmp)
         if t > 0:
             dh_next = w_h_t @ d_gates[t]
-            dc_next = dc * f
+            if dc_next is None:
+                dc_next = np.empty_like(dc)
+            np.multiply(dc, f, out=dc_next)
 
-    # Contract over time and batch at once: one product per weight block.
-    d_wx = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2]))
+    if t_len == 1:
+        d_wx = np.dot(d_gates[0], cache.x[0].T)
+    else:
+        # Contract over time and batch at once: one product per weight block.
+        d_wx = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2]))
     d_b = d_gates.sum(axis=(0, 2))
-    dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)
     if t_len == 1:
         # c_{-1} = h_{-1} = 0: every entry outside read_entries gets a
         # zero gradient.
@@ -271,4 +315,7 @@ def lstm_backward(
             rows = slice(k * h, (k + 1) * h)
             grads[f"w_{gate}"][read[f"w_{gate}"]] = d_wx[rows]
             grads[f"b_{gate}"][read[f"b_{gate}"]] = d_b_read[rows]
-    return grads, np.ascontiguousarray(dx.transpose(2, 0, 1))
+    if not input_grad:
+        return grads, None
+    dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)
+    return grads, dx.transpose(2, 0, 1)

@@ -177,6 +177,137 @@ def per_gate_lstm_backward(steps, w, grad_out, return_sequences):
     return totals, dx_all
 
 
+def _copying_sigmoid_inplace(x):
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+
+
+def _copying_cell(a, c_prev, c, tanh_c, h):
+    hidden = c.shape[0]
+    _copying_sigmoid_inplace(a[:-hidden])
+    np.tanh(a[-hidden:], out=a[-hidden:])
+    gates = [a[k * hidden:(k + 1) * hidden] for k in range(a.shape[0] // hidden)]
+    i, o, g = gates[0], gates[-2], gates[-1]
+    np.multiply(i, g, out=c)
+    if c_prev is not None:
+        c += gates[1] * c_prev
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
+def copying_lstm_sequence(seq, params, return_sequences=False):
+    """The LSTM forward as it was before the batch-last handoff: the same
+    float32 arithmetic, with every output copied back to batch-first.
+
+    Returns the output and a cache for copying_lstm_backward. Uses only
+    the parameter layout helpers LstmParams.stacked and read_entries
+    from the library.
+    """
+    seq = np.asarray(seq, dtype=params.w_i.dtype)
+    n, t_len, n_in = seq.shape
+    hidden = params.hidden_size
+    w, b = params.stacked(t_len)
+    w_h = w[:, n_in:]
+    xs = np.ascontiguousarray(seq.transpose(1, 2, 0))
+    if t_len == 1:
+        gates = np.dot(w, xs[0])[np.newaxis]
+    else:
+        gates = np.matmul(w[:, :n_in], xs)
+    gates += b[:, np.newaxis]
+    c_all = np.empty((t_len, hidden, n), dtype=gates.dtype)
+    tanh_all = np.empty_like(c_all)
+    h_all = np.empty_like(c_all)
+    for t in range(t_len):
+        if t > 0:
+            gates[t] += w_h @ h_all[t - 1]
+        _copying_cell(gates[t], c_all[t - 1] if t > 0 else None,
+                      c_all[t], tanh_all[t], h_all[t])
+    cache = {"x": xs, "gates": gates, "c": c_all, "tanh_c": tanh_all, "h": h_all,
+             "input_shape": seq.shape, "return_sequences": return_sequences}
+    if return_sequences:
+        return np.ascontiguousarray(h_all.transpose(2, 0, 1)), cache
+    return np.ascontiguousarray(h_all[-1].T), cache
+
+
+def copying_lstm_backward(cache, params, grad_out, input_grad=True):
+    """BPTT through copying_lstm_sequence as it was before the batch-last
+    handoff: a new array for each elementwise product, tensordot for
+    every weight gradient, and the input gradient always formed (and
+    returned only when input_grad is set).
+    """
+    n, t_len, n_in = cache["input_shape"]
+    h = params.hidden_size
+    grad_out = np.asarray(grad_out, dtype=params.w_i.dtype)
+    if cache["return_sequences"]:
+        grad_h = np.ascontiguousarray(grad_out.transpose(1, 2, 0))
+    else:
+        grad_last = np.ascontiguousarray(grad_out.T)
+
+    w, _ = params.stacked(t_len)
+    w_h_t = w[:, n_in:].T
+    d_gates = np.empty_like(cache["gates"])
+    dh_next = dc_next = None
+    for t in range(t_len - 1, -1, -1):
+        if cache["return_sequences"]:
+            dh = grad_h[t]
+        else:
+            dh = grad_last if t == t_len - 1 else None
+        if dh_next is not None:
+            dh = dh_next if dh is None else dh + dh_next
+        blocks = [slice(k * h, (k + 1) * h) for k in range(d_gates.shape[1] // h)]
+        gates = [cache["gates"][t][rows] for rows in blocks]
+        d_gates_t = [d_gates[t][rows] for rows in blocks]
+        i, o, g = gates[0], gates[-2], gates[-1]
+        tanh_c = cache["tanh_c"][t]
+        dc = dh * o * (1.0 - tanh_c * tanh_c)
+        if dc_next is not None:
+            dc += dc_next
+        np.multiply(dc * g, i * (1.0 - i), out=d_gates_t[0])
+        if t > 0:
+            f = gates[1]
+            np.multiply(dc * cache["c"][t - 1], f * (1.0 - f), out=d_gates_t[1])
+        elif t_len > 1:
+            d_gates_t[1].fill(0.0)
+        np.multiply(dh * tanh_c, o * (1.0 - o), out=d_gates_t[-2])
+        np.multiply(dc * i, 1.0 - g * g, out=d_gates_t[-1])
+        if t > 0:
+            dh_next = w_h_t @ d_gates[t]
+            dc_next = dc * f
+
+    d_wx = np.tensordot(d_gates, cache["x"], axes=([0, 2], [0, 2]))
+    d_b = d_gates.sum(axis=(0, 2))
+    dx = np.matmul(w[:, :n_in].T, d_gates)
+    if t_len == 1:
+        d_w = np.zeros((4 * h, n_in + h), dtype=d_wx.dtype)
+        d_b_read, d_b = d_b, np.zeros(4 * h, dtype=d_b.dtype)
+    else:
+        d_w = np.empty_like(w)
+        d_w[:, :n_in] = d_wx
+        d_w[:, n_in:] = np.tensordot(d_gates[1:], cache["h"][:-1], axes=([0, 2], [0, 2]))
+
+    grads = {}
+    for k, gate in enumerate("ifog"):
+        grads[f"w_{gate}"] = d_w[k * h:(k + 1) * h]
+        grads[f"b_{gate}"] = d_b[k * h:(k + 1) * h]
+    if t_len == 1:
+        read = params.read_entries(t_len, n_in)
+        for k, gate in enumerate(gate for gate in "ifog" if f"b_{gate}" in read):
+            rows = slice(k * h, (k + 1) * h)
+            grads[f"w_{gate}"][read[f"w_{gate}"]] = d_wx[rows]
+            grads[f"b_{gate}"][read[f"b_{gate}"]] = d_b_read[rows]
+    return grads, (np.ascontiguousarray(dx.transpose(2, 0, 1)) if input_grad else None)
+
+
+def reduce_max_softmax(logits):
+    """Softmax over the last axis, shifted by the max reduction."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def per_row_model_gradients(forward, backward, spec, params, batch, grad_logits):
     """Probabilities and parameter gradients of a batch, one row at a time.
 

@@ -4,6 +4,7 @@ PAIRS pairs of runs as long as BENCHMARK.json's run_seconds."""
 
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import PAIRS, SIDES, summarize  # noqa: E402
+from bench_pairs import PAIRS, SIDES, STDERR_TAIL_LINES, run_once, summarize  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -71,3 +72,18 @@ def test_pair_wins_follow_each_metric_direction():
     assert not summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
     runs["parent"][0]["failed"] = 1
     assert summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+
+
+def test_failed_run_reports_side_workload_seed_and_stderr_tail(tmp_path, capsys):
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text("import sys\n"
+                      "for k in range(40):\n"
+                      "    print(f'trace line {k}', file=sys.stderr)\n"
+                      "sys.exit(3)\n", encoding="utf-8")
+    with pytest.raises(subprocess.CalledProcessError):
+        run_once("change", tmp_path, "train-hybrid", 907, 0.1)
+    err = capsys.readouterr().err
+    assert "side change workload train-hybrid seed 907 exit 3" in err
+    assert f"trace line {40 - STDERR_TAIL_LINES}" in err and "trace line 39" in err
+    assert f"trace line {39 - STDERR_TAIL_LINES}\n" not in err

@@ -27,13 +27,16 @@ from veclstm.models import (
     trained_entries,
 )
 from veclstm.models import _backward_rows, _forward_rows
-from veclstm.neuralnet import softmax, softmax_cross_entropy
+from veclstm.neuralnet import lstm_backward, softmax, softmax_cross_entropy
 from veclstm.trainer import AdamState, TrainConfig, compute_params, predict, run_epochs
 
 from _oracles import (
     central_difference_grads,
+    copying_lstm_backward,
+    copying_lstm_sequence,
     first_occurrence_rows,
     per_row_model_gradients,
+    reduce_max_softmax,
     relative_error,
 )
 
@@ -474,3 +477,70 @@ class TestCellIndexInput:
         params = init_model_params(spec, seed=45)
         with pytest.raises(error):
             model_forward(spec, params, (np.zeros((3, 1, 1)), cells))
+
+
+class TestCopyFreeStep:
+    """The LSTM layers hand activations and gradients over batch-last,
+    without a copy, and the float32 step is bit-identical to the kernels
+    that copied them (tests/_oracles.py)."""
+
+    SPECS = {
+        "veclstm": lambda: build_veclstm(1),
+        "lstm_t3": lambda: ModelSpec(architecture=LSTM_BASELINE, n_features=2, timesteps=3),
+        "hybrid_cells": lambda: build_hybrid(1),
+        "relu_t3": lambda: ModelSpec(architecture=LSTM_BASELINE, n_features=2, timesteps=3,
+                                     lstm_output_activation="relu"),
+    }
+
+    @staticmethod
+    def batch(spec, n, seed):
+        rng = np.random.default_rng(seed)
+        meta = rng.normal(size=(n, spec.timesteps, spec.n_features))
+        if spec.has_grid_branch:
+            return (meta, rng.integers(0, spec.grid_size ** 2, n))
+        return meta
+
+    def step(self, spec, params, batch, seed):
+        probs, cache = model_forward(spec, params, batch, with_cache=True)
+        d_logits = np.random.default_rng(seed).normal(size=probs.shape) / len(probs)
+        return probs, cache, model_backward(spec, params, cache, d_logits)
+
+    @pytest.mark.parametrize("n", [512, 37])
+    @pytest.mark.parametrize("case", SPECS)
+    def test_bit_identical_to_copying_kernels(self, monkeypatch, case, n):
+        spec = self.SPECS[case]()
+        params = compute_params(init_model_params(spec, seed=51))
+        batch = self.batch(spec, n, seed=52)
+        probs, _, grads = self.step(spec, params, batch, seed=53)
+        monkeypatch.setattr(models, "lstm_sequence", copying_lstm_sequence)
+        monkeypatch.setattr(models, "lstm_backward", copying_lstm_backward)
+        monkeypatch.setattr(models, "softmax", reduce_max_softmax)
+        want_probs, _, want_grads = self.step(spec, params, batch, seed=53)
+        assert np.array_equal(probs, want_probs)
+        assert set(grads) == set(want_grads) == set(params)
+        for key in params:
+            assert grads[key].dtype == np.float32, key
+            assert np.array_equal(grads[key], want_grads[key]), key
+
+    @pytest.mark.parametrize("case", ["veclstm", "lstm_t3"])
+    def test_lstm_handoff_copies_nothing(self, monkeypatch, case):
+        spec = self.SPECS[case]()
+        params = compute_params(init_model_params(spec, seed=54))
+        upstream = []
+
+        def recording_backward(cache, params, grad_out, **kwargs):
+            grads, dx = lstm_backward(cache, params, grad_out, **kwargs)
+            upstream.append((grad_out, dx))
+            return grads, dx
+
+        monkeypatch.setattr(models, "lstm_backward", recording_backward)
+        _, cache, _ = self.step(spec, params, self.batch(spec, 64, seed=55), seed=56)
+        iv = cache.internals
+        # lstm2 reads lstm1's batch-last hidden states as its input
+        assert np.shares_memory(iv["cache2"].x, iv["cache1"].h)
+        # lstm1's upstream gradient is lstm2's input gradient, and it is
+        # batch-last contiguous, so lstm1's backward does not copy it
+        (_, d_e1), (d_h1, dx1) = upstream
+        assert np.shares_memory(d_h1, d_e1)
+        assert d_h1.transpose(1, 2, 0).flags.c_contiguous
+        assert dx1 is None

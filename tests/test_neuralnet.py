@@ -39,6 +39,7 @@ from _oracles import (
     central_difference_grads,
     einsum_conv1d,
     einsum_conv1d_backward,
+    reduce_max_softmax,
     relative_error,
 )
 
@@ -132,6 +133,16 @@ class TestSoftmaxCrossEntropy:
         probs = softmax(np.array(logits))
         assert np.all(probs > 0)
         assert abs(probs.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(7,), (1,), (5, 1), (0, 7), (512, 7), (37, 7), (2, 3, 4)])
+    def test_bit_identical_to_the_max_reduction(self, shape):
+        rng = np.random.default_rng(8)
+        logits = rng.normal(scale=3.0, size=shape)
+        # ties between 0.0 and -0.0, some of them a row's max
+        logits.reshape(-1)[::3] = 0.0
+        logits.reshape(-1)[1::5] = -0.0
+        for x in (logits, logits.astype(np.float32)):
+            assert np.array_equal(softmax(x), reduce_max_softmax(x))
 
 
 class TestConv1d:

@@ -31,14 +31,25 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10
+STDERR_TAIL_LINES = 20
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its environment line and its result line."""
+def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run: its environment line and its result line.
+
+    A run that exits non-zero is reported on stderr, with its side,
+    workload, seed and the tail of its own stderr, before
+    CalledProcessError is raised.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        print(f"run failed: side {side} workload {workload} seed {seed}"
+              f" exit {proc.returncode}\n{tail}", file=sys.stderr, flush=True)
+        proc.check_returncode()
     env_line, result_line = proc.stdout.strip().splitlines()[-2:]
     result = json.loads(result_line)
     return {
@@ -100,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                record = run_once(checkouts[side], workload, args.first_seed + i, seconds)
+                record = run_once(side, checkouts[side], workload, args.first_seed + i,
+                                  seconds)
                 runs[workload][side].append(record)
                 print(f"pair {i} {workload} {side}: step_ms_p50"
                       f" {record['metrics']['step_ms_p50']:.3f} failed {record['failed']}",
