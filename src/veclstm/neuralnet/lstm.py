@@ -171,7 +171,8 @@ def lstm_sequence(
     """Run the cell over seq (N, T, F) from a zero initial state.
 
     Returns (N, T, H) when return_sequences is set, a transposed view of
-    the cache's batch-last hidden states (cache.h), else a C-contiguous
+    the cache's batch-last hidden states (cache.h), which the backward
+    pass reads and the caller must not write to; else a C-contiguous
     (N, H) copy of the final step only.
     """
     params.validate()
