@@ -9,7 +9,7 @@ curves with trapezoidal AUC, and the micro-average ROC over all
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -162,17 +162,8 @@ class MetricsBundle:
     roc_curves: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "confusion": self.confusion,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mse": self.mse,
-            "per_class_auc": self.per_class_auc,
-            "micro_auc": self.micro_auc,
-            "regression_basis": self.regression_basis,
-        }
+        """Every field but roc_curves, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "roc_curves"}
 
 
 def evaluate_classifier(

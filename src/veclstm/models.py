@@ -14,8 +14,11 @@ checkpoint code can stay generic. The forward and backward passes
 compute in the dtype of the dict they are given: the trainer keeps
 float64 master weights and passes a float32 copy. Features and
 heatmaps enter as float64, cell indices as int64, and each layer casts
-its input; probabilities come out float64. Row deduplication groups
-rows exactly by their bytes, in first-occurrence order.
+its input; probabilities come out float64. model_forward is the one
+place that merges a batch's repeated rows, grouping rows exactly by
+their bytes in first-occurrence order, and that slices it: a training
+batch runs as one slice, a whole split given for prediction in slices
+of FORWARD_SLICE_ROWS.
 """
 
 from __future__ import annotations
@@ -293,11 +296,11 @@ def _emit(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     return h
 
 
-# A batch is deduplicated only when at least this share of its rows
-# repeats. The gathers and the scatter-add cost about 1% of a step, so
-# below this share the saving is lost in step-to-step noise, and the
-# plain path keeps such batches bit-identical to a model that never
-# deduplicates.
+# A batch's repeated rows are merged only when at least this share of
+# its rows repeats. The gathers and the scatter-add cost about 1% of a
+# step, so below this share the saving is lost in step-to-step noise,
+# and the plain path keeps such batches bit-identical to a model that
+# never merges rows.
 MIN_REPEAT_SHARE = 0.05
 
 
@@ -337,9 +340,18 @@ def distinct_rows(
     return first[by_first], inverse
 
 
+# Rows per _forward_rows call when model_forward keeps no cache. One
+# slice's buffers (~1.2 MB in float32 at 512 rows) stay in the
+# allocator's free lists between slices and calls. A slice of several MB
+# may be handed back to the OS after each call, depending on what earlier
+# work left in the heap, and page-faulted in again on the next: at 4,096
+# rows that cost ~10 of ~38 ms per call on a 4,800-row split, in some
+# runs and not others.
+FORWARD_SLICE_ROWS = 512
+
+
 def model_forward(
-    spec: ModelSpec, params: dict[str, np.ndarray], batch,
-    with_cache: bool = False, deduplicate: bool = True,
+    spec: ModelSpec, params: dict[str, np.ndarray], batch, with_cache: bool = False,
 ):
     """Class probabilities for a batch; optionally return the backward cache.
 
@@ -352,22 +364,30 @@ def model_forward(
     order they first occur (distinct_rows): the model starts every row
     from a zero state, so equal rows give equal activations. Logits and
     probabilities are expanded back to N rows, so each sample keeps its
-    own entry. A caller whose rows are distinct already passes
-    deduplicate=False, and every row runs as it is.
+    own entry. With a cache, the distinct rows run as one slice; without
+    one, as slices of FORWARD_SLICE_ROWS, of which only the probabilities
+    are kept, so a whole split can be given at once.
     """
     meta, grid = normalize_batch(spec, batch)
-    distinct = distinct_rows(meta, grid) if deduplicate else None
+    distinct = distinct_rows(meta, grid)
     if distinct is not None:
         first, inverse = distinct
         meta = meta[first]
         grid = None if grid is None else grid[first]
+    if not with_cache:
+        # One slice also for zero rows, so that the output keeps its width.
+        slices = [slice(lo, lo + FORWARD_SLICE_ROWS)
+                  for lo in range(0, max(meta.shape[0], 1), FORWARD_SLICE_ROWS)]
+        probs = np.concatenate([
+            softmax(_forward_rows(spec, params, meta[rows],
+                                  None if grid is None else grid[rows])[0])
+            for rows in slices])
+        return probs if distinct is None else probs[inverse]
     logits, internals = _forward_rows(spec, params, meta, grid)
     probs = softmax(logits)
     if distinct is not None:
         logits, probs = logits[inverse], probs[inverse]
         internals["inverse"] = inverse
-    if not with_cache:
-        return probs
     return probs, ForwardCache(logits=logits, probs=probs, internals=internals)
 
 
@@ -405,7 +425,7 @@ def _forward_rows(
         pre_conv = conv1d_forward(grid, conv)
         act_conv = np.maximum(pre_conv, 0.0)
         pooled, argmax = maxpool1d_forward(act_conv, spec.pool_size)
-        flat = pooled.reshape(pooled.shape[0], -1)
+        flat = pooled.reshape(pooled.shape[0], spec.grid_features)
         fused_in = np.concatenate([e2, flat], axis=1)
         fusion = DenseParams(params["fusion.w"], params["fusion.b"])
         pre_fusion = dense_forward(fused_in, fusion)
@@ -431,8 +451,8 @@ def model_backward(
 ) -> dict[str, np.ndarray]:
     """Gradients for every parameter block given d(loss)/d(logits).
 
-    For a deduplicated batch the N rows of grad_logits are first summed
-    onto the distinct row each one repeats.
+    For a batch whose repeated rows were merged, the N rows of
+    grad_logits are first summed onto the distinct row each one repeats.
     """
     iv = cache.internals
     inverse = iv.get("inverse")

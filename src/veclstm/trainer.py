@@ -12,10 +12,11 @@ on; `veclstm bench` and the acceptance tests both run it.
 Precision follows Micikevicius et al. 2018 ("Mixed Precision Training"):
 the parameters and Adam's moments stay float64 master weights, while
 training and each predict call run the model on a float32 copy of them.
-Softmax, the loss and the metrics stay float64. Training keeps one
-float32 copy for the whole run. Adam updates, in place, only the
-entries the model reads (models.trained_entries), held as flat vectors,
-and then rewrites those entries of the float32 copy.
+predict hands model_forward the whole split, which groups and slices
+its rows. Softmax, the loss and the metrics stay float64. Training
+keeps one float32 copy for the whole run. Adam updates, in place, only
+the entries the model reads (models.trained_entries), held as flat
+vectors, and then rewrites those entries of the float32 copy.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ from .models import (
     ModelSpec,
     build_lstm_stack,
     build_veclstm,
-    distinct_rows,
     init_model_params,
     model_backward,
     model_forward,
-    normalize_batch,
     trained_entries,
 )
 from .neuralnet import softmax_cross_entropy
@@ -97,12 +96,6 @@ def _take(x, idx):
     if isinstance(x, (tuple, list)):
         return tuple(part[idx] for part in x)
     return x[idx]
-
-
-def _length(x) -> int:
-    if isinstance(x, (tuple, list)):
-        return len(x[0])
-    return len(x)
 
 
 def train_test_split(x: np.ndarray, y, test_fraction: float, seed: int):
@@ -302,16 +295,7 @@ class TrainReport:
     train_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "initial_loss": self.initial_loss,
-            "initial_accuracy": self.initial_accuracy,
-            "epoch_losses": self.epoch_losses,
-            "epoch_accuracies": self.epoch_accuracies,
-            "val_accuracy": self.val_accuracy,
-            "train_seconds": self.train_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -319,46 +303,20 @@ def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {key: p.astype(np.float32) for key, p in params.items()}
 
 
-# Rows per model_forward call in predict. One batch's buffers (~1.2 MB
-# in float32 at 512 rows) stay in the allocator's free lists between
-# batches and calls. A batch of several MB may be handed back to the OS
-# after each call, depending on what earlier work left in the heap, and
-# page-faulted in again on the next: at 4,096 rows that cost ~10 of
-# ~38 ms per call on a 4,800-row split, in some runs and not others.
-PREDICT_BATCH_ROWS = 512
+def predict(spec: ModelSpec, params: dict, x) -> np.ndarray:
+    """Probabilities over a dataset, on the float32 copy of params.
 
-
-def predict(spec: ModelSpec, params: dict, x,
-            batch_size: int = PREDICT_BATCH_ROWS) -> np.ndarray:
-    """Probabilities over a dataset, evaluated in batches.
-
-    When enough rows repeat (models.MIN_REPEAT_SHARE), each distinct
-    row is evaluated once over the whole dataset, so equal rows get
-    bit-identical probabilities whichever batch they would fall in.
-    The model runs on the float32 copy of params, made once per call.
-    Zero rows give a (0, n_classes) array.
+    model_forward groups the rows of the whole dataset, so equal rows
+    get bit-identical probabilities, and runs the distinct rows in
+    slices. Zero rows give a (0, n_classes) array.
     """
-    meta, grid = normalize_batch(spec, x)
-    if meta.shape[0] == 0:
-        return np.zeros((0, spec.n_classes))
-    params = compute_params(params)
-    distinct = distinct_rows(meta, grid)
-    if distinct is not None:
-        meta = meta[distinct[0]]
-        grid = None if grid is None else grid[distinct[0]]
-    parts = []
-    for lo in range(0, meta.shape[0], batch_size):
-        rows = slice(lo, lo + batch_size)
-        batch = meta[rows] if grid is None else (meta[rows], grid[rows])
-        parts.append(model_forward(spec, params, batch, deduplicate=False))
-    probs = np.concatenate(parts, axis=0)
-    return probs if distinct is None else probs[distinct[1]]
+    return model_forward(spec, compute_params(params), x)
 
 
-def evaluate_loss(spec: ModelSpec, params: dict, x, y_onehot: np.ndarray,
-                  batch_size: int = PREDICT_BATCH_ROWS) -> tuple[float, float]:
+def evaluate_loss(spec: ModelSpec, params: dict, x,
+                  y_onehot: np.ndarray) -> tuple[float, float]:
     """(mean loss, accuracy) without updating anything."""
-    probs = predict(spec, params, x, batch_size)
+    probs = predict(spec, params, x)
     if probs.shape[0] == 0:
         raise EmptyInput("cannot evaluate the loss over no rows")
     if probs.shape[0] != len(y_onehot):
@@ -434,7 +392,7 @@ def train_model(
         spec, params, lambda idx: _take(data.x_train, idx), data.y_train, config
     )
     val_accuracy = None
-    if data.x_val is not None and _length(data.x_val) > 0:
+    if data.y_val is not None and len(data.y_val) > 0:
         _, val_accuracy = evaluate_loss(spec, params, data.x_val, data.y_val)
     report = TrainReport(
         epochs=config.epochs,
@@ -456,7 +414,7 @@ class BenchmarkReport:
     """Timing comparison of the two feature-supply pipelines.
 
     features (every row's scaled feature, (N, 1, 1)) and the two trained
-    parameter dicts are kept for scoring; to_dict leaves them out.
+    parameter dicts are kept for scoring.
     """
 
     t_novec: float
@@ -471,19 +429,6 @@ class BenchmarkReport:
     features: np.ndarray = field(repr=False)
     params_novec: dict[str, np.ndarray] = field(repr=False)
     params_vec: dict[str, np.ndarray] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_novec": self.t_novec,
-            "t_vec": self.t_vec,
-            "t_vectorization": self.t_vectorization,
-            "reduction_pct": self.reduction_pct,
-            "final_loss_novec": self.final_loss_novec,
-            "final_loss_vec": self.final_loss_vec,
-            "n_samples": self.n_samples,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
 
 
 def benchmark_pipelines(

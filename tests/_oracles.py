@@ -428,6 +428,36 @@ def first_occurrence_rows(*parts):
     return np.array(list(first.values())), np.array([rank[key] for key in keys])
 
 
+# --- predict that slices the split itself --------------------------------
+# predict as it was before model_forward took over the slicing: it
+# grouped the whole split's rows, then ran the distinct rows 512 at a
+# time through model_forward without grouping them again, which is the
+# layers and then one softmax per slice. predict must return the same
+# bits.
+
+def sliced_predict(spec, params, x, batch_size=512):
+    from veclstm.models import _forward_rows, distinct_rows, normalize_batch
+    from veclstm.neuralnet import softmax
+    from veclstm.trainer import compute_params
+
+    meta, grid = normalize_batch(spec, x)
+    if meta.shape[0] == 0:
+        return np.zeros((0, spec.n_classes))
+    params = compute_params(params)
+    distinct = distinct_rows(meta, grid)
+    if distinct is not None:
+        meta = meta[distinct[0]]
+        grid = None if grid is None else grid[distinct[0]]
+    parts = []
+    for lo in range(0, meta.shape[0], batch_size):
+        rows = slice(lo, lo + batch_size)
+        logits, _ = _forward_rows(spec, params, meta[rows],
+                                  None if grid is None else grid[rows])
+        parts.append(softmax(logits))
+    probs = np.concatenate(parts, axis=0)
+    return probs if distinct is None else probs[distinct[1]]
+
+
 # --- row-by-row readers and writer --------------------------------------
 # The ingest readers as they were before the dataset became columnar:
 # one row at a time, raising at the first bad row. The columnar readers

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
 from veclstm import models
 from veclstm.errors import ConfigError, OutOfRange, ShapeMismatch
 from veclstm.models import (
@@ -38,6 +40,7 @@ from _oracles import (
     per_row_model_gradients,
     reduce_max_softmax,
     relative_error,
+    sliced_predict,
 )
 
 
@@ -337,7 +340,7 @@ class TestDeduplication:
             assert _max_relative(grads[key], ref_grads[key]) < 1e-12, key
 
     @pytest.mark.parametrize("batch_size", [3, 4096])
-    def test_predict_gives_equal_rows_equal_probabilities(self, batch_size):
+    def test_predict_gives_equal_rows_equal_probabilities(self, monkeypatch, batch_size):
         # At full width, a row's BLAS rounding depends on where it sits in
         # a batch; each distinct row must still be computed only once.
         _, (meta, small_grids) = self.batch("hybrid")
@@ -345,11 +348,12 @@ class TestDeduplication:
         cells = np.argmax(small_grids.reshape(len(meta), -1), axis=1)
         batch = (meta, _one_hot_grids(cells, spec.grid_size))
         params = init_model_params(spec, seed=5)
-        probs = predict(spec, params, batch, batch_size=batch_size)
-        first, inverse = distinct_rows(*normalize_batch(spec, batch))
-        assert np.array_equal(probs, probs[first][inverse])
         # predict runs the model on the float32 copy of the parameters.
         reference = model_forward(spec, compute_params(params), batch)
+        monkeypatch.setattr(models, "FORWARD_SLICE_ROWS", batch_size)
+        probs = predict(spec, params, batch)
+        first, inverse = distinct_rows(*normalize_batch(spec, batch))
+        assert np.array_equal(probs, probs[first][inverse])
         assert _max_relative(probs, reference) < 1e-12
 
     def test_batch_without_enough_repeats_takes_plain_path(self):
@@ -426,6 +430,69 @@ class TestDeduplication:
         _, cache = model_forward(spec, params, batch, with_cache=True)
         with pytest.raises(ShapeMismatch):
             model_backward(spec, params, cache, np.zeros((4, 7)))
+
+
+def _split(kind, n, repeat_share, seed):
+    """(spec, x) of n random rows, the last round(repeat_share * n) of
+    which repeat earlier rows byte for byte."""
+    rng = np.random.default_rng(seed)
+    n_repeats = round(repeat_share * n)
+    source = np.arange(n)
+    source[n - n_repeats:] = rng.integers(0, max(n - n_repeats, 1), n_repeats)
+    meta = rng.normal(size=(n, 1, 1))[source]
+    if kind == "lstm":
+        return build_lstm_stack(1), meta
+    if kind == "veclstm":
+        return build_veclstm(1), meta
+    if kind == "hybrid_cells":
+        return build_hybrid(1), (meta, rng.integers(0, 100, n)[source])
+    return build_hybrid(1), (meta, rng.random((n, 10, 10))[source])
+
+
+class TestWholeSplitForward:
+    """model_forward alone groups and slices the rows predict gives it."""
+
+    @pytest.mark.parametrize("repeat_share", [0.02, 0.5])
+    @pytest.mark.parametrize("n", [0, 37, 512, 513, 1500])
+    @pytest.mark.parametrize("kind", ["veclstm", "hybrid_cells", "hybrid_heatmaps"])
+    def test_predict_matches_the_sliced_oracle(self, kind, n, repeat_share):
+        assert 0.02 < MIN_REPEAT_SHARE < 0.5
+        spec, x = _split(kind, n, repeat_share, seed=n)
+        params = init_model_params(spec, seed=9)
+        probs = predict(spec, params, x)
+        assert probs.dtype == np.float64 and probs.shape == (n, 7)
+        assert np.array_equal(probs, sliced_predict(spec, params, x))
+
+    @pytest.mark.parametrize("kind", ["lstm", "veclstm", "hybrid_cells", "hybrid_heatmaps"])
+    def test_zero_rows_give_zero_probability_rows(self, kind):
+        spec, x = _split(kind, 0, 0.0, seed=0)
+        params = init_model_params(spec, seed=9)
+        work = compute_params(params)
+        probs, cache = model_forward(spec, work, x, with_cache=True)
+        for out in (probs, cache.logits, model_forward(spec, work, x), predict(spec, params, x)):
+            assert out.shape == (0, 7)
+        assert probs.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["veclstm", "hybrid_cells"])
+    def test_predict_keeps_one_slice_alive_at_a_time(self, kind):
+        # A whole split costs little more memory than one slice: only each
+        # slice's logits outlive it, not its layer internals.
+        spec, x = _split(kind, 20_000, 0.0, seed=1)
+        params = init_model_params(spec, seed=9)
+        work = compute_params(params)
+        one_slice = x[:512] if kind == "veclstm" else (x[0][:512], x[1][:512])
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        slice_peak = peak_bytes(lambda: model_forward(spec, work, one_slice))
+        split_peak = peak_bytes(lambda: predict(spec, params, x))
+        assert split_peak < 3 * slice_peak, (split_peak, slice_peak)
 
 
 class TestCellIndexInput:

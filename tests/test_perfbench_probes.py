@@ -102,6 +102,19 @@ def test_traced_tiny_run_names_every_split_span(tmp_path):
         assert per_layer[name] > 0, name
 
 
+def test_traced_tiny_lstm_run_names_every_span(tmp_path):
+    # The LSTM path feeds the model a plain feature array, not a tuple:
+    # the repeated-row count and the block names must read it too.
+    workload = Workload("tiny", TINY_TREE, "normalized_speed", "veclstm", epochs=1,
+                        insert_batches=2, step_loop="blas")
+    run = Run(workload, seed=1, seconds=0, trace=True, work=tmp_path)
+    run.run()
+    assert run.ledger.failed == 0, run.ledger.failures
+    assert run.untraced == set()
+    assert not any("unknown" in span.name for span in run.tracer.spans)
+    assert set(run.per_layer()) == {m.name for m in PER_LAYER}
+
+
 def test_ingest_counts_the_points_it_drops(tmp_path):
     expected = write_geolife_tree(tmp_path, 5, TINY_TREE)
     result = ingest.ingest_geolife(tmp_path, strict=True)

@@ -13,7 +13,7 @@ from veclstm.errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from veclstm import trainer
+from veclstm import models, trainer
 from veclstm.models import (
     build_hybrid,
     build_lstm_stack,
@@ -414,9 +414,10 @@ class TestPrecision:
             {k: (np.dtype(np.float64), p.shape) for k, p in params.items()}
 
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
-    def test_predict_returns_float64_rows_summing_to_one(self, arch):
+    def test_predict_returns_float64_rows_summing_to_one(self, monkeypatch, arch):
         spec, x, _ = self.batch(arch, n=300, seed=2)
-        probs = predict(spec, init_model_params(spec, seed=3), x, batch_size=128)
+        monkeypatch.setattr(models, "FORWARD_SLICE_ROWS", 128)
+        probs = predict(spec, init_model_params(spec, seed=3), x)
         assert probs.dtype == np.float64 and probs.shape == (300, 7)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
@@ -446,12 +447,9 @@ class TestBenchmark:
         lat, lon, alt, labels = self.make_columns()
         config = TrainConfig(epochs=2, batch_size=128, seed=6)
         report = benchmark_pipelines(lat, lon, alt, labels, config)
-        doc = report.to_dict()
-        for key in ("t_novec", "t_vec", "t_vectorization", "reduction_pct"):
-            assert key in doc
-        assert doc["t_novec"] >= 0 and doc["t_vec"] >= 0
-        assert doc["reduction_pct"] == pytest.approx(
-            100.0 * (doc["t_novec"] - doc["t_vec"]) / doc["t_novec"], abs=1e-9)
+        assert report.t_novec >= 0 and report.t_vec >= 0 and report.t_vectorization >= 0
+        assert report.reduction_pct == pytest.approx(
+            100.0 * (report.t_novec - report.t_vec) / report.t_novec, abs=1e-9)
 
     @pytest.mark.parametrize("value_mode", ["count", "density"])
     def test_pipelines_learn_the_same_thing(self, value_mode):
