@@ -1,13 +1,12 @@
 """Architecture assembly, parameter counting, whole-model gradients."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import tracemalloc
 
 from veclstm import models
 from veclstm.errors import ConfigError, OutOfRange, ShapeMismatch
@@ -476,7 +475,7 @@ class TestWholeSplitForward:
     @pytest.mark.parametrize("kind", ["veclstm", "hybrid_cells"])
     def test_predict_keeps_one_slice_alive_at_a_time(self, kind):
         # A whole split costs little more memory than one slice: only each
-        # slice's logits outlive it, not its layer internals.
+        # slice's probabilities outlive it, not its layer internals.
         spec, x = _split(kind, 20_000, 0.0, seed=1)
         params = init_model_params(spec, seed=9)
         work = compute_params(params)
