@@ -17,8 +17,9 @@ heatmaps enter as float64, cell indices as int64, and each layer casts
 its input; probabilities come out float64. model_forward is the one
 place that merges a batch's repeated rows, grouping rows exactly by
 their bytes in first-occurrence order, and that slices it: a training
-batch runs as one slice, a whole split given for prediction in slices
-of FORWARD_SLICE_ROWS.
+batch runs as one slice and ends at the logits, whose softmax the loss
+takes; a whole split given for prediction runs in slices of
+FORWARD_SLICE_ROWS and comes back as probabilities.
 """
 
 from __future__ import annotations
@@ -235,7 +236,6 @@ def _lstm_view(params: dict[str, np.ndarray], prefix: str) -> LstmParams:
 @dataclass
 class ForwardCache:
     logits: np.ndarray
-    probs: np.ndarray
     internals: dict[str, Any] = field(repr=False, default_factory=dict)
 
 
@@ -353,7 +353,7 @@ FORWARD_SLICE_ROWS = 512
 def model_forward(
     spec: ModelSpec, params: dict[str, np.ndarray], batch, with_cache: bool = False,
 ):
-    """Class probabilities for a batch; optionally return the backward cache.
+    """Class probabilities for a batch, or its logits and backward cache.
 
     batch is (N, timesteps, features) for the LSTM architectures and a
     (features, grid input) pair for the hybrid, the grid input being
@@ -362,11 +362,13 @@ def model_forward(
 
     Rows that repeat byte for byte run through the layers once, in the
     order they first occur (distinct_rows): the model starts every row
-    from a zero state, so equal rows give equal activations. Logits and
-    probabilities are expanded back to N rows, so each sample keeps its
-    own entry. With a cache, the distinct rows run as one slice; without
-    one, as slices of FORWARD_SLICE_ROWS, of which only the probabilities
-    are kept, so a whole split can be given at once.
+    from a zero state, so equal rows give equal activations. The output
+    is expanded back to N rows, so each sample keeps its own entry.
+    Without a cache, the distinct rows run as slices of
+    FORWARD_SLICE_ROWS, of which only the float64 probabilities are
+    kept, so a whole split can be given at once. With a cache (training),
+    they run as one slice and the call returns (cache.logits, cache):
+    the logits in the parameters' dtype, for softmax_cross_entropy.
     """
     meta, grid = normalize_batch(spec, batch)
     distinct = distinct_rows(meta, grid)
@@ -384,11 +386,10 @@ def model_forward(
             for rows in slices])
         return probs if distinct is None else probs[inverse]
     logits, internals = _forward_rows(spec, params, meta, grid)
-    probs = softmax(logits)
     if distinct is not None:
-        logits, probs = logits[inverse], probs[inverse]
+        logits = logits[inverse]
         internals["inverse"] = inverse
-    return probs, ForwardCache(logits=logits, probs=probs, internals=internals)
+    return logits, ForwardCache(logits=logits, internals=internals)
 
 
 @contextmanager
@@ -416,7 +417,7 @@ def _forward_rows(
     with _named_block("lstm2"):
         h2, cache2 = lstm_sequence(e1_seq, lstm2, return_sequences=False)
     e2 = _emit(spec, h2)
-    internals.update(h1_seq=h1_seq, cache1=cache1, h2=h2, cache2=cache2, e2=e2)
+    internals.update(h1_seq=h1_seq, cache1=cache1, h2=h2, cache2=cache2)
 
     if spec.has_grid_branch:
         conv = Conv1dParams(params["conv.kernels"], params["conv.biases"])

@@ -39,11 +39,9 @@ def _columns(x: np.ndarray, width: int) -> np.ndarray:
 def conv1d_forward(x: np.ndarray, params: Conv1dParams) -> np.ndarray:
     """x: (N, L, C_in) -> (N, L-k+1, K). No kernel flip, stride 1."""
     x = np.asarray(x, dtype=params.kernels.dtype)
-    if x.ndim == 2:  # single sample (L, C_in)
-        x = x[np.newaxis]
     k_filters, c_in, width = params.kernels.shape
-    if x.shape[2] != c_in:
-        raise ShapeMismatch(f"input channels {x.shape[2]} != kernel channels {c_in}")
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ShapeMismatch(f"conv1d input must be (N, L, {c_in}), got {x.shape}")
     if x.shape[1] < width:
         raise InputTooShort(f"input length {x.shape[1]} < kernel width {width}")
     out = _columns(x, width) @ params.kernels.reshape(k_filters, c_in * width).T
@@ -60,8 +58,8 @@ def conv1d_backward(
     With input_grad=False, d_input is not formed and is returned as None.
     """
     x = np.asarray(x, dtype=params.kernels.dtype)
-    if x.ndim == 2:
-        x = x[np.newaxis]
+    if x.ndim != 3:
+        raise ShapeMismatch(f"conv1d input must be (N, L, C_in), got {x.shape}")
     grad_out = np.asarray(grad_out, dtype=params.kernels.dtype)
     k_filters, c_in, width = params.kernels.shape
     n, length, _ = x.shape

@@ -16,28 +16,19 @@ class DenseParams:
 
 
 def dense_forward(x: np.ndarray, params: DenseParams) -> np.ndarray:
-    """x: (N, in) or (in,). Returns matching (N, out) or (out,)."""
+    """x: (N, in). Returns (N, out)."""
     x = np.asarray(x, dtype=params.w.dtype)
-    if x.shape[-1] != params.w.shape[1]:
-        raise ShapeMismatch(
-            f"dense input width {x.shape[-1]} != weight width {params.w.shape[1]}"
-        )
+    if x.ndim != 2 or x.shape[1] != params.w.shape[1]:
+        raise ShapeMismatch(f"dense input must be (N, {params.w.shape[1]}), got {x.shape}")
     return x @ params.w.T + params.b
 
 
 def dense_backward(
     x: np.ndarray, params: DenseParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dW, db, dx) of sum(grad_out * forward(x))."""
+    """Gradients (dW, db, dx) of sum(grad_out * forward(x)) for an (N, in) x."""
     x = np.asarray(x, dtype=params.w.dtype)
     grad_out = np.asarray(grad_out, dtype=params.w.dtype)
-    if grad_out.shape != x.shape[:-1] + (params.w.shape[0],):
-        raise ShapeMismatch("dense upstream gradient shape mismatch")
-    if x.ndim == 1:
-        dw = np.outer(grad_out, x)
-        db = grad_out.copy()
-    else:
-        dw = grad_out.T @ x
-        db = grad_out.sum(axis=0)
-    dx = grad_out @ params.w
-    return dw, db, dx
+    if x.ndim != 2 or grad_out.shape != (x.shape[0], params.w.shape[0]):
+        raise ShapeMismatch("dense input must be (N, in) and its upstream gradient (N, out)")
+    return grad_out.T @ x, grad_out.sum(axis=0), grad_out @ params.w

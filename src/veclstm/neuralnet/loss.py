@@ -26,30 +26,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(
     logits: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Return (probs, loss, grad wrt logits) for one-hot targets.
+    """Return (probs, loss, grad wrt logits) for a batch of one-hot targets.
 
-    For a single logit vector the loss is -log p_true and the gradient
-    is ``probs - target``. For a (N, C) batch the loss is the mean over
-    rows and the gradient is ``(probs - targets) / N`` so that it is the
-    exact gradient of the returned scalar.
+    logits and targets are (N, C). The loss is the mean of -log p_true
+    over the rows and the gradient is ``(probs - targets) / N``, the
+    exact gradient of the returned scalar. This is the one softmax of a
+    training step: the probabilities it returns are the ones the step
+    scores its batch with.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if logits.shape != targets.shape:
+    if logits.ndim != 2 or logits.shape != targets.shape:
         raise ShapeMismatch(
-            f"logits shape {logits.shape} != targets shape {targets.shape}"
+            f"logits shape {logits.shape} and targets shape {targets.shape}"
+            " must be the same (N, C)"
         )
     probs = softmax(logits)
     # Clip only inside the log; the returned probs stay exact.
     logp = np.log(np.maximum(probs, 1e-300))
     per_sample = -(targets * logp).sum(axis=-1)
-    if logits.ndim == 1:
-        loss = float(per_sample)
-        grad = probs - targets
-    else:
-        n = logits.shape[0]
-        loss = float(per_sample.mean())
-        grad = (probs - targets) / n
+    loss = float(per_sample.mean())
+    grad = (probs - targets) / logits.shape[0]
     if not np.isfinite(loss):
         raise NonFiniteError("cross-entropy loss is non-finite")
     return probs, loss, grad

@@ -177,8 +177,6 @@ def lstm_sequence(
     """
     params.validate()
     seq = np.asarray(seq, dtype=params.w_i.dtype)
-    if seq.ndim == 2:  # (T, F) single sample
-        seq = seq[np.newaxis]
     if seq.ndim != 3:
         raise ShapeMismatch(f"sequence must be (N, T, F), got {seq.shape}")
     n, t_len, n_in = seq.shape
@@ -289,33 +287,29 @@ def lstm_backward(
             np.multiply(dc, f, out=dc_next)
 
     if t_len == 1:
-        d_wx = np.dot(d_gates[0], cache.x[0].T)
+        d_w = np.dot(d_gates[0], cache.x[0].T)
     else:
-        # Contract over time and batch at once: one product per weight block.
-        d_wx = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2]))
+        # Contract over time and batch at once: one product per weight
+        # block. h_{-1} = 0: step 0 adds nothing to the recurrent columns.
+        d_w = np.concatenate([
+            np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2])),
+            np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2])),
+        ], axis=1)
     d_b = d_gates.sum(axis=(0, 2))
-    if t_len == 1:
-        # c_{-1} = h_{-1} = 0: every entry outside read_entries gets a
-        # zero gradient.
-        d_w = np.zeros((4 * h, n_in + h), dtype=d_wx.dtype)
-        d_b_read, d_b = d_b, np.zeros(4 * h, dtype=d_b.dtype)
-    else:
-        d_w = np.empty_like(w)
-        d_w[:, :n_in] = d_wx
-        # h_{-1} = 0: step 0 adds nothing to the recurrent weight gradient
-        d_w[:, n_in:] = np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2]))
 
+    # d_w and d_b are the gradient of stacked(t_len). Scatter it, gate by
+    # gate, into zeroed views of one (4H, F+H) and one (4H,) array; entries
+    # outside read_entries multiply the zero state and get zero.
+    read = params.read_entries(t_len, n_in)
+    w_grads = _split(np.zeros((4 * h, n_in + h), dtype=d_w.dtype), h)
+    b_grads = _split(np.zeros(4 * h, dtype=d_b.dtype), h)
     grads = {}
-    for k, gate in enumerate(GATES):
-        grads[f"w_{gate}"] = d_w[k * h:(k + 1) * h]
-        grads[f"b_{gate}"] = d_b[k * h:(k + 1) * h]
-    if t_len == 1:
-        # d_wx and d_b_read hold the gates read, in stacked's row order
-        read = params.read_entries(t_len, n_in)
-        for k, gate in enumerate(gate for gate in GATES if f"b_{gate}" in read):
-            rows = slice(k * h, (k + 1) * h)
-            grads[f"w_{gate}"][read[f"w_{gate}"]] = d_wx[rows]
-            grads[f"b_{gate}"][read[f"b_{gate}"]] = d_b_read[rows]
+    for gate, w_grad, b_grad in zip(GATES, w_grads, b_grads):
+        grads[f"w_{gate}"], grads[f"b_{gate}"] = w_grad, b_grad
+    read_gates = [gate for gate in GATES if f"b_{gate}" in read]
+    for gate, w_rows, b_rows in zip(read_gates, _split(d_w, h), _split(d_b, h)):
+        grads[f"w_{gate}"][read[f"w_{gate}"]] = w_rows
+        grads[f"b_{gate}"][read[f"b_{gate}"]] = b_rows
     if not input_grad:
         return grads, None
     dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)

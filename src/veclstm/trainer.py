@@ -14,9 +14,11 @@ the parameters and Adam's moments stay float64 master weights, while
 training and each predict call run the model on a float32 copy of them.
 predict hands model_forward the whole split, which groups and slices
 its rows. Softmax, the loss and the metrics stay float64. Training
-keeps one float32 copy for the whole run. Adam updates, in place, only
-the entries the model reads (models.trained_entries), held as flat
-vectors, and then rewrites those entries of the float32 copy.
+keeps one float32 copy for the whole run, and each step takes one
+softmax: softmax_cross_entropy's, of the logits model_forward returns.
+Adam updates, in place, only the entries the model reads
+(models.trained_entries), held as flat vectors, and then rewrites those
+entries of the float32 copy.
 """
 
 from __future__ import annotations
@@ -340,14 +342,19 @@ def run_epochs(
     samples; swapping it is the only difference between the vectorized
     and non-vectorized benchmark pipelines. The CLI bench command calls
     it with its own feature function. It must cover every row of
-    y_onehot: an index past the end of its inputs raises ShapeMismatch.
+    y_onehot: an index past the end of its inputs raises ShapeMismatch,
+    and no labels at all raise EmptyInput.
 
     Every step runs the forward and backward passes on the same float32
     copy of the parameters, whose trained entries adam_step rewrites
-    after updating the float64 master weights in place. The caller's
+    after updating the float64 master weights in place. The loss, its
+    logit gradient and the probabilities that score the batch come from
+    one softmax_cross_entropy call on the forward's logits. The caller's
     arrays are not written to.
     """
     n = y_onehot.shape[0]
+    if n == 0:
+        raise EmptyInput("cannot train on no labels")
     state = AdamState(params, trained_entries(spec))
     work = state.work
     rng = np.random.default_rng(config.seed)
@@ -367,8 +374,8 @@ def run_epochs(
                 except IndexError as exc:
                     raise ShapeMismatch(f"{n} labels, more than the samples: {exc}") from exc
                 y_batch = y_onehot[idx]
-                probs, cache = model_forward(spec, work, x_batch, with_cache=True)
-                _, loss, d_logits = softmax_cross_entropy(cache.logits, y_batch)
+                logits, cache = model_forward(spec, work, x_batch, with_cache=True)
+                probs, loss, d_logits = softmax_cross_entropy(logits, y_batch)
                 grads = model_backward(spec, work, cache, d_logits)
                 adam_step(grads, state, config)
             except VecLstmError as exc:

@@ -309,22 +309,23 @@ def reduce_max_softmax(logits):
 
 
 def per_row_model_gradients(forward, backward, spec, params, batch, grad_logits):
-    """Probabilities and parameter gradients of a batch, one row at a time.
+    """Logits and parameter gradients of a batch, one row at a time.
 
-    forward / backward are model_forward / model_backward. Each row runs
-    as its own single-row batch, which has no repeated row to merge, and
-    the gradients are summed over the rows.
+    forward / backward are model_forward / model_backward; the logits
+    are the training forward's first return. Each row runs as its own
+    single-row batch, which has no repeated row to merge, and the
+    gradients are summed over the rows.
     """
     parts = batch if isinstance(batch, tuple) else (batch,)
-    probs, totals = [], {}
+    logits, totals = [], {}
     for i in range(len(parts[0])):
         rows = tuple(part[i:i + 1] for part in parts)
-        row_probs, cache = forward(spec, params, rows if len(rows) > 1 else rows[0],
-                                   with_cache=True)
-        probs.append(row_probs[0])
+        row_logits, cache = forward(spec, params, rows if len(rows) > 1 else rows[0],
+                                    with_cache=True)
+        logits.append(row_logits[0])
         for key, grad in backward(spec, params, cache, grad_logits[i:i + 1]).items():
             totals[key] = totals.get(key, 0.0) + grad
-    return np.array(probs), totals
+    return np.array(logits), totals
 
 
 def brute_force_histogram(norm_lat, norm_lon, grid_size):

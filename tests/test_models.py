@@ -367,11 +367,12 @@ class TestDeduplication:
         meta[1], grids[1] = meta[0], grids[0]
         assert distinct_rows(meta, grids) is None
 
-        probs, cache = model_forward(spec, params, (meta, grids), with_cache=True)
+        first, cache = model_forward(spec, params, (meta, grids), with_cache=True)
+        assert first is cache.logits
         assert "inverse" not in cache.internals
         logits, internals = _forward_rows(spec, params, meta, grids)
         assert np.array_equal(cache.logits, logits)
-        assert np.array_equal(probs, softmax(logits))
+        assert np.array_equal(softmax(cache.logits), softmax(logits))
         d_logits = rng.normal(size=(40, 7))
         grads = model_backward(spec, params, cache, d_logits)
         plain = _backward_rows(spec, params, internals, d_logits)
@@ -467,10 +468,12 @@ class TestWholeSplitForward:
         spec, x = _split(kind, 0, 0.0, seed=0)
         params = init_model_params(spec, seed=9)
         work = compute_params(params)
-        probs, cache = model_forward(spec, work, x, with_cache=True)
+        logits, cache = model_forward(spec, work, x, with_cache=True)
+        assert logits is cache.logits
+        probs = softmax(cache.logits)
         for out in (probs, cache.logits, model_forward(spec, work, x), predict(spec, params, x)):
             assert out.shape == (0, 7)
-        assert probs.dtype == np.float64
+        assert probs.dtype == model_forward(spec, work, x).dtype == np.float64
 
     @pytest.mark.parametrize("kind", ["veclstm", "hybrid_cells"])
     def test_predict_keeps_one_slice_alive_at_a_time(self, kind):

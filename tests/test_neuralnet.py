@@ -26,7 +26,9 @@ from veclstm.neuralnet import (
     dense_backward,
     dense_forward,
     glorot_uniform,
+    init_lstm,
     load_checkpoint,
+    lstm_sequence,
     maxpool1d_backward,
     maxpool1d_forward,
     save_checkpoint,
@@ -60,10 +62,10 @@ class TestActivations:
 class TestDense:
     def test_identity_and_bias(self):
         params = DenseParams(w=np.eye(3), b=np.zeros(3))
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         assert np.array_equal(dense_forward(x, params), x)
         params = DenseParams(w=np.zeros((2, 3)), b=np.array([5.0, -1.0]))
-        assert np.array_equal(dense_forward(x, params), params.b)
+        assert np.array_equal(dense_forward(x, params), params.b[np.newaxis])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -89,22 +91,22 @@ class TestDense:
 
 class TestSoftmaxCrossEntropy:
     def test_equal_logits_seven_classes(self):
-        target = np.zeros(7)
-        target[2] = 1.0
-        probs, loss, grad = softmax_cross_entropy(np.zeros(7), target)
+        target = np.zeros((1, 7))
+        target[0, 2] = 1.0
+        probs, loss, grad = softmax_cross_entropy(np.zeros((1, 7)), target)
         assert np.allclose(probs, 1 / 7)
         assert loss == pytest.approx(math.log(7), abs=1e-12)
 
     def test_analytic_two_class(self):
         probs, _, _ = softmax_cross_entropy(
-            np.array([math.log(2), 0.0]), np.array([1.0, 0.0]))
-        assert np.allclose(probs, [2 / 3, 1 / 3])
+            np.array([[math.log(2), 0.0]]), np.array([[1.0, 0.0]]))
+        assert np.allclose(probs, [[2 / 3, 1 / 3]])
 
     def test_gradient_is_probs_minus_target(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=7)
-        target = np.zeros(7)
-        target[4] = 1.0
+        logits = rng.normal(size=(1, 7))
+        target = np.zeros((1, 7))
+        target[0, 4] = 1.0
         probs, _, grad = softmax_cross_entropy(logits, target)
         assert np.array_equal(grad, probs - target)
 
@@ -245,6 +247,28 @@ class TestMaxPool:
         x = np.array([2.0, 2.0]).reshape(1, 2, 1)
         _, argmax = maxpool1d_forward(x, 2)
         assert argmax[0, 0, 0] == 0
+
+
+def _single_sample_calls():
+    """Each kernel called on one sample without its batch axis."""
+    rng = np.random.default_rng(13)
+    dense = DenseParams(rng.normal(size=(2, 3)), np.zeros(2))
+    conv = Conv1dParams(rng.normal(size=(2, 4, 3)), np.zeros(2))
+    lstm = init_lstm(rng, 3, 4)
+    return {
+        "dense_forward": lambda: dense_forward(np.ones(3), dense),
+        "dense_backward": lambda: dense_backward(np.ones(3), dense, np.ones(2)),
+        "conv1d_forward": lambda: conv1d_forward(np.ones((8, 4)), conv),
+        "conv1d_backward": lambda: conv1d_backward(np.ones((8, 4)), conv, np.ones((6, 2))),
+        "lstm_sequence": lambda: lstm_sequence(np.ones((5, 3)), lstm),
+        "softmax_cross_entropy": lambda: softmax_cross_entropy(np.zeros(7), np.eye(7)[0]),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_single_sample_calls()))
+def test_kernels_take_batches_only(kernel):
+    with pytest.raises(ShapeMismatch):
+        _single_sample_calls()[kernel]()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

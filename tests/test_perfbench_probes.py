@@ -12,6 +12,7 @@ benchmark run.
 import dataclasses
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,14 @@ def test_traced_hybrid_step_names_every_block():
     assert not any("unknown" in name for name in names)
 
 
+def assert_one_loss_span_per_step(spans):
+    # The training forward ends at the logits, so softmax_cross_entropy
+    # runs once in every traced step.
+    steps = [s.span_id for s in spans if s.name == "trainer.step"]
+    assert steps
+    assert Counter(s.step for s in spans if s.name == "neuralnet.loss") == Counter(steps)
+
+
 TINY_TREE = TreeShape(users=2, spans_per_user=35, points_per_span=20, spans_per_file=7)
 
 
@@ -95,6 +104,7 @@ def test_traced_tiny_run_names_every_split_span(tmp_path):
     # Layers are named by the identity of the parameter arrays that
     # model_forward received, so the float32 copy must be that dict.
     assert not any("unknown" in span.name for span in run.tracer.spans)
+    assert_one_loss_span_per_step(run.tracer.spans)
     per_layer = run.per_layer()
     assert set(per_layer) == {m.name for m in PER_LAYER}
     for name in ("trainer.train_test_split_ms", "trainer.random_oversample_ms",
@@ -112,6 +122,7 @@ def test_traced_tiny_lstm_run_names_every_span(tmp_path):
     assert run.ledger.failed == 0, run.ledger.failures
     assert run.untraced == set()
     assert not any("unknown" in span.name for span in run.tracer.spans)
+    assert_one_loss_span_per_step(run.tracer.spans)
     assert set(run.per_layer()) == {m.name for m in PER_LAYER}
 
 

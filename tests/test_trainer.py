@@ -14,6 +14,7 @@ from veclstm.errors import (
     TooFewSamples,
 )
 from veclstm import models, trainer
+from veclstm.neuralnet import loss
 from veclstm.models import (
     build_hybrid,
     build_lstm_stack,
@@ -21,7 +22,7 @@ from veclstm.models import (
     init_model_params,
     trained_entries,
 )
-from veclstm.neuralnet import LstmSequenceCache
+from veclstm.neuralnet import LstmSequenceCache, softmax
 from veclstm.trainer import (
     AdamState,
     StandardScaler,
@@ -332,6 +333,32 @@ class TestTrainModel:
         with pytest.raises(ShapeMismatch, match="6 samples but 8 labels"):
             train_model(spec, TrainData(x_train=x, y_train=y), TrainConfig(epochs=1, seed=0))
 
+    def test_run_epochs_rejects_zero_labels(self):
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        x = np.zeros((6, 1, 1))
+        with pytest.raises(EmptyInput, match="no labels"):
+            run_epochs(spec, params, lambda idx: x[idx], encode_labels(np.arange(0)),
+                       TrainConfig(epochs=1, seed=0))
+
+    def test_one_softmax_per_step(self, monkeypatch):
+        # The training forward ends at the logits; the loss takes the one
+        # softmax of each step, whose probabilities also score the batch.
+        calls = []
+
+        def counted(logits):
+            calls.append(len(logits))
+            return softmax(logits)
+
+        monkeypatch.setattr(models, "softmax", counted)
+        monkeypatch.setattr(loss, "softmax", counted)
+        spec = build_veclstm(1, lstm_units=(4, 3))
+        params = init_model_params(spec, seed=0)
+        x = np.random.default_rng(0).normal(size=(64, 1, 1))
+        run_epochs(spec, params, lambda idx: x[idx], encode_labels(np.arange(64) % 7),
+                   TrainConfig(epochs=1, batch_size=24, seed=0))
+        assert calls == [24, 24, 16]
+
     def test_report_schema(self):
         x, labels = separable_features(n=60, seed=5)
         data = TrainData(x_train=x, y_train=encode_labels(labels))
@@ -398,11 +425,12 @@ class TestPrecision:
         assert {key: p.tobytes() for key, p in params.items()} == bytes_before
 
         assert {k: p.dtype for k, p in work.items() if p.dtype != np.float32} == {}
-        _, cache = calls["model_forward"][0][1]
+        logits, cache = calls["model_forward"][0][1]
+        assert logits is cache.logits
         arrays = _float_arrays(cache)
         assert {"logits", "cache1.gates", "cache2.h", "head_in"} <= set(arrays)
         assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
-        assert cache.probs.dtype == np.float64
+        assert softmax(cache.logits).dtype == np.float64
 
         grads, state, _ = calls["adam_step"][-1][0]
         assert state.work is work
