@@ -648,6 +648,8 @@ def _csv_chunks(fh) -> Iterator[tuple[list, str | None]]:
 def read_dataset_csv(path: Path) -> Dataset:
     """Read a dataset CSV; the first bad row raises MalformedLine.
 
+    A row is bad when it has other than 7 fields, a field that does not
+    convert, or a coordinate that parse_plt would reject as out of range.
     Line numbers count CSV records, the header being record 1; bytes
     that are not UTF-8 are reported by physical line and byte offset,
     before any other error. The rows are read in chunks into columns
@@ -667,6 +669,11 @@ def read_dataset_csv(path: Path) -> Dataset:
                 if parse is not None:
                     values = first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
                     columns[k][n:n + values.size] = values
+            lat, lon = columns[1][n:n + size], columns[2][n:n + size]
+            first.check(~((lat >= -90.0) & (lat <= 90.0)),
+                        lambda row: f"latitude {float(lat[row])} out of range")
+            first.check(~((lon >= -180.0) & (lon <= 180.0)),
+                        lambda row: f"longitude {float(lon[row])} out of range")
             if first.error is not None:
                 raise first.error
             columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))

@@ -38,9 +38,8 @@ def confusion(pred: np.ndarray, true: np.ndarray, n_classes: int = N_CLASSES) ->
     if pred.size and (pred.min() < 0 or pred.max() >= n_classes
                       or true.min() < 0 or true.max() >= n_classes):
         raise OutOfRange(f"labels outside [0, {n_classes})")
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (true, pred), 1)
-    return matrix
+    cells = (true * n_classes + pred).ravel()
+    return np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def weighted_f1(matrix: np.ndarray) -> float:

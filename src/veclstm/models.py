@@ -79,6 +79,8 @@ class ModelSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.n_features < 1:
+            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
         if self.lstm_output_activation not in LSTM_OUTPUT_ACTIVATIONS:
             raise ConfigError(f"lstm_output_activation must be one of"
                               f" {', '.join(LSTM_OUTPUT_ACTIVATIONS)},"
@@ -130,8 +132,6 @@ class ModelSpec:
 
 def build_lstm_stack(n_features: int = 1, **overrides) -> ModelSpec:
     """Baseline stack: LSTM(100, sequences) -> LSTM(50) -> Dense(7)."""
-    if n_features < 1:
-        raise ValueError("n_features must be >= 1")
     return ModelSpec(architecture=LSTM_BASELINE, n_features=n_features, **overrides)
 
 
@@ -143,8 +143,6 @@ def build_veclstm(n_features: int = 1, **overrides) -> ModelSpec:
 
 def build_hybrid(n_features: int = 1, **overrides) -> ModelSpec:
     """Two-branch model: LSTM stack over features + Conv1d over the grid."""
-    if n_features < 1:
-        raise ValueError("n_features must be >= 1")
     return ModelSpec(architecture=HYBRID, n_features=n_features, **overrides)
 
 
@@ -461,9 +459,11 @@ def model_backward(
         grad_logits = np.asarray(grad_logits, dtype=np.float64)
         if grad_logits.shape != cache.logits.shape:
             raise ShapeMismatch("logit gradient shape does not match the batch")
-        summed = np.zeros((iv["head_in"].shape[0], grad_logits.shape[1]))
-        np.add.at(summed, inverse, grad_logits)
-        grad_logits = summed
+        n, c = iv["head_in"].shape[0], grad_logits.shape[1]
+        # Row k adds into bin inverse[k] * C + class, in row order.
+        flat = (inverse[:, None] * c + np.arange(c)).ravel()
+        grad_logits = np.bincount(flat, weights=grad_logits.ravel(),
+                                  minlength=n * c).reshape(n, c)
     return _backward_rows(spec, params, iv, grad_logits)
 
 

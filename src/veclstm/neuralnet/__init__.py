@@ -20,7 +20,7 @@ from .cnn import (
 )
 from .dense import DenseParams, dense_backward, dense_forward
 from .init import glorot_uniform, init_conv1d, init_dense, init_lstm
-from .loss import softmax, softmax_cross_entropy
+from .loss import cross_entropy, softmax, softmax_cross_entropy
 from .lstm import (
     LstmParams,
     LstmSequenceCache,
@@ -31,6 +31,7 @@ from .lstm import (
 __all__ = [
     "check_finite",
     "sigmoid_inplace",
+    "cross_entropy",
     "softmax",
     "softmax_cross_entropy",
     "DenseParams",

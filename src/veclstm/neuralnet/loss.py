@@ -42,11 +42,16 @@ def softmax_cross_entropy(
             " must be the same (N, C)"
         )
     probs = softmax(logits)
-    # Clip only inside the log; the returned probs stay exact.
+    return probs, cross_entropy(probs, targets), (probs - targets) / logits.shape[0]
+
+
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over the rows of -log p_true, for (N, C) probabilities and
+    one-hot targets. Probabilities are clipped at 1e-300 inside the log
+    only; a non-finite mean raises NonFiniteError.
+    """
     logp = np.log(np.maximum(probs, 1e-300))
-    per_sample = -(targets * logp).sum(axis=-1)
-    loss = float(per_sample.mean())
-    grad = (probs - targets) / logits.shape[0]
+    loss = float(-(targets * logp).sum(axis=-1).mean())
     if not np.isfinite(loss):
         raise NonFiniteError("cross-entropy loss is non-finite")
-    return probs, loss, grad
+    return loss

@@ -47,7 +47,7 @@ from .models import (
     model_forward,
     trained_entries,
 )
-from .neuralnet import softmax_cross_entropy
+from .neuralnet import cross_entropy, softmax_cross_entropy
 from .vectorizer import (
     VectorizationConfig,
     cell_index,
@@ -323,10 +323,8 @@ def evaluate_loss(spec: ModelSpec, params: dict, x,
         raise EmptyInput("cannot evaluate the loss over no rows")
     if probs.shape[0] != len(y_onehot):
         raise ShapeMismatch(f"{probs.shape[0]} samples but {len(y_onehot)} labels")
-    logp = np.log(np.maximum(probs, 1e-300))
-    loss = float(-(y_onehot * logp).sum(axis=1).mean())
     acc = float((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).mean())
-    return loss, acc
+    return cross_entropy(probs, y_onehot), acc
 
 
 def run_epochs(

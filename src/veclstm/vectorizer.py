@@ -11,7 +11,7 @@ cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,10 @@ class VectorizationConfig:
     def __post_init__(self):
         if self.grid_size < 1:
             raise ValueError("grid_size must be >= 1")
+        # Imputed values are binned like normalized ones, so they must lie
+        # in [0, 1] too; NaN fails the comparison.
+        if not 0.0 <= self.missing_default <= 1.0:
+            raise ValueError(f"missing_default must be in [0, 1], got {self.missing_default!r}")
         if self.value_mode not in ("count", "density"):
             raise ValueError(f"unknown value_mode {self.value_mode!r}")
 
@@ -59,13 +63,9 @@ class VectorizationConfig:
 @dataclass
 class GridHeatmap:
     grid: np.ndarray  # (G, G), row index from lat, column from lon
-    value_mode: str
 
     def flatten(self) -> np.ndarray:
         return self.grid.reshape(-1)
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(repr(v) for v in row) for row in self.grid.tolist())
 
 
 def fit_stats(lat: np.ndarray, lon: np.ndarray, alt: np.ndarray) -> NormalizationStats:
@@ -125,13 +125,11 @@ def cell_index(value: float, grid_size: int) -> int:
     return min(int(value * grid_size), grid_size - 1)
 
 
-def cell_indices(
-    norm_lat: np.ndarray, norm_lon: np.ndarray, grid_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """cell_index over whole columns: (row, column) of each pair."""
+def cell_indices(norm_lat: np.ndarray, norm_lon: np.ndarray, grid_size: int) -> np.ndarray:
+    """cell_index over whole columns: the flat cell r * G + c of each pair."""
     top = grid_size - 1
-    return (np.minimum((norm_lat * grid_size).astype(np.int64), top),
-            np.minimum((norm_lon * grid_size).astype(np.int64), top))
+    rows = np.minimum((norm_lat * grid_size).astype(np.int64), top)
+    return rows * grid_size + np.minimum((norm_lon * grid_size).astype(np.int64), top)
 
 
 def histogram2d(
@@ -145,12 +143,11 @@ def histogram2d(
             f"lat count {norm_lat.size} != lon count {norm_lon.size}"
         )
     g = config.grid_size
-    rows, cols = cell_indices(norm_lat, norm_lon, g)
-    grid = np.zeros((g, g), dtype=np.float64)
-    np.add.at(grid, (rows, cols), 1.0)
+    counts = np.bincount(cell_indices(norm_lat, norm_lon, g), minlength=g * g)
+    grid = counts.reshape(g, g).astype(np.float64)
     if config.value_mode == "density" and norm_lat.size > 0:
         grid /= norm_lat.size
-    return GridHeatmap(grid=grid, value_mode=config.value_mode)
+    return GridHeatmap(grid=grid)
 
 
 def vectorize_trajectory(
@@ -186,9 +183,7 @@ def sample_cell_grids(
     branch, which runs each index as the one-hot (G, G) grid of its cell.
     """
     norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
-    g = config.grid_size
-    rows, cols = cell_indices(norm_lat, norm_lon, g)
-    return rows * g + cols
+    return cell_indices(norm_lat, norm_lon, config.grid_size)
 
 
 def vectorize_metadata(
@@ -206,6 +201,6 @@ def vectorize_metadata(
         raise EmptyInput("cannot vectorize metadata of an empty dataset")
     stats = fit_stats(lat, lon, alt)
     norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
-    heatmap = histogram2d(norm_lat, norm_lon, replace(config, value_mode="count"))
-    rows, cols = cell_indices(norm_lat, norm_lon, config.grid_size)
-    return heatmap.grid[rows, cols] / heatmap.grid.max()
+    cells = cell_indices(norm_lat, norm_lon, config.grid_size)
+    counts = np.bincount(cells)
+    return counts[cells] / counts.max()

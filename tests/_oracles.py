@@ -338,6 +338,28 @@ def brute_force_histogram(norm_lat, norm_lon, grid_size):
     return np.array(grid, dtype=np.float64)
 
 
+def add_at_histogram(norm_lat, norm_lon, grid_size, value_mode):
+    """The (G, G) heatmap as np.add.at scatters (row, column) pairs,
+    divided by the point count in density mode."""
+    norm_lat = np.asarray(norm_lat, dtype=np.float64)
+    norm_lon = np.asarray(norm_lon, dtype=np.float64)
+    top = grid_size - 1
+    rows = np.minimum((norm_lat * grid_size).astype(np.int64), top)
+    cols = np.minimum((norm_lon * grid_size).astype(np.int64), top)
+    grid = np.zeros((grid_size, grid_size), dtype=np.float64)
+    np.add.at(grid, (rows, cols), 1.0)
+    if value_mode == "density" and norm_lat.size > 0:
+        grid /= norm_lat.size
+    return grid
+
+
+def add_at_logit_sum(inverse, grad_logits, n_distinct):
+    """Row k of grad_logits summed onto row inverse[k] by np.add.at."""
+    summed = np.zeros((n_distinct, grad_logits.shape[1]))
+    np.add.at(summed, inverse, np.asarray(grad_logits, dtype=np.float64))
+    return summed
+
+
 def pair_counting_auc(scores, positives) -> float:
     """AUC as P(s_pos > s_neg) + 0.5 P(s_pos == s_neg) over all pairs."""
     pos = [s for s, p in zip(scores, positives) if p]
@@ -543,8 +565,9 @@ def row_read_dataset_csv(path):
     """The seven columns of a dataset CSV, read record by record.
 
     As the row-by-row reader always did, except that an integer outside
-    int64, which that reader passed on to crash a later stage, raises
-    MalformedLine here as in the columnar reader.
+    int64, and a latitude outside [-90, 90] or longitude outside
+    [-180, 180], which that reader passed on to crash a later stage,
+    raise MalformedLine here as in the columnar reader.
     """
     import csv
 
@@ -573,6 +596,11 @@ def row_read_dataset_csv(path):
                              int64(row[4]), row[5], float(row[6])))
             except ValueError as exc:
                 raise MalformedLine(line_no, str(exc)) from None
+            lat, lon = rows[-1][1:3]
+            if not -90.0 <= lat <= 90.0:
+                raise MalformedLine(line_no, f"latitude {lat} out of range")
+            if not -180.0 <= lon <= 180.0:
+                raise MalformedLine(line_no, f"longitude {lon} out of range")
     if not rows:
         raise EmptyDataset(f"{path} contains a header but no rows")
     dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, object, np.float64)

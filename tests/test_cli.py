@@ -48,9 +48,13 @@ class TestConfig:
         '{"lstm_output_activation": "sigmoid"}',         # unknown activation
         '{"regression_basis": "probs"}',                 # unknown basis
         '{"metadata_feature": "nope"}',                  # unknown feature
+        '{"vectorizer": {"missing_default": -0.5}}',     # imputes below the grid
+        '{"vectorizer": {"missing_default": 1.5}}',      # imputes above the grid
+        '{"vectorizer": {"missing_default": NaN}}',      # json.loads parses NaN
     ], ids=["invalid_json", "unknown_key", "unknown_nested_key", "wrong_type",
             "six_modes_short", "unknown_activation", "unknown_basis",
-            "unknown_feature"])
+            "unknown_feature", "missing_default_below", "missing_default_above",
+            "missing_default_nan"])
     def test_bad_config_names_its_path(self, sep_csv, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -160,6 +164,16 @@ class TestVectorize:
         monkeypatch.setenv("VECLSTM_STORE", str(store_path))
         assert main(["vectorize", str(dataset_csv)]) == 0
         assert store_path.exists()
+
+    def test_latitude_out_of_range_is_reported(self, tmp_path, capsys):
+        dataset = separable_dataset(10, seed=5)
+        dataset.lat[1] = np.inf  # the third record, after the header
+        dataset_csv = tmp_path / "d.csv"
+        write_dataset_csv(dataset, dataset_csv)
+        rc = main(["vectorize", str(dataset_csv), "--store", str(tmp_path / "v.vlvs")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            "vectorize failed reading inputs: line 3: latitude inf out of range")
 
     def test_no_store_given(self, sep_csv, monkeypatch):
         monkeypatch.delenv("VECLSTM_STORE", raising=False)

@@ -442,7 +442,10 @@ class TestColumnarReadersMatchRowOracles:
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(
-        st.integers(-2**63, 2**63 - 1), st.floats(), st.floats(),
+        st.integers(-2**63, 2**63 - 1),
+        # coordinates mostly in range, so that whole files still read
+        st.one_of(st.floats(-90, 90), st.floats()),
+        st.one_of(st.floats(-180, 180), st.floats()),
         st.one_of(st.none(), st.floats()), st.integers(-3, 9),
         st.text(max_size=4), st.floats(0, 1)), max_size=6), data=st.data())
     def test_read_dataset_csv(self, tmp_path_factory, rows, data):
@@ -557,6 +560,22 @@ class TestDatasetCsvErrors:
         with pytest.raises(MalformedLine) as exc:
             read_dataset_csv(path)
         assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("user", [b"u", b'"u"'], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize("coords, reason", [
+        (b"inf,3.0", "latitude inf out of range"),
+        (b"nan,3.0", "latitude nan out of range"),
+        (b"-90.5,3.0", "latitude -90.5 out of range"),
+        (b"90.5,200.0", "latitude 90.5 out of range"),
+        (b"2.0,-inf", "longitude -inf out of range"),
+        (b"2.0,180.5", "longitude 180.5 out of range"),
+    ])
+    def test_coordinate_out_of_range(self, tmp_path, user, coords, reason):
+        path = self._write(tmp_path, b"1,90.0,-180.0,,0," + user + b",0.5\n"
+                           + b"2," + coords + b",,0," + user + b",0.5\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert (exc.value.line_no, exc.value.reason) == (3, reason)
 
     def test_first_bad_row_wins_across_columns(self, tmp_path):
         # row 3 has a bad label, row 2 a bad metadata cell: row 2 is reported
@@ -678,6 +697,12 @@ class TestDatasetCsvChunkBoundary:
         per_chunk, rows = rows
         rows = list(rows)
         rows[per_chunk] = rows[per_chunk].replace(b",0.25", b",0.2x")
+        self._same_error(self._write(tmp_path, rows), per_chunk + 2)
+
+    def test_latitude_out_of_range_first_in_the_second_chunk(self, tmp_path, rows):
+        per_chunk, rows = rows
+        rows = list(rows)
+        rows[per_chunk] = rows[per_chunk].replace(b",39.", b",99.", 1)
         self._same_error(self._write(tmp_path, rows), per_chunk + 2)
 
     def test_short_row_first_in_the_second_chunk(self, tmp_path, rows):

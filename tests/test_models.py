@@ -15,6 +15,7 @@ from veclstm.models import (
     LSTM_BASELINE,
     MIN_REPEAT_SHARE,
     VECLSTM,
+    ForwardCache,
     ModelSpec,
     build_hybrid,
     build_lstm_stack,
@@ -32,6 +33,7 @@ from veclstm.neuralnet import lstm_backward, softmax, softmax_cross_entropy
 from veclstm.trainer import AdamState, TrainConfig, compute_params, predict, run_epochs
 
 from _oracles import (
+    add_at_logit_sum,
     central_difference_grads,
     copying_lstm_backward,
     copying_lstm_sequence,
@@ -83,6 +85,14 @@ class TestBuilders:
         for spec in (build_lstm_stack(1), build_veclstm(2), build_hybrid()):
             params = init_model_params(spec, seed=3)
             assert param_count(spec) == sum(p.size for p in params.values())
+
+    @pytest.mark.parametrize("build", [
+        build_lstm_stack, build_veclstm, build_hybrid,
+        lambda n: ModelSpec(architecture=VECLSTM, n_features=n),
+    ], ids=["lstm", "veclstm", "hybrid", "spec"])
+    def test_no_features_rejected(self, build):
+        with pytest.raises(ConfigError, match="n_features"):
+            build(0)
 
     def test_spec_json(self):
         doc = json.loads(build_hybrid(seed=5).to_json())
@@ -430,6 +440,50 @@ class TestDeduplication:
         _, cache = model_forward(spec, params, batch, with_cache=True)
         with pytest.raises(ShapeMismatch):
             model_backward(spec, params, cache, np.zeros((4, 7)))
+
+
+class TestLogitGradientSum:
+    """model_backward sums a merged batch's repeated rows with one
+    np.bincount, bit for bit as the np.add.at scatter did."""
+
+    @pytest.mark.parametrize("n, distinct", [(512, 73), (37, 9), (1, 1), (60, 60)],
+                             ids=["512_onto_73", "37_onto_9", "one_row", "all_distinct"])
+    def test_matches_add_at(self, monkeypatch, n, distinct):
+        summed = []
+        monkeypatch.setattr(models, "_backward_rows",
+                            lambda spec, params, iv, grad_logits: summed.append(grad_logits))
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            # every distinct row occurs, in random order and multiplicity
+            inverse = rng.permutation(np.concatenate(
+                (np.arange(distinct), rng.integers(0, distinct, n - distinct))))
+            grad = rng.normal(size=(n, 7)) * 10.0 ** rng.uniform(-8, 2, size=(n, 7))
+            cache = ForwardCache(np.zeros((n, 7)),
+                                 {"inverse": inverse, "head_in": np.zeros((distinct, 3))})
+            model_backward(None, None, cache, grad)
+            assert np.array_equal(summed.pop(), add_at_logit_sum(inverse, grad, distinct))
+
+    @pytest.mark.parametrize("n", [512, 37])
+    @pytest.mark.parametrize("grid", ["cells", "heatmap"])
+    def test_hybrid_gradients_match_add_at(self, grid, n):
+        spec = build_hybrid(1)
+        params = compute_params(init_model_params(spec, seed=61))
+        rng = np.random.default_rng(62)
+        pick = rng.integers(0, 8, n)
+        cells = rng.integers(0, 100, 8)[pick]
+        batch = (rng.normal(size=(8, 1, 1))[pick],
+                 cells if grid == "cells" else _one_hot_grids(cells, 10))
+        d_logits = rng.normal(size=(n, 7)) / n
+        _, cache = model_forward(spec, params, batch, with_cache=True)
+        grads = model_backward(spec, params, cache, d_logits)
+        # a second, equal cache: the backward may write to the one it reads
+        _, cache = model_forward(spec, params, batch, with_cache=True)
+        iv = cache.internals
+        want = _backward_rows(spec, params, iv, add_at_logit_sum(
+            iv["inverse"], d_logits, iv["head_in"].shape[0]))
+        assert set(grads) == set(want) == set(params)
+        for key in params:
+            assert np.array_equal(grads[key], want[key]), key
 
 
 def _split(kind, n, repeat_share, seed):

@@ -32,6 +32,7 @@ from veclstm.neuralnet import (
     maxpool1d_backward,
     maxpool1d_forward,
     save_checkpoint,
+    cross_entropy,
     sigmoid_inplace,
     softmax,
     softmax_cross_entropy,
@@ -128,6 +129,22 @@ class TestSoftmaxCrossEntropy:
         _, _, grad = softmax_cross_entropy(logits, targets)
         numeric = central_difference_grads(loss, {"logits": logits})
         assert relative_error(grad, numeric["logits"]) < 1e-6
+
+    def test_loss_is_the_cross_entropy_of_its_probabilities(self):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(scale=3.0, size=(37, 7))
+        logits[0, 0] = 800.0  # a true class whose probability underflows to 0
+        targets = np.eye(7)[rng.integers(0, 7, 37)]
+        targets[0] = np.eye(7)[1]
+        probs, loss, _ = softmax_cross_entropy(logits, targets)
+        assert probs[0, 1] == 0.0
+        assert loss == cross_entropy(probs, targets)
+
+    def test_cross_entropy_clips_inside_the_log_and_rejects_nan(self):
+        target = np.eye(2)[[0]]
+        assert cross_entropy(np.array([[0.0, 1.0]]), target) == -math.log(1e-300)
+        with pytest.raises(NonFiniteError):
+            cross_entropy(np.array([[np.nan, 1.0]]), target)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=9))
     @settings(max_examples=50, deadline=None)

@@ -323,6 +323,20 @@ class TestTrainModel:
             with pytest.raises(ShapeMismatch, match=f"6 samples but {len(y)} labels"):
                 evaluate_loss(spec, params, x, y)
 
+    def test_evaluate_loss_is_the_cross_entropy_of_predict(self, monkeypatch):
+        # It scores predict's probabilities, and never calls the training
+        # step's softmax_cross_entropy.
+        def unused(*args):
+            raise AssertionError("evaluate_loss called softmax_cross_entropy")
+
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        x = np.random.default_rng(1).normal(size=(20, 1, 1))
+        y = encode_labels(np.arange(20) % 7)
+        monkeypatch.setattr(trainer, "softmax_cross_entropy", unused)
+        probs = predict(spec, params, x)
+        assert evaluate_loss(spec, params, x, y)[0] == loss.cross_entropy(probs, y)
+
     def test_run_epochs_rejects_more_labels_than_samples(self):
         spec = build_lstm_stack(1)
         params = init_model_params(spec, seed=0)

@@ -19,7 +19,7 @@ from veclstm.vectorizer import (
     vectorize_trajectory,
 )
 
-from _oracles import brute_force_histogram
+from _oracles import add_at_histogram, brute_force_histogram
 
 
 def columns(points):
@@ -64,6 +64,12 @@ class TestNormalize:
         assert impute_missing(0.3, config) == 0.3
         assert impute_missing(MISSING, VectorizationConfig(missing_default=0.0)) == 0.0
 
+    @pytest.mark.parametrize("value", [-0.5, 1.5, np.nan])
+    def test_missing_default_outside_unit_range_rejected(self, value):
+        # An imputed value outside [0, 1] would bin into a wrapped row.
+        with pytest.raises(ValueError, match="missing_default"):
+            VectorizationConfig(missing_default=value)
+
 
 class TestHistogram:
     def test_origin_point(self):
@@ -103,6 +109,25 @@ class TestHistogram:
         expected = brute_force_histogram(lat, lon, 10)
         assert np.array_equal(heatmap.grid, expected)
         assert heatmap.grid.sum() == n
+
+    @pytest.mark.parametrize("value_mode", ["count", "density"])
+    @pytest.mark.parametrize("grid_size", [1, 10, 37])
+    def test_matches_add_at_scatter(self, grid_size, value_mode):
+        # Edges 0.0 and 1.0, and missing values imputed at the edges and
+        # in between, binned as the (row, column) np.add.at scatter did.
+        rng = np.random.default_rng(grid_size)
+        lat = np.concatenate(([0.0, 1.0, np.nan, 0.0, 1.0], rng.uniform(size=300)))
+        lon = np.concatenate(([1.0, 0.0, 0.0, np.nan, np.nan], rng.uniform(size=300)))
+        lat[rng.choice(lat.size, 30)] = np.nan
+        alt = np.zeros_like(lat)
+        stats = fit_stats(lat, lon, alt)
+        for missing_default in (0.0, 0.5, 1.0):
+            config = VectorizationConfig(grid_size, missing_default, value_mode)
+            norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
+            grid = histogram2d(norm_lat, norm_lon, config).grid
+            want = add_at_histogram(norm_lat, norm_lon, grid_size, value_mode)
+            assert grid.dtype == np.float64
+            assert np.array_equal(grid, want)
 
 
 class TestVectorizeTrajectory:
@@ -182,18 +207,6 @@ class TestVectorizeMetadata:
         scalars = vectorize_metadata(*columns(points)).tolist()
         assert all(0 < s <= 1.0 for s in scalars)
         assert max(scalars) == 1.0
-
-
-class TestHeatmapCsv:
-    def test_ten_by_ten_layout(self):
-        rng = np.random.default_rng(3)
-        heatmap = histogram2d(rng.uniform(size=30), rng.uniform(size=30),
-                              VectorizationConfig())
-        lines = heatmap.to_csv().splitlines()
-        assert len(lines) == 10
-        assert all(len(line.split(",")) == 10 for line in lines)
-        total = sum(float(v) for line in lines for v in line.split(","))
-        assert total == 30
 
 
 class TestSampleCellGrids:
