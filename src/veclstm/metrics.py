@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateClass, EmptyInput, LengthMismatch, OutOfRange
+from .errors import DegenerateClass, EmptyInput, LengthMismatch, NonFiniteError, OutOfRange
 
 N_CLASSES = 7
 REGRESSION_BASES = ("class_codes", "probabilities")
@@ -99,35 +99,42 @@ class RocCurve:
 def _binary_roc(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     """ROC by sweeping thresholds over the distinct scores, descending.
 
-    Tied scores advance TP and FP together, producing the diagonal
-    segment whose trapezoidal area gives ties half credit.
+    The point at score s counts the positives and negatives scoring >= s,
+    read off two sorts (Fawcett 2006, Algorithm 2). Tied scores advance TP
+    and FP together, producing the diagonal segment whose trapezoidal area
+    gives ties half credit.
     """
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("ROC scores must be finite")
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateClass(f"{n_pos} positives, {n_neg} negatives")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = positive[order].astype(np.float64)
-
-    tp_cum = np.cumsum(sorted_pos)
-    fp_cum = np.cumsum(1.0 - sorted_pos)
-    # Keep only the last index of each tied-score group.
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    boundaries = np.concatenate([distinct, [scores.size - 1]])
-
-    tpr = np.concatenate([[0.0], tp_cum[boundaries] / n_pos])
-    fpr = np.concatenate([[0.0], fp_cum[boundaries] / n_neg])
+    ordered = np.sort(scores)
+    # First index of each group of equal scores, highest group first.
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))[::-1]
+    tp = n_pos - np.searchsorted(np.sort(scores[positive]), ordered[starts], side="left")
+    fp = (scores.size - starts) - tp
+    tpr = np.concatenate([[0.0], tp / n_pos])
+    fpr = np.concatenate([[0.0], fp / n_neg])
     auc = float(np.trapezoid(tpr, fpr))
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
-def roc_auc(scores: np.ndarray, true: np.ndarray, cls: int) -> RocCurve:
-    """One-vs-rest ROC for class cls using its probability column."""
+def _scored(scores: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, C) float64 scores and (N,) int64 labels, each label in [0, C)."""
     scores = np.asarray(scores, dtype=np.float64)
     true = np.asarray(true, dtype=np.int64)
-    if scores.ndim != 2 or scores.shape[0] != true.shape[0]:
+    if scores.ndim != 2 or true.shape != scores.shape[:1]:
         raise LengthMismatch("scores must be (N, C) aligned with true labels")
+    if true.size and (true.min() < 0 or true.max() >= scores.shape[1]):
+        raise OutOfRange(f"labels outside [0, {scores.shape[1]})")
+    return scores, true
+
+
+def roc_auc(scores: np.ndarray, true: np.ndarray, cls: int) -> RocCurve:
+    """One-vs-rest ROC for class cls using its probability column."""
+    scores, true = _scored(scores, true)
     if not 0 <= cls < scores.shape[1]:
         raise OutOfRange(f"class {cls} outside [0, {scores.shape[1]})")
     return _binary_roc(scores[:, cls], true == cls)
@@ -135,15 +142,10 @@ def roc_auc(scores: np.ndarray, true: np.ndarray, cls: int) -> RocCurve:
 
 def micro_average_roc(scores: np.ndarray, true: np.ndarray) -> RocCurve:
     """ROC over all (sample, class) pairs pooled into one binary problem."""
-    scores = np.asarray(scores, dtype=np.float64)
-    true = np.asarray(true, dtype=np.int64)
-    if scores.size == 0:
+    if np.size(scores) == 0:
         raise EmptyInput("no scores")
-    if scores.ndim != 2 or scores.shape[0] != true.shape[0]:
-        raise LengthMismatch("scores must be (N, C) aligned with true labels")
-    n, c = scores.shape
-    onehot = np.zeros((n, c), dtype=bool)
-    onehot[np.arange(n), true] = True
+    scores, true = _scored(scores, true)
+    onehot = true[:, None] == np.arange(scores.shape[1])
     return _binary_roc(scores.reshape(-1), onehot.reshape(-1))
 
 
@@ -176,8 +178,7 @@ def evaluate_classifier(
     Classes absent from the truth (or predicted for every sample) have
     no defined ROC and report None for their AUC.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    true = np.asarray(true, dtype=np.int64)
+    probs, true = _scored(probs, true)
     pred = probs.argmax(axis=1)
     matrix = confusion(pred, true, n_classes)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputTooShort, ShapeMismatch
 
@@ -32,8 +31,11 @@ class Conv1dParams:
 def _columns(x: np.ndarray, width: int) -> np.ndarray:
     """im2col: (N, L, C_in) -> (N*W, C_in*k), one row per window."""
     n, length, c_in = x.shape
-    windows = sliding_window_view(x, width, axis=1)  # (N, W, C_in, k)
-    return windows.reshape(n * (length - width + 1), c_in * width)
+    n_windows = length - width + 1
+    windows = np.empty((n, n_windows, c_in, width), dtype=x.dtype)
+    for j in range(width):
+        windows[..., j] = x[:, j:j + n_windows, :]
+    return windows.reshape(n * n_windows, c_in * width)
 
 
 def conv1d_forward(x: np.ndarray, params: Conv1dParams) -> np.ndarray:

@@ -360,6 +360,45 @@ def add_at_logit_sum(inverse, grad_logits, n_distinct):
     return summed
 
 
+def argsort_binary_roc(scores: np.ndarray, positive: np.ndarray):
+    """ROC by sweeping thresholds over the distinct scores, descending.
+
+    Tied scores advance TP and FP together, producing the diagonal
+    segment whose trapezoidal area gives ties half credit.
+    """
+    from veclstm.errors import DegenerateClass
+    from veclstm.metrics import RocCurve
+
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateClass(f"{n_pos} positives, {n_neg} negatives")
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = positive[order].astype(np.float64)
+
+    tp_cum = np.cumsum(sorted_pos)
+    fp_cum = np.cumsum(1.0 - sorted_pos)
+    # Keep only the last index of each tied-score group.
+    distinct = np.nonzero(np.diff(sorted_scores))[0]
+    boundaries = np.concatenate([distinct, [scores.size - 1]])
+
+    tpr = np.concatenate([[0.0], tp_cum[boundaries] / n_pos])
+    fpr = np.concatenate([[0.0], fp_cum[boundaries] / n_neg])
+    auc = float(np.trapezoid(tpr, fpr))
+    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
+
+
+def sliding_window_columns(x, width):
+    """im2col: (N, L, C_in) -> (N*W, C_in*k) by reshaping a
+    sliding_window_view, one row per window."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n, length, c_in = x.shape
+    windows = sliding_window_view(x, width, axis=1)  # (N, W, C_in, k)
+    return windows.reshape(n * (length - width + 1), c_in * width)
+
+
 def pair_counting_auc(scores, positives) -> float:
     """AUC as P(s_pos > s_neg) + 0.5 P(s_pos == s_neg) over all pairs."""
     pos = [s for s, p in zip(scores, positives) if p]

@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from veclstm.errors import DegenerateClass, EmptyInput, LengthMismatch, OutOfRange
+from veclstm.errors import (
+    DegenerateClass,
+    EmptyInput,
+    LengthMismatch,
+    NonFiniteError,
+    OutOfRange,
+)
 from veclstm.metrics import (
+    _binary_roc,
     accuracy,
     confusion,
     evaluate_classifier,
@@ -16,7 +25,12 @@ from veclstm.metrics import (
     weighted_f1,
 )
 
-from _oracles import formula_weighted_f1, pair_counting_auc, tally_confusion
+from _oracles import (
+    argsort_binary_roc,
+    formula_weighted_f1,
+    pair_counting_auc,
+    tally_confusion,
+)
 
 
 def random_case(seed, n=200, n_classes=7):
@@ -219,3 +233,113 @@ class TestBundle:
         last = lines[-1].split(",")
         assert (float(first[0]), float(first[1])) == (0.0, 0.0)
         assert (float(last[0]), float(last[1])) == (1.0, 1.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# signed zeros, the smallest and largest subnormals, the smallest normal
+SIGNED_ZEROS_AND_SUBNORMALS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                               -2.225073858507201e-308, 2.2250738585072014e-308, 1.0]
+
+
+@st.composite
+def scored_labels(draw):
+    """(scores, positive) with at least one positive and one negative.
+
+    Scores are all distinct, drawn from a few values (as predict returns
+    for deduplicated rows), one constant, or signed zeros and subnormals;
+    the labels are random or hold a single positive or a single negative.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    family = draw(st.sampled_from(["distinct", "tied", "constant", "zeros"]))
+    if family == "distinct":
+        scores = rng.permutation(np.unique(np.concatenate(
+            [draw(st.lists(FINITE, min_size=1, max_size=20)), rng.random(n)])))
+    else:
+        pool = {"tied": st.lists(FINITE, min_size=2, max_size=6),
+                "constant": st.lists(FINITE, min_size=1, max_size=1),
+                "zeros": st.lists(st.sampled_from(SIGNED_ZEROS_AND_SUBNORMALS),
+                                  min_size=1, max_size=8)}[family]
+        scores = rng.choice(np.array(draw(pool)), size=n)
+    labels = draw(st.sampled_from(["random", "one_positive", "one_negative"]))
+    if labels == "random":
+        positive = rng.random(scores.size) < draw(st.floats(0.0, 1.0))
+        positive[:2] = [True, False]
+        rng.shuffle(positive)
+    else:
+        positive = np.zeros(scores.size, dtype=bool)
+        positive[rng.integers(scores.size)] = True
+        if labels == "one_negative":
+            positive = ~positive
+    return scores, positive
+
+
+def assert_same_curve(got, want):
+    assert np.array_equal(got.fpr, want.fpr)
+    assert np.array_equal(got.tpr, want.tpr)
+    assert got.auc == want.auc
+
+
+class TestSortedRocMatchesArgsortOracle:
+    """The sort-and-search ROC is bit-identical to the stable-argsort sweep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_labels())
+    def test_binary_roc(self, case):
+        scores, positive = case
+        with np.errstate(over="ignore"):  # the oracle's np.diff of extremes
+            want = argsort_binary_roc(scores, positive)
+        assert_same_curve(_binary_roc(scores, positive), want)
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_evaluate_classifier_curves(self, decimals):
+        probs, true = random_case(83, n=600)
+        if decimals is not None:
+            probs = np.round(probs, decimals)  # many tied scores
+        bundle = evaluate_classifier(probs, true)
+        assert len(bundle.roc_curves) == 8
+        for cls in range(7):
+            want = argsort_binary_roc(probs[:, cls], true == cls)
+            assert_same_curve(bundle.roc_curves[cls], want)
+            assert bundle.per_class_auc[cls] == want.auc
+        onehot = (true[:, None] == np.arange(7)).reshape(-1)
+        want = argsort_binary_roc(probs.reshape(-1), onehot)
+        assert_same_curve(bundle.roc_curves["micro"], want)
+        assert bundle.micro_auc == want.auc
+
+
+class TestRocInputErrors:
+    @pytest.mark.parametrize("bad_label", [-1, 3])
+    def test_labels_outside_the_classes(self, bad_label):
+        probs = np.full((4, 3), 1 / 3)
+        true = np.array([0, 1, bad_label, 0])
+        with pytest.raises(OutOfRange):
+            micro_average_roc(probs, true)
+        with pytest.raises(OutOfRange):
+            roc_auc(probs, true, 0)
+        with pytest.raises(OutOfRange):
+            evaluate_classifier(probs, true, 3)
+
+    def test_non_finite_scores(self):
+        true = np.array([0, 1, 0])
+        with pytest.raises(NonFiniteError):
+            roc_auc(np.array([[np.nan, 0.5], [0.2, 0.8], [0.9, 0.1]]), true, 0)
+        with pytest.raises(NonFiniteError):
+            roc_auc(np.array([[np.inf, 0.5], [np.inf, 0.8], [0.9, 0.1]]), true, 0)
+        with pytest.raises(NonFiniteError):
+            micro_average_roc(np.array([[0.5, 0.5], [0.2, -np.inf], [0.9, 0.1]]), true)
+
+    def test_non_finite_row_in_bundle(self):
+        probs, true = random_case(89, n=30)
+        probs[4] = np.nan
+        with pytest.raises(NonFiniteError):
+            evaluate_classifier(probs, true)
+
+    def test_bundle_needs_one_score_row_per_label(self):
+        with pytest.raises(LengthMismatch):
+            evaluate_classifier(np.array([0.2, 0.8]), np.array([0, 1]), 2)
+        probs, true = random_case(97, n=10)
+        with pytest.raises(LengthMismatch):
+            evaluate_classifier(probs, true[:9])
+        with pytest.raises(LengthMismatch):
+            micro_average_roc(probs, true.reshape(10, 1))

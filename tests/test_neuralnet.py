@@ -37,6 +37,7 @@ from veclstm.neuralnet import (
     softmax,
     softmax_cross_entropy,
 )
+from veclstm.neuralnet.cnn import _columns
 
 from _oracles import (
     central_difference_grads,
@@ -44,6 +45,7 @@ from _oracles import (
     einsum_conv1d_backward,
     reduce_max_softmax,
     relative_error,
+    sliding_window_columns,
 )
 
 
@@ -207,6 +209,19 @@ class TestConv1d:
         dk, db, dx = conv1d_backward(x, params, direction, input_grad=False)
         assert dx is None
         assert np.array_equal(dk, grads[0]) and np.array_equal(db, grads[1])
+
+    @pytest.mark.parametrize("n", [0, 37, 76, 512])
+    def test_columns_match_sliding_window_oracle(self, n):
+        # the hybrid grid branch: one-hot cell grids and random heatmaps
+        rng = np.random.default_rng(n)
+        one_hot = np.zeros((n, 100), dtype=np.float32)
+        one_hot[np.arange(n), rng.integers(0, 100, n)] = 1.0
+        heatmaps = rng.random((n, 10, 10))
+        for x in (one_hot.reshape(n, 10, 10), heatmaps):
+            for width in (1, 3, 10):
+                got = _columns(x, width)
+                assert got.dtype == x.dtype
+                assert np.array_equal(got, sliding_window_columns(x, width))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
