@@ -83,13 +83,13 @@ class RunConfig:
     def __post_init__(self):
         self.modes = tuple(self.modes)
         if len(self.modes) != 7 or not all(isinstance(m, str) for m in self.modes):
-            raise ValueError("modes must list exactly 7 transportation modes")
+            raise ConfigError("modes must list exactly 7 transportation modes")
         for name, allowed in (("metadata_feature", ingest_mod.METADATA_FEATURES),
                               ("regression_basis", metrics_mod.REGRESSION_BASES),
                               ("lstm_output_activation", LSTM_OUTPUT_ACTIVATIONS)):
             if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)},"
-                                 f" got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be one of {', '.join(allowed)},"
+                                  f" got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -147,7 +147,7 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
         return RunConfig(train=TrainConfig(**train),
                          vectorizer=VectorizationConfig(**doc.get("vectorizer", {})),
                          **top)
-    except ValueError as exc:  # a value out of range
+    except ConfigError as exc:  # a value out of range
         raise ConfigError(f"{path}: {exc}") from None
 
 

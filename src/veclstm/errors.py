@@ -26,8 +26,8 @@ class EmptyDataset(VecLstmError):
     """Dataset assembly produced no rows."""
 
 
-class ConfigError(VecLstmError):
-    """A run config file that is not valid JSON or not a valid config."""
+class ConfigError(VecLstmError, ValueError):
+    """A config value out of range, or a config file that is not valid."""
 
 
 # --- numeric / shape ---

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, InvertedSpan, MalformedLine, TruncatedHeader
+from .errors import ConfigError, EmptyDataset, InvertedSpan, MalformedLine, TruncatedHeader
 from .vectorizer import (
     MISSING,
     NormalizationStats,
@@ -337,7 +337,7 @@ def _metadata_scalars(
             speeds[i] = dist / (t[i] - t[i - 1])
         top = speeds.max()
         return speeds / top if top > 0 else speeds
-    raise ValueError(f"unknown metadata feature {feature!r}")
+    raise ConfigError(f"unknown metadata feature {feature!r}")
 
 
 def build_dataset(

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateClass, EmptyInput, LengthMismatch, NonFiniteError, OutOfRange
+from .errors import (ConfigError, DegenerateClass, EmptyInput, LengthMismatch, NonFiniteError,
+                     OutOfRange)
 
 N_CLASSES = 7
 REGRESSION_BASES = ("class_codes", "probabilities")
@@ -178,19 +179,21 @@ def evaluate_classifier(
     Classes absent from the truth (or predicted for every sample) have
     no defined ROC and report None for their AUC.
     """
+    if regression_basis not in REGRESSION_BASES:
+        raise ConfigError(f"unknown regression basis {regression_basis!r}")
     probs, true = _scored(probs, true)
+    if probs.shape[1] != n_classes:
+        raise LengthMismatch(f"{probs.shape[1]} probability columns for {n_classes} classes")
     pred = probs.argmax(axis=1)
     matrix = confusion(pred, true, n_classes)
 
     if regression_basis == "class_codes":
         rmse, mae, mse = regression_metrics(pred.astype(np.float64),
                                             true.astype(np.float64))
-    elif regression_basis == "probabilities":
+    else:
         onehot = np.zeros_like(probs)
         onehot[np.arange(true.size), true] = 1.0
         rmse, mae, mse = regression_metrics(probs.reshape(-1), onehot.reshape(-1))
-    else:
-        raise ValueError(f"unknown regression basis {regression_basis!r}")
 
     per_class: list[float | None] = []
     curves: dict = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -41,9 +41,7 @@ from .neuralnet import (
     conv1d_forward,
     dense_backward,
     dense_forward,
-    init_conv1d,
-    init_dense,
-    init_lstm,
+    glorot_uniform,
     lstm_backward,
     lstm_sequence,
     maxpool1d_backward,
@@ -79,8 +77,17 @@ class ModelSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
+        for name in ("n_features", "timesteps", "grid_size", "conv_filters",
+                     "conv_kernel", "pool_size", "fusion_units"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.lstm_units) != 2 or min(self.lstm_units) < 1:
+            raise ConfigError(f"lstm_units must be two sizes >= 1, got {self.lstm_units}")
+        if self.n_classes < 2:
+            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.has_grid_branch and self.grid_features < 1:
+            raise ConfigError(f"conv_kernel {self.conv_kernel} and pool_size {self.pool_size}"
+                              f" leave no conv output on grid_size {self.grid_size}")
         if self.lstm_output_activation not in LSTM_OUTPUT_ACTIVATIONS:
             raise ConfigError(f"lstm_output_activation must be one of"
                               f" {', '.join(LSTM_OUTPUT_ACTIVATIONS)},"
@@ -148,85 +155,76 @@ def build_hybrid(n_features: int = 1, **overrides) -> ModelSpec:
 
 # --- parameter blocks ---------------------------------------------------
 
-def _block_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+_LSTM_FIELDS = tuple(f.name for f in fields(LstmParams))
+
+
+def _lstm_layers(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
+    """(prefix, input size, hidden size) of each LSTM layer, in order."""
     h1, h2 = spec.lstm_units
-    shapes: dict[str, tuple[int, ...]] = {}
-    for gate in ("i", "f", "o", "g"):
-        shapes[f"lstm1.w_{gate}"] = (h1, spec.n_features + h1)
-        shapes[f"lstm1.b_{gate}"] = (h1,)
-    for gate in ("i", "f", "o", "g"):
-        shapes[f"lstm2.w_{gate}"] = (h2, h1 + h2)
-        shapes[f"lstm2.b_{gate}"] = (h2,)
-    head_in = h2
+    return ("lstm1", spec.n_features, h1), ("lstm2", h1, h2)
+
+
+def param_blocks(spec: ModelSpec) -> dict[str, tuple[tuple[int, ...], Any]]:
+    """Every parameter block: key -> (shape, Glorot (fan_in, fan_out)).
+
+    The one statement of the model's parameter layout. A weight is drawn
+    Glorot-uniform from its fans, receptive-field fans for the conv; a
+    bias has None and starts at zero. The weights draw in key order, so
+    the order fixes what a seed gives, and AdamState's flat layout.
+    """
+    blocks = {}
+    for prefix, n_in, hidden in _lstm_layers(spec):
+        for name in _LSTM_FIELDS:
+            blocks[f"{prefix}.{name}"] = (
+                ((hidden, n_in + hidden), (n_in + hidden, hidden))
+                if name.startswith("w_") else ((hidden,), None))
+    head_in = spec.lstm_units[1]
     if spec.has_grid_branch:
-        shapes["conv.kernels"] = (spec.conv_filters, spec.grid_size, spec.conv_kernel)
-        shapes["conv.biases"] = (spec.conv_filters,)
-        shapes["fusion.w"] = (spec.fusion_units, h2 + spec.grid_features)
-        shapes["fusion.b"] = (spec.fusion_units,)
+        channels, width, filters = spec.grid_size, spec.conv_kernel, spec.conv_filters
+        fusion_in = head_in + spec.grid_features
+        blocks["conv.kernels"] = ((filters, channels, width), (channels * width, filters * width))
+        blocks["conv.biases"] = ((filters,), None)
+        blocks["fusion.w"] = ((spec.fusion_units, fusion_in), (fusion_in, spec.fusion_units))
+        blocks["fusion.b"] = ((spec.fusion_units,), None)
         head_in = spec.fusion_units
-    shapes["head.w"] = (spec.n_classes, head_in)
-    shapes["head.b"] = (spec.n_classes,)
-    return shapes
+    blocks["head.w"] = ((spec.n_classes, head_in), (head_in, spec.n_classes))
+    blocks["head.b"] = ((spec.n_classes,), None)
+    return blocks
 
 
 def param_count(spec: ModelSpec) -> int:
     """Total trainable parameter count (there are no frozen blocks)."""
-    return sum(int(np.prod(shape)) for shape in _block_shapes(spec).values())
+    return sum(math.prod(shape) for shape, _ in param_blocks(spec).values())
 
 
 def trained_entries(spec: ModelSpec) -> dict[str, Any]:
     """The entries of each parameter block that training can move.
 
-    Maps a block key to a basic index into the block; a block that is
-    absent is never read. The LSTM blocks follow
+    Maps a block key to a basic index into the block, in param_blocks
+    order; a block that is absent is never read. The LSTM blocks follow
     LstmParams.read_entries for spec.timesteps; the conv, fusion and
     head blocks are read whole.
     """
+    reads = {prefix: LstmParams.read_entries(spec.timesteps, n_in)
+             for prefix, n_in, _ in _lstm_layers(spec)}
     entries = {}
-    for prefix, n_in in (("lstm1", spec.n_features), ("lstm2", spec.lstm_units[0])):
-        for name, index in LstmParams.read_entries(spec.timesteps, n_in).items():
-            entries[f"{prefix}.{name}"] = index
-    for key in _block_shapes(spec):
-        if not key.startswith("lstm"):
-            entries[key] = np.s_[...]
+    for key in param_blocks(spec):
+        prefix, name = key.split(".")
+        read = reads.get(prefix, {name: np.s_[...]})
+        if name in read:
+            entries[key] = read[name]
     return entries
 
 
 def init_model_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
-    """Seeded Glorot init; same seed always yields identical arrays."""
+    """Seeded init of param_blocks; same seed always yields identical arrays."""
     rng = np.random.default_rng(seed)
-    h1, h2 = spec.lstm_units
-    params: dict[str, np.ndarray] = {}
-    _merge(params, "lstm1", init_lstm(rng, spec.n_features, h1))
-    _merge(params, "lstm2", init_lstm(rng, h1, h2))
-    if spec.has_grid_branch:
-        conv = init_conv1d(rng, spec.grid_size, spec.conv_filters, spec.conv_kernel)
-        params["conv.kernels"] = conv.kernels
-        params["conv.biases"] = conv.biases
-        fusion = init_dense(rng, h2 + spec.grid_features, spec.fusion_units)
-        params["fusion.w"] = fusion.w
-        params["fusion.b"] = fusion.b
-        head = init_dense(rng, spec.fusion_units, spec.n_classes)
-    else:
-        head = init_dense(rng, h2, spec.n_classes)
-    params["head.w"] = head.w
-    params["head.b"] = head.b
-
-    expected = _block_shapes(spec)
-    assert {k: v.shape for k, v in params.items()} == expected
-    return params
-
-
-def _merge(params: dict[str, np.ndarray], prefix: str, block: LstmParams) -> None:
-    for name in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g"):
-        params[f"{prefix}.{name}"] = getattr(block, name)
+    return {key: np.zeros(shape) if fans is None else glorot_uniform(rng, shape, *fans)
+            for key, (shape, fans) in param_blocks(spec).items()}
 
 
 def _lstm_view(params: dict[str, np.ndarray], prefix: str) -> LstmParams:
-    return LstmParams(**{
-        name: params[f"{prefix}.{name}"]
-        for name in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")
-    })
+    return LstmParams(**{name: params[f"{prefix}.{name}"] for name in _LSTM_FIELDS})
 
 
 # --- forward / backward -------------------------------------------------

@@ -19,7 +19,7 @@ from .cnn import (
     maxpool1d_forward,
 )
 from .dense import DenseParams, dense_backward, dense_forward
-from .init import glorot_uniform, init_conv1d, init_dense, init_lstm
+from .init import glorot_uniform
 from .loss import cross_entropy, softmax, softmax_cross_entropy
 from .lstm import (
     LstmParams,
@@ -47,9 +47,6 @@ __all__ = [
     "lstm_sequence",
     "lstm_backward",
     "glorot_uniform",
-    "init_lstm",
-    "init_dense",
-    "init_conv1d",
     "save_checkpoint",
     "load_checkpoint",
 ]

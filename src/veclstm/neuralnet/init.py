@@ -1,12 +1,8 @@
-"""Seeded Glorot-uniform initialization for all parameter blocks."""
+"""Seeded Glorot-uniform initialization (Glorot & Bengio, AISTATS 2010)."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .cnn import Conv1dParams
-from .dense import DenseParams
-from .lstm import LstmParams
 
 
 def glorot_uniform(
@@ -14,38 +10,3 @@ def glorot_uniform(
 ) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
-def init_lstm(rng: np.random.Generator, input_size: int, hidden: int) -> LstmParams:
-    """Gate matrices (H, F+H) Glorot-initialized, biases zero."""
-    fan_in = input_size + hidden
-    shape = (hidden, fan_in)
-    return LstmParams(
-        w_i=glorot_uniform(rng, shape, fan_in, hidden),
-        w_f=glorot_uniform(rng, shape, fan_in, hidden),
-        w_o=glorot_uniform(rng, shape, fan_in, hidden),
-        w_g=glorot_uniform(rng, shape, fan_in, hidden),
-        b_i=np.zeros(hidden, dtype=np.float64),
-        b_f=np.zeros(hidden, dtype=np.float64),
-        b_o=np.zeros(hidden, dtype=np.float64),
-        b_g=np.zeros(hidden, dtype=np.float64),
-    )
-
-
-def init_dense(rng: np.random.Generator, in_size: int, out_size: int) -> DenseParams:
-    return DenseParams(
-        w=glorot_uniform(rng, (out_size, in_size), in_size, out_size),
-        b=np.zeros(out_size, dtype=np.float64),
-    )
-
-
-def init_conv1d(
-    rng: np.random.Generator, in_channels: int, n_filters: int, width: int
-) -> Conv1dParams:
-    # Receptive-field fans, as is conventional for convolutions.
-    fan_in = in_channels * width
-    fan_out = n_filters * width
-    return Conv1dParams(
-        kernels=glorot_uniform(rng, (n_filters, in_channels, width), fan_in, fan_out),
-        biases=np.zeros(n_filters, dtype=np.float64),
-    )

@@ -30,6 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyClassSet,
     EmptyInput,
     NotFittedError,
@@ -74,19 +75,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 1.0):
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise ConfigError("test_fraction must be in (0, 1)")
         if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in (0, 1)")
+            raise ConfigError("validation_fraction must be in (0, 1)")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         for name in ("learning_rate", "epsilon"):  # epsilon: see adam_step
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+                raise ConfigError(f"{name} must be > 0")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
+                raise ConfigError(f"{name} must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import ConfigError, EmptyInput, LengthMismatch
 
 MISSING = math.nan
 
@@ -51,13 +51,13 @@ class VectorizationConfig:
 
     def __post_init__(self):
         if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
+            raise ConfigError("grid_size must be >= 1")
         # Imputed values are binned like normalized ones, so they must lie
         # in [0, 1] too; NaN fails the comparison.
         if not 0.0 <= self.missing_default <= 1.0:
-            raise ValueError(f"missing_default must be in [0, 1], got {self.missing_default!r}")
+            raise ConfigError(f"missing_default must be in [0, 1], got {self.missing_default!r}")
         if self.value_mode not in ("count", "density"):
-            raise ValueError(f"unknown value_mode {self.value_mode!r}")
+            raise ConfigError(f"unknown value_mode {self.value_mode!r}")
 
 
 @dataclass

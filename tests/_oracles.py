@@ -472,6 +472,84 @@ def per_block_adam_step(params, grads, m, v, t, alpha, beta1, beta2, eps):
     return new
 
 
+# --- init by per-layer initializers ----------------------------------------
+# models.init_model_params as it was before one table of parameter
+# blocks stated every shape: three per-layer initializers, each drawing
+# its weights Glorot-uniform in turn and zeroing its biases, merged into
+# the dict block by block. init_model_params must return the same
+# arrays, in the same dtype and key order.
+
+def _glorot_uniform(rng, shape, fan_in, fan_out):
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+
+
+def _init_lstm(rng, input_size, hidden):
+    """Gate matrices (H, F+H) Glorot-initialized, biases zero."""
+    from veclstm.neuralnet import LstmParams
+
+    fan_in = input_size + hidden
+    shape = (hidden, fan_in)
+    return LstmParams(
+        w_i=_glorot_uniform(rng, shape, fan_in, hidden),
+        w_f=_glorot_uniform(rng, shape, fan_in, hidden),
+        w_o=_glorot_uniform(rng, shape, fan_in, hidden),
+        w_g=_glorot_uniform(rng, shape, fan_in, hidden),
+        b_i=np.zeros(hidden, dtype=np.float64),
+        b_f=np.zeros(hidden, dtype=np.float64),
+        b_o=np.zeros(hidden, dtype=np.float64),
+        b_g=np.zeros(hidden, dtype=np.float64),
+    )
+
+
+def _init_dense(rng, in_size, out_size):
+    from veclstm.neuralnet import DenseParams
+
+    return DenseParams(
+        w=_glorot_uniform(rng, (out_size, in_size), in_size, out_size),
+        b=np.zeros(out_size, dtype=np.float64),
+    )
+
+
+def _init_conv1d(rng, in_channels, n_filters, width):
+    from veclstm.neuralnet import Conv1dParams
+
+    # Receptive-field fans, as is conventional for convolutions.
+    fan_in = in_channels * width
+    fan_out = n_filters * width
+    return Conv1dParams(
+        kernels=_glorot_uniform(rng, (n_filters, in_channels, width), fan_in, fan_out),
+        biases=np.zeros(n_filters, dtype=np.float64),
+    )
+
+
+def _merge(params, prefix, block):
+    for name in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g"):
+        params[f"{prefix}.{name}"] = getattr(block, name)
+
+
+def per_layer_init_model_params(spec, seed):
+    """Seeded Glorot init; same seed always yields identical arrays."""
+    rng = np.random.default_rng(seed)
+    h1, h2 = spec.lstm_units
+    params = {}
+    _merge(params, "lstm1", _init_lstm(rng, spec.n_features, h1))
+    _merge(params, "lstm2", _init_lstm(rng, h1, h2))
+    if spec.has_grid_branch:
+        conv = _init_conv1d(rng, spec.grid_size, spec.conv_filters, spec.conv_kernel)
+        params["conv.kernels"] = conv.kernels
+        params["conv.biases"] = conv.biases
+        fusion = _init_dense(rng, h2 + spec.grid_features, spec.fusion_units)
+        params["fusion.w"] = fusion.w
+        params["fusion.b"] = fusion.b
+        head = _init_dense(rng, spec.fusion_units, spec.n_classes)
+    else:
+        head = _init_dense(rng, h2, spec.n_classes)
+    params["head.w"] = head.w
+    params["head.b"] = head.b
+    return params
+
+
 def as_sorted_multiset(rows) -> list:
     """Canonical form for multiset equality of sample rows."""
     return sorted(tuple(np.asarray(r).reshape(-1).tolist()) for r in rows)

@@ -16,7 +16,7 @@ from veclstm.ingest import read_dataset_csv, write_dataset_csv
 from veclstm.neuralnet import load_checkpoint
 from veclstm.trainer import TrainConfig, predict
 from veclstm.vecstore import open_store
-from veclstm.vectorizer import vectorize_trajectory
+from veclstm.vectorizer import VectorizationConfig, vectorize_trajectory
 
 from _oracles import tuple_prepare_splits
 from conftest import labels_text, separable_dataset
@@ -78,6 +78,28 @@ class TestConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(path) in err and field in err
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(epochs=0),
+        lambda: VectorizationConfig(grid_size=0),
+        lambda: RunConfig(modes=("walk",)),
+        lambda: RunConfig(regression_basis="probs"),
+    ], ids=["train", "vectorizer", "run_modes", "run_basis"])
+    def test_config_classes_raise_config_error(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_hybrid_grid_narrower_than_kernel_fails_at_configuration(
+            self, sep_csv, tmp_path, capsys):
+        # It used to load and split the data, then fail in training with
+        # "input length 2 < kernel width 3". The LSTM stacks ignore the grid.
+        path = tmp_path / "grid2.json"
+        path.write_text(json.dumps({"vectorizer": {"grid_size": 2},
+                                    "train": {"epochs": 1}}), encoding="utf-8")
+        args = [str(sep_csv), "--config", str(path), "--out-dir"]
+        assert main(["train", *args, str(tmp_path / "h"), "--arch", "hybrid"]) == 1
+        assert "stage configuration: conv_kernel 3" in capsys.readouterr().err
+        assert main(["train", *args, str(tmp_path / "l"), "--arch", "lstm"]) == 0
 
     def test_every_documented_key_loads(self, tmp_path):
         doc = RunConfig().to_dict()

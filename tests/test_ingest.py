@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from veclstm import ingest as ingest_mod
 from veclstm.errors import (
+    ConfigError,
     EmptyDataset,
     InvertedSpan,
     MalformedLine,
@@ -265,6 +266,10 @@ class TestBuildDataset:
         speed_based = build_dataset(*columns, metadata_feature="normalized_speed")
         values = speed_based.metadata.tolist()
         assert values[0] == 0.0 and max(values) == 1.0
+
+    def test_unknown_metadata_feature(self):
+        with pytest.raises(ConfigError, match="'nope'"):
+            build_dataset(*point_columns([5], [0]), metadata_feature="nope")
 
     def test_speed_restarts_at_each_user(self):
         # u1's first point is 1 degree from u0's last: no speed between them

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veclstm.errors import (
+    ConfigError,
     DegenerateClass,
     EmptyInput,
     LengthMismatch,
@@ -343,3 +344,19 @@ class TestRocInputErrors:
             evaluate_classifier(probs, true[:9])
         with pytest.raises(LengthMismatch):
             micro_average_roc(probs, true.reshape(10, 1))
+
+    def test_bundle_needs_one_score_column_per_class(self):
+        # Three columns used to fail as "class 3 outside [0, 3)", and
+        # eight, with class 7 predicted, as "labels outside [0, 7)".
+        true = np.array([0, 1, 2, 0])
+        with pytest.raises(LengthMismatch, match="3 probability columns for 7 classes"):
+            evaluate_classifier(np.full((4, 3), 1 / 3), true)
+        probs = np.zeros((4, 8))
+        probs[:, 7] = 1.0
+        with pytest.raises(LengthMismatch, match="8 probability columns for 7 classes"):
+            evaluate_classifier(probs, true)
+
+    def test_unknown_regression_basis(self):
+        with pytest.raises(ConfigError, match="'x'"):
+            evaluate_classifier(np.full((4, 3), 1 / 3), np.array([0, 1, 2, 0]),
+                                regression_basis="x")

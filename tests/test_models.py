@@ -38,6 +38,7 @@ from _oracles import (
     copying_lstm_backward,
     copying_lstm_sequence,
     first_occurrence_rows,
+    per_layer_init_model_params,
     per_row_model_gradients,
     reduce_max_softmax,
     relative_error,
@@ -93,6 +94,46 @@ class TestBuilders:
     def test_no_features_rejected(self, build):
         with pytest.raises(ConfigError, match="n_features"):
             build(0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 1001])
+    @pytest.mark.parametrize("build", [
+        lambda: build_lstm_stack(1),
+        lambda: build_veclstm(1),
+        lambda: build_hybrid(1),
+        lambda: build_hybrid(3, timesteps=4, grid_size=6, conv_kernel=2, pool_size=2),
+        lambda: build_lstm_stack(2, timesteps=3),
+    ], ids=["lstm", "veclstm", "hybrid", "reduced_hybrid", "f2_t3"])
+    def test_init_matches_per_layer_oracle(self, build, seed):
+        spec = build()
+        params = init_model_params(spec, seed)
+        expected = per_layer_init_model_params(spec, seed)
+        assert list(params) == list(expected)
+        for key, array in expected.items():
+            assert params[key].dtype == array.dtype, key
+            assert np.array_equal(params[key], array), key
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: build_hybrid(1, pool_size=0), "pool_size"),
+        (lambda: build_hybrid(1, conv_kernel=11), "conv_kernel"),
+        (lambda: build_hybrid(1, conv_kernel=3, pool_size=9), "pool_size"),
+        (lambda: build_hybrid(1, conv_filters=0), "conv_filters"),
+        (lambda: build_hybrid(1, fusion_units=0), "fusion_units"),
+        (lambda: build_lstm_stack(1, timesteps=0), "timesteps"),
+        (lambda: build_lstm_stack(1, lstm_units=(100, 0)), "lstm_units"),
+        (lambda: build_lstm_stack(1, n_classes=1), "n_classes"),
+        (lambda: build_veclstm(1, grid_size=0), "grid_size"),
+    ], ids=["pool_zero", "kernel_wider_than_grid", "pool_wider_than_conv",
+            "no_filters", "no_fusion_units", "no_timesteps", "no_lstm2_units",
+            "one_class", "no_grid"])
+    def test_bad_size_rejected(self, build, field):
+        # pool_size 0 used to raise ZeroDivisionError from param_count, and
+        # kernel 11 built a conv branch of zero width.
+        with pytest.raises(ConfigError, match=field):
+            build()
+
+    def test_grid_limits_bind_the_hybrid_only(self):
+        assert param_count(build_lstm_stack(1, grid_size=2)) == 71_357
+        assert build_hybrid(1, grid_size=3, conv_kernel=3, pool_size=1).grid_features == 64
 
     def test_spec_json(self):
         doc = json.loads(build_hybrid(seed=5).to_json())

@@ -20,13 +20,13 @@ from veclstm.errors import (
 from veclstm.neuralnet import (
     Conv1dParams,
     DenseParams,
+    LstmParams,
     check_finite,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
     dense_forward,
     glorot_uniform,
-    init_lstm,
     load_checkpoint,
     lstm_sequence,
     maxpool1d_backward,
@@ -286,7 +286,8 @@ def _single_sample_calls():
     rng = np.random.default_rng(13)
     dense = DenseParams(rng.normal(size=(2, 3)), np.zeros(2))
     conv = Conv1dParams(rng.normal(size=(2, 4, 3)), np.zeros(2))
-    lstm = init_lstm(rng, 3, 4)
+    lstm = LstmParams(*(rng.normal(size=(4, 3 + 4)) for _ in range(4)),
+                      *(np.zeros(4) for _ in range(4)))
     return {
         "dense_forward": lambda: dense_forward(np.ones(3), dense),
         "dense_backward": lambda: dense_backward(np.ones(3), dense, np.ones(2)),
