@@ -412,7 +412,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     cells = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                               dataset.stats, config.vectorizer)
     t_cells = time.perf_counter() - t0
-    hybrid = build_hybrid(1)
+    hybrid = build_hybrid(1, grid_size=config.vectorizer.grid_size)
     x_train, cells_train = x_all[train_rows], cells[train_rows]
     params_hybrid, _, _, t_hybrid = run_epochs(
         hybrid, init_model_params(hybrid, seed=tcfg.seed),

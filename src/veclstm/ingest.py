@@ -445,8 +445,10 @@ def ingest_geolife(
         keep = label >= 0
         n_outside_spans += int((owner < 0).sum())
         n_unmapped += int(((owner >= 0) & ~keep).sum())
-        labeled.append((time[keep], lat[keep], lon[keep], alt[keep], label[keep],
-                        np.full(int(keep.sum()), user_id, dtype=object)))
+        # One str shared by every row: np.full would store a copy per row.
+        users = np.empty(int(keep.sum()), dtype=object)
+        users[:] = user_id
+        labeled.append((time[keep], lat[keep], lon[keep], alt[keep], label[keep], users))
     n_labeled = sum(part[0].size for part in labeled)
     dataset = None
     if n_labeled:
@@ -649,7 +651,8 @@ def read_dataset_csv(path: Path) -> Dataset:
     """Read a dataset CSV; the first bad row raises MalformedLine.
 
     A row is bad when it has other than 7 fields, a field that does not
-    convert, or a coordinate that parse_plt would reject as out of range.
+    convert, a coordinate that parse_plt would reject as out of range, or
+    a label code outside [0, 7).
     Line numbers count CSV records, the header being record 1; bytes
     that are not UTF-8 are reported by physical line and byte offset,
     before any other error. The rows are read in chunks into columns
@@ -674,6 +677,9 @@ def read_dataset_csv(path: Path) -> Dataset:
                         lambda row: f"latitude {float(lat[row])} out of range")
             first.check(~((lon >= -180.0) & (lon <= 180.0)),
                         lambda row: f"longitude {float(lon[row])} out of range")
+            label = columns[4][n:n + size]
+            first.check((label < 0) | (label >= len(DEFAULT_MODES)),
+                        lambda row: f"label {int(label[row])} outside [0, {len(DEFAULT_MODES)})")
             if first.error is not None:
                 raise first.error
             columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))

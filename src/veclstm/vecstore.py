@@ -18,8 +18,9 @@ import sqlite3
 import struct
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +78,46 @@ def _validate(record: VectorRecord, vector_len: int) -> np.ndarray:
     if not _INT64[0] <= record.created_at <= _INT64[1]:
         raise ValidationError(f"created_at {record.created_at} outside int64")
     return vec
+
+
+def _build_records(ids: Sequence[int], users: Sequence[bytes | str], labels: Sequence[int],
+                   created_at: Sequence[int], vectors: bytearray | np.ndarray, vector_len: int,
+                   where: Callable[[int], str]) -> list[VectorRecord]:
+    """The VectorRecords of a fetch's hits, in the order given.
+
+    vectors is a writable buffer of the hits' float32 values, joined;
+    each record gets its own row of it. A user given as bytes is decoded
+    once per distinct value; one that is not UTF-8 raises SchemaMismatch
+    with where(i), which names the first hit i that holds it.
+    """
+    names = dict.fromkeys(users)
+    for user in names:
+        try:
+            names[user] = user if isinstance(user, str) else user.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"{where(users.index(user))} is not UTF-8") from exc
+    rows = np.frombuffer(vectors, dtype="<f4").reshape(len(users), vector_len)
+    return list(map(VectorRecord, ids, map(names.__getitem__, users), labels, rows, created_at))
+
+
+def _gather(data: bytes, at: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes of data at each offset in at, as a (len(at), width) copy."""
+    windows = np.ndarray((max(len(data) - width + 1, 0), width), np.uint8, data, strides=(1, 1))
+    return windows[at]
+
+
+class _Index(NamedTuple):
+    """The records of one file's bytes as columns, in file order."""
+    data: bytes               # the whole file the index was scanned from
+    offsets: np.ndarray       # int64 byte offset of each record
+    ids: np.ndarray           # uint64
+    user_codes: dict          # user bytes -> code
+    users: np.ndarray         # int64 code of each record's user
+    user_bytes: np.ndarray    # object array of the user bytes, by code
+    labels: np.ndarray        # uint8
+    created_at: np.ndarray    # int64
+    vectors: np.ndarray       # int64 byte offset of each vector
+    in_id_order: bool
 
 
 class _Header(NamedTuple):
@@ -185,14 +226,13 @@ class SqlVectorStore(VectorStore):
             rows = self._conn.cursor().execute(sql, args).fetchall()
         except self._error_class as exc:
             raise StorageError(f"fetch failed: {exc}") from exc
-        return [
-            VectorRecord(
-                record_id=rid, user=uid, label=lbl,
-                vector=np.frombuffer(blob, dtype="<f4").copy(),
-                created_at=created,
-            )
-            for rid, uid, lbl, blob, created in rows
-        ]
+        ids, users, labels, blobs, created = zip(*rows) if rows else ((),) * 5
+        size = 4 * self._vector_len
+        if set(map(len, blobs)) - {size}:
+            rid, blob = next((r, b) for r, b in zip(ids, blobs) if len(b) != size)
+            raise SchemaMismatch(f"vec of record {rid} holds {len(blob)} bytes, not {size}")
+        return _build_records(ids, users, labels, created, bytearray().join(blobs),
+                              self._vector_len, lambda i: f"user of record {ids[i]}")
 
     def count(self) -> int:
         try:
@@ -220,6 +260,10 @@ class FileVectorStore(VectorStore):
     ignore and the next insert overwrites. Only the empty file at init
     and the one-time rewrite of a v1 file (whose 16-byte header has no
     committed length) go through temp-file-then-rename.
+
+    fetch reads the whole file on every call. While the file holds the
+    same bytes as at the last scan, the index of that scan picks the
+    hits; any other bytes are scanned, and checked, record by record.
     """
 
     def __init__(self, path: str | Path, grid_size: int = 10):
@@ -227,6 +271,7 @@ class FileVectorStore(VectorStore):
         self.grid_size = grid_size
         self._vector_len = grid_size * grid_size
         self._record_min = _RECORD_HEAD.size + _RECORD_TAIL.size + 4 * self._vector_len
+        self._index: _Index | None = None  # of the file bytes last scanned
         if not self.path.parent.is_dir():
             raise ConnectionFailed(f"directory {self.path.parent} does not exist")
 
@@ -297,17 +342,13 @@ class FileVectorStore(VectorStore):
             os.unlink(tmp_name)
             raise StorageError(f"write failed: {exc}") from exc
 
-    def _scan(self, data: bytes, header: _Header,
-              user: str | None = None, label: int | None = None,
-              id_range: tuple[int, int] | None = None) -> list[VectorRecord]:
-        """Parse exactly `header.count` records from the committed bytes;
-        decode and return only those that pass the filters, in file order."""
+    def _scan(self, data: bytes, header: _Header) -> _Index:
+        """Parse exactly `header.count` records from the committed bytes
+        into the columns of an index."""
         end = header.end
-        want_user = None if user is None else user.encode("utf-8")
-        lo, hi = id_range if id_range is not None else (None, None)
         rest = _RECORD_TAIL.size + 4 * self._vector_len  # label onwards
-        head, tail = _RECORD_HEAD.unpack_from, _RECORD_TAIL.unpack_from
-        hits = []  # (offset, record_id, user_at, tail_at, label, created_at)
+        head = _RECORD_HEAD.unpack_from
+        offsets, ids, users = [], [], []
         offset = header.start
         for _ in range(header.count):
             if offset + _RECORD_HEAD.size > end:
@@ -321,37 +362,60 @@ class FileVectorStore(VectorStore):
                 raise SchemaMismatch(
                     f"{self.path}: record at byte {offset} overruns the"
                     f" committed data ending at byte {end}")
-            if ((want_user is None or data[user_at:tail_at] == want_user)
-                    and (lo is None or lo <= record_id <= hi)):
-                rec_label, created_at = tail(data, tail_at)
-                if label is None or rec_label == label:
-                    hits.append((offset, record_id, user_at, tail_at, rec_label, created_at))
+            offsets.append(offset)
+            ids.append(record_id)
+            users.append(data[user_at:tail_at])
             offset = next_at
         if offset != end:
             raise SchemaMismatch(
                 f"{self.path}: header counts {header.count} records, but {end - offset}"
                 f" bytes follow the last one at byte {offset}")
 
-        # One copy for all returned vectors; each record gets its own row.
-        vec_at = _RECORD_TAIL.size
-        vectors = np.frombuffer(
-            bytearray().join([data[t + vec_at:t + rest] for *_, t, _, _ in hits]),
-            dtype="<f4").reshape(len(hits), self._vector_len)
-        out = []
-        for (offset, record_id, user_at, tail_at, rec_label, created_at), vector in zip(hits, vectors):
-            try:
-                name = data[user_at:tail_at].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaMismatch(
-                    f"{self.path}: user of record at byte {offset} is not UTF-8") from exc
-            out.append(VectorRecord(record_id=record_id, user=name, label=rec_label,
-                                    vector=vector, created_at=created_at))
+        offsets = np.array(offsets, dtype=np.int64)
+        tails = offsets + _RECORD_HEAD.size + np.fromiter(map(len, users), np.int64, len(users))
+        codes = {user: code for code, user in enumerate(dict.fromkeys(users))}
+        ids = np.array(ids, dtype=np.uint64)
+        return _Index(
+            data=data, offsets=offsets, ids=ids, user_codes=codes,
+            users=np.fromiter(map(codes.__getitem__, users), np.int64, len(users)),
+            user_bytes=np.array(list(codes), dtype=object),
+            labels=_gather(data, tails, 1).ravel(),
+            created_at=_gather(data, tails + 1, 8).view("<i8").ravel(),
+            vectors=tails + _RECORD_TAIL.size,
+            in_id_order=bool(np.all(ids[1:] >= ids[:-1])))
+
+    def _records(self, data: bytes, header: _Header,
+                 user: str | None = None, label: int | None = None,
+                 id_range: tuple[int, int] | None = None) -> list[VectorRecord]:
+        """The records of the file bytes `data` that pass the filters, in
+        id order. The index of the last bytes scanned serves while the
+        bytes are equal; other bytes are scanned anew."""
+        index = self._index
+        if index is None or index.data != data:
+            index = self._index = self._scan(data, header)
+        keep = np.ones(index.ids.size, dtype=bool)
+        if user is not None:
+            keep &= index.users == index.user_codes.get(user.encode("utf-8"), -1)
+        if label is not None:
+            keep &= index.labels == label
+        if id_range is not None:
+            lo, hi = id_range
+            keep &= (index.ids >= lo) & (index.ids <= hi)
+        hits = np.flatnonzero(keep)
+        offsets = index.offsets[hits]
+        out = _build_records(
+            index.ids[hits].tolist(), index.user_bytes[index.users[hits]].tolist(),
+            index.labels[hits].tolist(), index.created_at[hits].tolist(),
+            _gather(data, index.vectors[hits], 4 * self._vector_len),
+            self._vector_len, lambda i: f"{self.path}: user of record at byte {offsets[i]}")
+        if not index.in_id_order:
+            out.sort(key=attrgetter("record_id"))
         return out
 
     def _upgrade_v1(self) -> _Header:
         """Rewrite a v1 file as v2, once, before its first append."""
         data, header = self._read_all()
-        ids = [r.record_id for r in self._scan(data, header)]
+        ids = [r.record_id for r in self._records(data, header)]
         if ids != list(range(1, header.count + 1)):
             raise SchemaMismatch(
                 f"{self.path}: v1 record ids are not 1..{header.count} in order;"
@@ -400,15 +464,13 @@ class FileVectorStore(VectorStore):
         return len(records)
 
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:
-        out = self._scan(*self._read_all(), user, label, id_range)
-        out.sort(key=lambda r: r.record_id)
-        return out
+        return self._records(*self._read_all(), user, label, id_range)
 
     def count(self) -> int:
         return self._read_header().count
 
     def close(self) -> None:
-        pass
+        self._index = None
 
 
 def open_store(descriptor: str, grid_size: int = 10) -> VectorStore:

@@ -682,9 +682,9 @@ def row_read_dataset_csv(path):
     """The seven columns of a dataset CSV, read record by record.
 
     As the row-by-row reader always did, except that an integer outside
-    int64, and a latitude outside [-90, 90] or longitude outside
-    [-180, 180], which that reader passed on to crash a later stage,
-    raise MalformedLine here as in the columnar reader.
+    int64, a latitude outside [-90, 90] or longitude outside [-180, 180],
+    and a label outside [0, 7), which that reader passed on to crash a
+    later stage, raise MalformedLine here as in the columnar reader.
     """
     import csv
 
@@ -718,6 +718,8 @@ def row_read_dataset_csv(path):
                 raise MalformedLine(line_no, f"latitude {lat} out of range")
             if not -180.0 <= lon <= 180.0:
                 raise MalformedLine(line_no, f"longitude {lon} out of range")
+            if not 0 <= rows[-1][4] < 7:
+                raise MalformedLine(line_no, f"label {rows[-1][4]} outside [0, 7)")
     if not rows:
         raise EmptyDataset(f"{path} contains a header but no rows")
     dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, object, np.float64)
@@ -838,3 +840,50 @@ def tuple_prepare_splits(dataset, spec, config):
         y_val=encode_labels(y_val, spec.n_classes) if len(y_val) else None,
     )
     return PreparedData(data=data, x_test=assemble(x_test), y_test_codes=y_test)
+
+
+def record_loop_vlvs_fetch(store, user=None, label=None, id_range=None):
+    """FileVectorStore.fetch as one pass over every record of the file.
+
+    The header is read by the store; each record is then parsed with
+    struct, filtered with Python compares and built one by one, with the
+    structural errors and messages of the scan.
+    """
+    import struct
+
+    from veclstm.errors import SchemaMismatch
+    from veclstm.vecstore import VectorRecord
+
+    data, header = store._read_all()
+    path, end, n = store.path, header.end, store.grid_size ** 2
+    out, offset = [], header.start
+    for _ in range(header.count):
+        if offset + 10 > end:
+            raise SchemaMismatch(f"{path}: record at byte {offset} is cut short at byte {end}")
+        record_id, user_len = struct.unpack_from("<QH", data, offset)
+        tail_at = offset + 10 + user_len
+        next_at = tail_at + 9 + 4 * n
+        if next_at > end:
+            raise SchemaMismatch(f"{path}: record at byte {offset} overruns the"
+                                 f" committed data ending at byte {end}")
+        rec_label, created_at = struct.unpack_from("<Bq", data, tail_at)
+        raw_user = data[offset + 10:tail_at]
+        if ((user is None or raw_user == user.encode("utf-8"))
+                and (label is None or rec_label == label)
+                and (id_range is None or id_range[0] <= record_id <= id_range[1])):
+            out.append((offset, record_id, raw_user, rec_label,
+                        data[tail_at + 9:next_at], created_at))
+        offset = next_at
+    if offset != end:
+        raise SchemaMismatch(f"{path}: header counts {header.count} records, but"
+                             f" {end - offset} bytes follow the last one at byte {offset}")
+    records = []
+    for offset, record_id, raw_user, rec_label, vector, created_at in out:
+        try:
+            name = raw_user.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaMismatch(
+                f"{path}: user of record at byte {offset} is not UTF-8") from None
+        records.append(VectorRecord(record_id, name, rec_label,
+                                    np.frombuffer(vector, dtype="<f4").copy(), created_at))
+    return sorted(records, key=lambda r: r.record_id)

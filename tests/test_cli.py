@@ -3,7 +3,9 @@
 import csv
 import json
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,13 @@ from veclstm.vectorizer import VectorizationConfig, vectorize_trajectory
 
 from _oracles import tuple_prepare_splits
 from conftest import labels_text, separable_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.generator import write_geolife_tree  # noqa: E402
+from perfbench.workloads import TRAIN_TREE  # noqa: E402
 
 
 @pytest.fixture
@@ -457,3 +466,29 @@ class TestBench:
         by_name = {r["variant"]: r for r in doc["rows"]}
         assert by_name["lstm_novec"]["test_acc"] == \
             pytest.approx(by_name["veclstm_vec"]["test_acc"], abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [5, 20])
+    def test_hybrid_trains_on_the_configured_grid(self, tmp_path, monkeypatch, grid):
+        # The benchmark's training tree: 24,000 points of 8 users.
+        write_geolife_tree(tmp_path / "geolife", 3, TRAIN_TREE)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vectorizer": {"grid_size": grid},
+                                      "train": {"epochs": 1, "seed": 3}}))
+        data_csv = tmp_path / "dataset.csv"
+        assert main(["ingest", str(tmp_path / "geolife"), "--out", str(data_csv),
+                     "--config", str(config)]) == 0
+        trained = []
+
+        def recording(spec, params, batch_features, *rest):
+            if spec.has_grid_branch:
+                _, cells = batch_features(slice(None))
+                trained.append((spec.grid_size, int(cells.min()), int(cells.max())))
+            return run_epochs(spec, params, batch_features, *rest)
+
+        run_epochs = cli.run_epochs
+        monkeypatch.setattr(cli, "run_epochs", recording)
+        assert main(["bench", str(data_csv), "--out-dir", str(tmp_path / "bench"),
+                     "--config", str(config)]) == 0
+        ((spec_grid, low, high),) = trained
+        assert spec_grid == grid
+        assert 0 <= low <= high < grid * grid

@@ -298,6 +298,10 @@ class TestGeolifeTree:
         result = ingest_geolife(geolife_tree)
         assert np.isnan(result.dataset.alt).sum() == 1
 
+    def test_one_str_object_per_user(self, geolife_tree):
+        users = ingest_geolife(geolife_tree).dataset.user
+        assert len({id(u) for u in users}) == len(set(users.tolist())) == 2
+
     def test_strict_raises_on_malformed(self, geolife_tree):
         bad = geolife_tree / "Data" / "000" / "Trajectory" / "bad.plt"
         bad.write_text("too\nshort\n", encoding="utf-8")
@@ -581,6 +585,15 @@ class TestDatasetCsvErrors:
         with pytest.raises(MalformedLine) as exc:
             read_dataset_csv(path)
         assert (exc.value.line_no, exc.value.reason) == (3, reason)
+
+    @pytest.mark.parametrize("user", [b"u", b'"u"'], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize("label", [-1, 7, 9])
+    def test_label_outside_the_modes(self, tmp_path, user, label):
+        path = self._write(tmp_path, b"1,2.0,3.0,,6," + user + b",0.5\n"
+                           + b"2,2.0,3.0,,%d," % label + user + b",0.5\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert (exc.value.line_no, exc.value.reason) == (3, f"label {label} outside [0, 7)")
 
     def test_first_bad_row_wins_across_columns(self, tmp_path):
         # row 3 has a bad label, row 2 a bad metadata cell: row 2 is reported
