@@ -9,6 +9,12 @@ Subcommands:
 Every report embeds the effective configuration and seed, so a report
 suffices to reproduce its run. Timing values live only in files whose
 name says so; metrics.json is byte-identical across same-seed runs.
+
+Exit status is 0 on success and 2 on a usage error. A failed command
+exits 1 after one line on stderr, `<command> failed at stage <stage>:
+<error>`: each command records its stage on args.stage and lets
+VecLstmError and OSError propagate to main, the one place that reports
+them.
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest as ingest_mod
 from . import metrics as metrics_mod
-from .errors import ConfigError, VecLstmError
+from .errors import ConfigError, TooFewSamples, VecLstmError
 from .models import (
     HYBRID,
     LSTM_OUTPUT_ACTIVATIONS,
@@ -92,18 +98,7 @@ class RunConfig:
                                   f" got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "train": self.train.to_dict(),
-            "vectorizer": {
-                "grid_size": self.vectorizer.grid_size,
-                "missing_default": self.vectorizer.missing_default,
-                "value_mode": self.vectorizer.value_mode,
-            },
-            "metadata_feature": self.metadata_feature,
-            "regression_basis": self.regression_basis,
-            "lstm_output_activation": self.lstm_output_activation,
-            "modes": list(self.modes),
-        }
+        return {**asdict(self), "modes": list(self.modes)}
 
 
 def _check_keys(doc, defaults: dict, path: str, where: str = "") -> None:
@@ -125,7 +120,7 @@ def _check_keys(doc, defaults: dict, path: str, where: str = "") -> None:
 
 
 def load_run_config(path: str | None, seed: int | None) -> RunConfig:
-    """Defaults, overridden by the JSON file at path, then by seed.
+    """Defaults, overridden by the JSON file at path, then by seed (>= 0).
 
     Invalid JSON, an unknown key at any level, a value of the wrong type
     or out of range, a metadata feature, regression basis or LSTM output
@@ -140,15 +135,25 @@ def load_run_config(path: str | None, seed: int | None) -> RunConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     _check_keys(doc, RunConfig().to_dict(), path)
     top = {key: value for key, value in doc.items() if key not in ("train", "vectorizer")}
-    train = dict(doc.get("train", {}))
-    if seed is not None:
-        train["seed"] = seed
     try:
-        return RunConfig(train=TrainConfig(**train),
-                         vectorizer=VectorizationConfig(**doc.get("vectorizer", {})),
-                         **top)
+        config = RunConfig(train=TrainConfig(**doc.get("train", {})),
+                           vectorizer=VectorizationConfig(**doc.get("vectorizer", {})),
+                           **top)
     except ConfigError as exc:  # a value out of range
         raise ConfigError(f"{path}: {exc}") from None
+    return config if seed is None else replace(config, train=replace(config.train, seed=seed))
+
+
+def model_spec(arch: str, config: RunConfig, path: str | None) -> ModelSpec:
+    """The arch's spec at the config's grid size, LSTM output activation
+    and seed. A grid the spec cannot take (the hybrid's, narrower than
+    its conv kernel) raises ConfigError naming path and the key."""
+    try:
+        return ARCH_BUILDERS[arch](
+            n_features=1, grid_size=config.vectorizer.grid_size,
+            lstm_output_activation=config.lstm_output_activation, seed=config.train.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} ({path}: 'vectorizer.grid_size')") from None
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -163,18 +168,15 @@ def _resolve_store(arg: str | None) -> str | None:
 # --- ingest --------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        config = load_run_config(args.config, None)
-        result = ingest_mod.ingest_geolife(
-            Path(args.geolife_dir),
-            config=config.vectorizer,
-            strict=args.strict,
-            metadata_feature=config.metadata_feature,
-            mode_names=config.modes,
-        )
-    except (VecLstmError, OSError, ValueError) as exc:
-        print(f"ingest failed: {exc}", file=sys.stderr)
-        return 1
+    config = load_run_config(args.config, None)
+    args.stage = "parsing"
+    result = ingest_mod.ingest_geolife(
+        Path(args.geolife_dir),
+        config=config.vectorizer,
+        strict=args.strict,
+        metadata_feature=config.metadata_feature,
+        mode_names=config.modes,
+    )
     for warning in result.warnings:
         print(f"warning: {warning.path}: {warning.error}", file=sys.stderr)
     by_type = Counter(type(warning.error).__name__ for warning in result.warnings)
@@ -182,6 +184,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("warnings: " + " ".join(f"{kind}={n}" for kind, n in sorted(by_type.items())),
               file=sys.stderr)
 
+    args.stage = "dataset writing"
     out = Path(args.out)
     counts = (f"parsed_points={result.n_points} outside_spans={result.n_outside_spans}"
               f" unmapped={result.n_unmapped}")
@@ -224,36 +227,30 @@ def _group_records(dataset: ingest_mod.Dataset, config: VectorizationConfig,
 def cmd_vectorize(args: argparse.Namespace) -> int:
     descriptor = _resolve_store(args.store)
     if not descriptor:
-        print(f"vectorize failed: no store given (--store or ${STORE_ENV_VAR})",
-              file=sys.stderr)
-        return 1
-    try:
-        config = load_run_config(args.config, None)
-        dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
-    except (VecLstmError, OSError, ValueError) as exc:
-        print(f"vectorize failed reading inputs: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no store given (--store or ${STORE_ENV_VAR})")
+    config = load_run_config(args.config, None)
+    if args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
 
+    args.stage = "dataset load"
+    dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
+
+    args.stage = "vectorization"
     started = time.perf_counter()
     records = _group_records(dataset, config.vectorizer, int(time.time()))
     vectorize_seconds = time.perf_counter() - started
 
-    try:
-        store = open_store(descriptor, grid_size=config.vectorizer.grid_size)
-        with store:
-            store.init_schema()
-            inserted = store.insert_batch(records)
-            total = store.count()
-    except VecLstmError as exc:
-        print(f"vectorize failed at store: {exc}", file=sys.stderr)
-        return 1
+    args.stage = "store"
+    with open_store(descriptor, grid_size=config.vectorizer.grid_size) as store:
+        store.init_schema()
+        inserted = store.insert_batch(records)
+        total = store.count()
 
     print(f"groups={len(records)} inserted={inserted} store_total={total}"
           f" vectorize_seconds={vectorize_seconds:.6f}")
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "vectorize_report.json", {
+        args.stage = "report writing"
+        _write_json(Path(args.out_dir) / "vectorize_report.json", {
             "config": config.to_dict(),
             "store": descriptor,
             "groups": len(records),
@@ -278,11 +275,16 @@ def split_rows(labels: np.ndarray, train: TrainConfig):
     The test rows come off first (seed), then the validation rows off
     the remainder (seed + 1), and the training rows left are oversampled
     (seed + 2). Returns ((train_rows, y_train), (val_rows, y_val),
-    (test_rows, y_test)), the training rows oversampled. The calls go
-    through this module's names, which the traced benchmark run wraps.
+    (test_rows, y_test)), the training rows oversampled. An empty test
+    split raises TooFewSamples; the validation split may be empty. The
+    calls go through this module's names, which the traced benchmark run
+    wraps.
     """
     (rest, y_rest), test = train_test_split(
         np.arange(labels.size), labels, train.test_fraction, train.seed)
+    if not test[0].size:
+        raise TooFewSamples(f"test_fraction {train.test_fraction} of {labels.size} rows"
+                            " leaves no test rows")
     (rows, y_rows), val = train_test_split(
         rest, y_rest, train.validation_fraction, train.seed + 1)
     return random_oversample(rows, y_rows, train.seed + 2), val, test
@@ -332,55 +334,43 @@ def _write_metrics_files(out_dir: Path, bundle: metrics_mod.MetricsBundle) -> No
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    stage = "configuration"
-    try:
-        config = load_run_config(args.config, args.seed)
-        builder = ARCH_BUILDERS[args.arch]
-        spec = builder(
-            n_features=1,
-            grid_size=config.vectorizer.grid_size,
-            lstm_output_activation=config.lstm_output_activation,
-            seed=config.train.seed,
-        )
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    config = load_run_config(args.config, args.seed)
+    spec = model_spec(args.arch, config, args.config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        stage = "dataset load"
-        dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
+    args.stage = "dataset load"
+    dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
 
-        stage = "preprocessing"
-        prepared = prepare_splits(dataset, spec, config)
+    args.stage = "preprocessing"
+    prepared = prepare_splits(dataset, spec, config)
 
-        stage = "training"
-        params, report = train_model(spec, prepared.data, config.train)
+    args.stage = "training"
+    params, report = train_model(spec, prepared.data, config.train)
 
-        stage = "evaluation"
-        probs = predict(spec, params, prepared.x_test)
-        bundle = metrics_mod.evaluate_classifier(
-            probs, prepared.y_test_codes, spec.n_classes,
-            regression_basis=config.regression_basis,
-        )
+    args.stage = "evaluation"
+    probs = predict(spec, params, prepared.x_test)
+    bundle = metrics_mod.evaluate_classifier(
+        probs, prepared.y_test_codes, spec.n_classes,
+        regression_basis=config.regression_basis,
+    )
 
-        stage = "report writing"
-        config_doc = config.to_dict()
-        _write_json(out_dir / "train_report.json", {
-            "arch": args.arch,
-            "config": config_doc,
-            "report": report.to_dict(),
-        })
-        _write_json(out_dir / "metrics.json", {
-            "arch": args.arch,
-            "config": config_doc,
-            "seed": config.train.seed,
-            "metrics": bundle.to_dict(),
-        })
-        _write_metrics_files(out_dir, bundle)
-        (out_dir / "model_spec.json").write_text(spec.to_json() + "\n",
-                                                 encoding="utf-8")
-        save_checkpoint(out_dir / "model.vlnn", params)
-    except (VecLstmError, OSError, KeyError, ValueError) as exc:
-        print(f"train failed at stage {stage}: {exc}", file=sys.stderr)
-        return 1
+    args.stage = "report writing"
+    config_doc = config.to_dict()
+    _write_json(out_dir / "train_report.json", {
+        "arch": args.arch,
+        "config": config_doc,
+        "report": report.to_dict(),
+    })
+    _write_json(out_dir / "metrics.json", {
+        "arch": args.arch,
+        "config": config_doc,
+        "seed": config.train.seed,
+        "metrics": bundle.to_dict(),
+    })
+    _write_metrics_files(out_dir, bundle)
+    (out_dir / "model_spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
+    save_checkpoint(out_dir / "model.vlnn", params)
 
     print(f"arch={args.arch} test_acc={bundle.accuracy:.4f}"
           f" weighted_f1={bundle.weighted_f1:.4f}"
@@ -390,20 +380,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # --- bench ---------------------------------------------------------------
 
-def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
+def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig,
+                    specs: dict[str, ModelSpec], splits):
     """Run the three Table-style variants over one shared split.
 
     lstm_novec and veclstm_vec are trainer.benchmark_pipelines' pair:
     the count-grid density of vectorizer.vectorize_metadata recomputed
     per sample every epoch vs. computed once, so they differ only in
     feature supply. hybrid_vec adds each row's grid cell to the
-    precomputed feature. All three share seed, split, oversampling and
-    batch order, and are scored on the same rows. Returns the table rows
-    and the pair's reduction_pct.
+    precomputed feature. All three share seed, split (splits, from
+    split_rows), oversampling and batch order, and are scored on the
+    same rows. Returns the table rows and the pair's reduction_pct.
     """
     tcfg = config.train
-    (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
-        dataset.label, tcfg)
+    (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = splits
     report = benchmark_pipelines(dataset.lat, dataset.lon, dataset.alt, dataset.label,
                                  tcfg, config.vectorizer, train_rows)
     x_all = report.features
@@ -412,15 +402,15 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
     cells = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
                               dataset.stats, config.vectorizer)
     t_cells = time.perf_counter() - t0
-    hybrid = build_hybrid(1, grid_size=config.vectorizer.grid_size)
+    hybrid = specs["hybrid"]
     x_train, cells_train = x_all[train_rows], cells[train_rows]
     params_hybrid, _, _, t_hybrid = run_epochs(
         hybrid, init_model_params(hybrid, seed=tcfg.seed),
         lambda pos: (x_train[pos], cells_train[pos]), encode_labels(y_train), tcfg)
 
     variants = [
-        ("lstm_novec", build_lstm_stack(1), report.params_novec, report.t_novec, 0.0),
-        ("veclstm_vec", build_veclstm(1), report.params_vec, report.t_vec,
+        ("lstm_novec", specs["lstm"], report.params_novec, report.t_novec, 0.0),
+        ("veclstm_vec", specs["veclstm"], report.params_vec, report.t_vec,
          report.t_vectorization),
         ("hybrid_vec", hybrid, params_hybrid, t_hybrid, report.t_vectorization + t_cells),
     ]
@@ -436,17 +426,9 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig):
         bundle = metrics_mod.evaluate_classifier(
             predict(spec, params, inputs(test_rows)), y_test,
             regression_basis=config.regression_basis)
-        rows.append({
-            "variant": name,
-            "train_seconds": seconds,
-            "vectorize_seconds": vec_seconds,
-            "val_acc": val_acc,
-            "test_acc": bundle.accuracy,
-            "weighted_f1": bundle.weighted_f1,
-            "rmse": bundle.rmse,
-            "mae": bundle.mae,
-            "mse": bundle.mse,
-        })
+        rows.append(dict(zip(BENCH_COLUMNS, (
+            name, seconds, vec_seconds, val_acc, bundle.accuracy, bundle.weighted_f1,
+            bundle.rmse, bundle.mae, bundle.mse))))
     return rows, report.reduction_pct
 
 
@@ -481,46 +463,45 @@ def _store_workload(dataset: ingest_mod.Dataset, config: RunConfig,
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    stage = "configuration"
-    try:
-        config = load_run_config(args.config, args.seed)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    config = load_run_config(args.config, args.seed)
+    # The bench trains tanh specs on the cell-density feature, whatever
+    # the config names.
+    trained = replace(config, metadata_feature="cell_density", lstm_output_activation="tanh")
+    specs = {arch: model_spec(arch, trained, args.config) for arch in ARCH_BUILDERS}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        stage = "dataset load"
-        dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
+    args.stage = "dataset load"
+    dataset = ingest_mod.read_dataset_csv(Path(args.dataset))
 
-        stage = "benchmark"
-        rows, reduction = _bench_variants(dataset, config)
+    args.stage = "preprocessing"
+    splits = split_rows(dataset.label, config.train)
 
-        store_bench = None
-        descriptor = _resolve_store(args.store)
-        if descriptor:
-            stage = "store workload"
-            store_bench = _store_workload(dataset, config, descriptor)
+    args.stage = "benchmark"
+    rows, reduction = _bench_variants(dataset, config, specs, splits)
 
-        stage = "report writing"
-        with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v
-                                 for k, v in row.items()})
-        # _bench_variants trains tanh specs on the cell-density feature,
-        # whatever the config names.
-        trained = replace(config, metadata_feature="cell_density", lstm_output_activation="tanh")
-        doc = {
-            "config": trained.to_dict(),
-            "seed": config.train.seed,
-            "rows": rows,
-            "reduction_pct": reduction,
-        }
-        if store_bench is not None:
-            doc["store_bench"] = store_bench
-        _write_json(out_dir / "bench.json", doc)
-    except (VecLstmError, OSError, KeyError, ValueError) as exc:
-        print(f"bench failed at stage {stage}: {exc}", file=sys.stderr)
-        return 1
+    store_bench = None
+    descriptor = _resolve_store(args.store)
+    if descriptor:
+        args.stage = "store workload"
+        store_bench = _store_workload(dataset, config, descriptor)
+
+    args.stage = "report writing"
+    with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
+    doc = {
+        "config": trained.to_dict(),
+        "seed": config.train.seed,
+        "rows": rows,
+        "reduction_pct": reduction,
+    }
+    if store_bench is not None:
+        doc["store_bench"] = store_bench
+    _write_json(out_dir / "bench.json", doc)
 
     for row in rows:
         print(f"{row['variant']}: train_seconds={row['train_seconds']:.3f}"
@@ -575,7 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    args.stage = "configuration"
+    try:
+        return args.func(args)
+    except (VecLstmError, OSError) as exc:
+        print(f"{args.command} failed at stage {args.stage}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ class EmptyDataset(VecLstmError):
     """Dataset assembly produced no rows."""
 
 
+class UndecodableName(VecLstmError):
+    """A file or directory name that is not UTF-8."""
+
+
 class ConfigError(VecLstmError, ValueError):
     """A config value out of range, or a config file that is not valid."""
 

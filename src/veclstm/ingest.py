@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
@@ -25,7 +26,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataset, InvertedSpan, MalformedLine, TruncatedHeader
+from .errors import (ConfigError, EmptyDataset, InvertedSpan, MalformedLine, TruncatedHeader,
+                     UndecodableName, VecLstmError)
 from .vectorizer import (
     MISSING,
     NormalizationStats,
@@ -407,31 +409,37 @@ def ingest_geolife(
 ) -> IngestResult:
     """Walk a GeoLife tree, join labels, and build the dataset.
 
-    Per-file parse failures are collected as warnings and the file is
-    skipped, unless strict is set, in which case the first failure
-    raises.
+    Per-file parse failures, and user directories whose name is not
+    UTF-8, are collected as warnings and skipped, unless strict is set,
+    in which case the first failure raises.
     """
     warnings: list[IngestWarning] = []
     labeled: list[tuple[np.ndarray, ...]] = []  # (time, lat, lon, alt, label, user) per user
     n_points = n_outside_spans = n_unmapped = 0
+
+    def skip(path: Path, exc: VecLstmError | OSError) -> None:
+        if strict:
+            raise exc
+        # Bytes of a name that are not UTF-8 show as \xNN escapes.
+        warnings.append(IngestWarning(os.fsencode(path).decode("utf-8", "backslashreplace"), exc))
+
     for user_id, plt_files, labels_path in iter_geolife_users(root):
         if labels_path is None:
             continue
         try:
+            # Path.iterdir decodes such a name with surrogate escapes.
+            if user_id != os.fsencode(user_id).decode("utf-8", "replace"):
+                raise UndecodableName(f"directory name {os.fsencode(user_id)!r} is not UTF-8")
             spans = parse_labels(labels_path.read_bytes())
-        except Exception as exc:
-            if strict:
-                raise
-            warnings.append(IngestWarning(str(labels_path), exc))
+        except (VecLstmError, OSError) as exc:
+            skip(labels_path, exc)
             continue
         files = []
         for plt_path in plt_files:
             try:
                 files.append(parse_plt(plt_path.read_bytes()))
-            except Exception as exc:
-                if strict:
-                    raise
-                warnings.append(IngestWarning(str(plt_path), exc))
+            except (VecLstmError, OSError) as exc:
+                skip(plt_path, exc)
         if not files:
             continue
         time, lat, lon, alt = (np.concatenate(col) for col in zip(*files))

@@ -82,15 +82,14 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError("seed must be >= 0")
         for name in ("learning_rate", "epsilon"):  # epsilon: see adam_step
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # --- data plumbing -------------------------------------------------------

@@ -1,11 +1,11 @@
 """Persistence for flattened grid-heatmap vectors.
 
 Two interchangeable backends sit behind one interface: a SQL-92
-relational table (sqlite3 built in; any DB-API connection plugs into
-the same seam) and an append-only binary file. A file batch is written
-in place past the committed data and committed by a header rewrite, so
-readers never observe a partial write; only the empty file at init and
-the one-time upgrade of a v1 file use temp-file-then-rename.
+relational table in sqlite3 and an append-only binary file. A file
+batch is written in place past the committed data and committed by a
+header rewrite, so readers never observe a partial write; only the
+empty file at init and the one-time upgrade of a v1 file use
+temp-file-then-rename.
 
 Record ids are assigned by the store and strictly increase. Vectors are
 stored as little-endian float32, one blob per record.
@@ -65,6 +65,14 @@ class VectorRecord:
         )
 
 
+def _user_bytes(user: str) -> bytes:
+    """user as UTF-8; a str that has none (a lone surrogate) raises ValidationError."""
+    try:
+        return user.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"user {user!r} is not valid UTF-8") from None
+
+
 def _validate(record: VectorRecord, vector_len: int) -> np.ndarray:
     vec = np.asarray(record.vector, dtype="<f4")
     if vec.ndim != 1 or vec.size != vector_len:
@@ -73,7 +81,7 @@ def _validate(record: VectorRecord, vector_len: int) -> np.ndarray:
         )
     if not 0 <= record.label <= 6:
         raise ValidationError(f"label {record.label} outside 0..6")
-    if len(record.user.encode("utf-8")) > 0xFFFF:
+    if len(_user_bytes(record.user)) > 0xFFFF:
         raise ValidationError("user longer than 65,535 UTF-8 bytes")
     if not _INT64[0] <= record.created_at <= _INT64[1]:
         raise ValidationError(f"created_at {record.created_at} outside int64")
@@ -154,19 +162,13 @@ class VectorStore:
 
 
 class SqlVectorStore(VectorStore):
-    """Vector records in a relational table via a DB-API connection.
+    """Vector records in a sqlite3 table, through SQL-92 statements
+    with qmark parameters."""
 
-    Uses only SQL-92 statements plus qmark parameters, so any driver
-    with a qmark paramstyle works; sqlite3 is the built-in choice. Pass
-    the driver's base exception class for non-sqlite connections.
-    """
-
-    def __init__(self, connection, grid_size: int = 10,
-                 error_class: type[Exception] = sqlite3.Error):
+    def __init__(self, connection: sqlite3.Connection, grid_size: int = 10):
         self._conn = connection
         self.grid_size = grid_size
         self._vector_len = grid_size * grid_size
-        self._error_class = error_class
 
     def init_schema(self) -> None:
         try:
@@ -180,7 +182,7 @@ class SqlVectorStore(VectorStore):
                 "SELECT record_id, user_id, label, vec, created_at"
                 " FROM trajectory_vectors WHERE 1=0"
             )
-        except self._error_class as exc:
+        except sqlite3.Error as exc:
             raise SchemaMismatch(f"schema init failed: {exc}") from exc
 
     def insert_batch(self, records: Sequence[VectorRecord]) -> int:
@@ -202,7 +204,7 @@ class SqlVectorStore(VectorStore):
                 ],
             )
             self._conn.commit()
-        except self._error_class as exc:
+        except sqlite3.Error as exc:
             self._conn.rollback()
             raise StorageError(f"insert failed: {exc}") from exc
         return len(records)
@@ -210,6 +212,7 @@ class SqlVectorStore(VectorStore):
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:
         clauses, args = [], []
         if user is not None:
+            _user_bytes(user)
             clauses.append("user_id = ?")
             args.append(user)
         if label is not None:
@@ -224,7 +227,7 @@ class SqlVectorStore(VectorStore):
         sql += " ORDER BY record_id"
         try:
             rows = self._conn.cursor().execute(sql, args).fetchall()
-        except self._error_class as exc:
+        except sqlite3.Error as exc:
             raise StorageError(f"fetch failed: {exc}") from exc
         ids, users, labels, blobs, created = zip(*rows) if rows else ((),) * 5
         size = 4 * self._vector_len
@@ -239,7 +242,7 @@ class SqlVectorStore(VectorStore):
             cur = self._conn.cursor()
             cur.execute("SELECT COUNT(*) FROM trajectory_vectors")
             return int(cur.fetchone()[0])
-        except self._error_class as exc:
+        except sqlite3.Error as exc:
             raise StorageError(f"count failed: {exc}") from exc
 
     def close(self) -> None:
@@ -395,7 +398,7 @@ class FileVectorStore(VectorStore):
             index = self._index = self._scan(data, header)
         keep = np.ones(index.ids.size, dtype=bool)
         if user is not None:
-            keep &= index.users == index.user_codes.get(user.encode("utf-8"), -1)
+            keep &= index.users == index.user_codes.get(_user_bytes(user), -1)
         if label is not None:
             keep &= index.labels == label
         if id_range is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from veclstm.ingest import Dataset
 from veclstm.vectorizer import fit_stats, vectorize_metadata
@@ -31,17 +32,57 @@ def labels_text(spans):
     return "\n".join(lines) + "\n"
 
 
+# --- damaged files ------------------------------------------------------
+
+JUNK = st.text(alphabet="0123456789.-+e:/ ,x\"\n_", max_size=4)
+
+
+def corrupt(text: str, data, header_lines: int, sep: str = ",") -> str:
+    """text after up to three damages: a cell (between seps) replaced, a
+    character edit, a dropped sep or a truncation."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["cell", "cell", "edit", "sep", "truncate"]))
+        lines = text.split("\n")
+        if kind == "cell" and len(lines) > header_lines:
+            row = data.draw(st.integers(header_lines, len(lines) - 1))
+            cells = lines[row].split(sep)
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(JUNK)
+            lines[row] = sep.join(cells)
+            text = "\n".join(lines)
+        elif kind == "edit" and text:
+            pos = data.draw(st.integers(0, len(text) - 1))
+            width = data.draw(st.integers(0, 3))
+            text = text[:pos] + data.draw(JUNK) + text[pos + width:]
+        elif kind == "sep" and sep in text:
+            seps = [i for i, ch in enumerate(text) if ch == sep]
+            pos = data.draw(st.sampled_from(seps))
+            text = text[:pos] + text[pos + 1:]
+        elif kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+    return text
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
 def utc_seconds(text: str, fmt: str = "%Y-%m-%d %H:%M:%S") -> int:
     return int(datetime.strptime(text, fmt).replace(tzinfo=timezone.utc).timestamp())
 
 
 @pytest.fixture
 def geolife_tree(tmp_path: Path) -> Path:
-    """Two users; user 000 has 5 points of which 4 fall in labeled spans
-    (3 walk + 1 bus), user 001 has 3 points all labeled train. One point
-    of user 000 is outside every span and one span uses an unmapped mode.
+    return write_small_tree(tmp_path / "geolife")
+
+
+def write_small_tree(root: Path) -> Path:
+    """A GeoLife tree at root. Two users; user 000 has 5 points of which
+    4 fall in labeled spans (3 walk + 1 bus), user 001 has 3 points all
+    labeled train. One point of user 000 is outside every span and one
+    span uses an unmapped mode.
     """
-    root = tmp_path / "geolife"
     u0 = root / "Data" / "000" / "Trajectory"
     u1 = root / "Data" / "001" / "Trajectory"
     u0.mkdir(parents=True)

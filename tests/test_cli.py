@@ -204,7 +204,7 @@ class TestVectorize:
         rc = main(["vectorize", str(dataset_csv), "--store", str(tmp_path / "v.vlvs")])
         assert rc == 1
         assert capsys.readouterr().err.strip() == (
-            "vectorize failed reading inputs: line 3: latitude inf out of range")
+            "vectorize failed at stage dataset load: line 3: latitude inf out of range")
 
     def test_no_store_given(self, sep_csv, monkeypatch):
         monkeypatch.delenv("VECLSTM_STORE", raising=False)
@@ -301,15 +301,16 @@ class TestTrain:
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
     def test_empty_test_split_fails_with_a_typed_error(self, sep_csv, tmp_path, capsys,
                                                        arch):
-        # round(300 * 0.001) = 0 test rows: the model predicts nothing and
-        # scoring nothing is an EmptyInput, not a reshape error.
+        # round(300 * 0.001) = 0 test rows: the split says so before
+        # training, rather than scoring nothing after it.
         config = tmp_path / "tiny_test.json"
         config.write_text(json.dumps({"train": {"epochs": 1, "test_fraction": 0.001}}),
                           encoding="utf-8")
         rc = main(["train", str(sep_csv), "--arch", arch,
                    "--out-dir", str(tmp_path / arch), "--config", str(config)])
         assert rc == 1
-        assert "train failed at stage evaluation: no samples to score" in capsys.readouterr().err
+        assert "train failed at stage preprocessing: test_fraction 0.001 of 300 rows" \
+            in capsys.readouterr().err
 
     def test_unknown_arch_is_usage_error(self, sep_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

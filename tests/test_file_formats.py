@@ -11,6 +11,8 @@ from veclstm.errors import VecLstmError
 from veclstm.neuralnet import load_checkpoint, save_checkpoint
 from veclstm.vecstore import FileVectorStore, VectorRecord
 
+from conftest import flip_bit
+
 USERS = ["ann", "böb", "ç"]
 
 
@@ -53,12 +55,6 @@ def vlvs_store(workdir):
     return committed, torn_tail, store.fetch()
 
 
-def _flip(data: bytes, bit: int) -> bytes:
-    out = bytearray(data)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
-
 def _read_checkpoint(path, data):
     path.write_bytes(data)
     try:
@@ -90,7 +86,7 @@ def test_vlnn_truncation_reads_or_raises_typed(workdir, vlnn_bytes, data):
 @settings(max_examples=300, deadline=None)
 def test_vlnn_bit_flip_reads_or_raises_typed(workdir, vlnn_bytes, data):
     bit = data.draw(st.integers(0, 8 * len(vlnn_bytes) - 1))
-    _read_checkpoint(workdir / "flip.vlnn", _flip(vlnn_bytes, bit))
+    _read_checkpoint(workdir / "flip.vlnn", flip_bit(vlnn_bytes, bit))
 
 
 @given(st.data())
@@ -106,7 +102,7 @@ def test_vlvs_truncation_reads_or_raises_typed(workdir, vlvs_store, data):
 def test_vlvs_bit_flip_reads_or_raises_typed(workdir, vlvs_store, data):
     committed, _, _ = vlvs_store
     bit = data.draw(st.integers(0, 8 * len(committed) - 1))
-    _read_store(workdir / "flip.vlvs", _flip(committed, bit))
+    _read_store(workdir / "flip.vlvs", flip_bit(committed, bit))
 
 
 @given(st.data())

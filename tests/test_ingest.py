@@ -43,7 +43,7 @@ from _oracles import (
     row_read_dataset_csv,
     row_write_dataset_csv,
 )
-from conftest import labels_text, plt_text
+from conftest import corrupt, labels_text, plt_text
 
 
 def epoch_utc(y, mo, d, h, mi, s):
@@ -331,34 +331,6 @@ class TestCsvRoundTrip:
 
 # --- columnar readers against the row-by-row oracles -------------------
 
-JUNK = st.text(alphabet="0123456789.-+e:/ ,x\"\n_", max_size=4)
-
-
-def _corrupt(text: str, data, header_lines: int, sep: str = ",") -> str:
-    """text after up to three damages: a cell (between seps) replaced, a
-    character edit, a dropped sep or a truncation."""
-    for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["cell", "cell", "edit", "sep", "truncate"]))
-        lines = text.split("\n")
-        if kind == "cell" and len(lines) > header_lines:
-            row = data.draw(st.integers(header_lines, len(lines) - 1))
-            cells = lines[row].split(sep)
-            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(JUNK)
-            lines[row] = sep.join(cells)
-            text = "\n".join(lines)
-        elif kind == "edit" and text:
-            pos = data.draw(st.integers(0, len(text) - 1))
-            width = data.draw(st.integers(0, 3))
-            text = text[:pos] + data.draw(JUNK) + text[pos + width:]
-        elif kind == "sep" and sep in text:
-            seps = [i for i, ch in enumerate(text) if ch == sep]
-            pos = data.draw(st.sampled_from(seps))
-            text = text[:pos] + text[pos + 1:]
-        elif kind == "truncate":
-            text = text[:data.draw(st.integers(0, len(text)))]
-    return text
-
-
 def _same_outcome(columnar, oracle):
     """Run both readers: equal columns, or MalformedLine at the same line."""
     try:
@@ -444,7 +416,7 @@ class TestColumnarReadersMatchRowOracles:
         for (lat, lon, alt, _), ts in zip(rows, offsets):
             date, clock = _stamp(data, start + ts, "-")
             lines.append(f"{lat!r},{lon!r},0,{alt!r},39000.5,{date},{clock}")
-        text = _corrupt(plt_text([]) + "\n".join(lines) + "\n", data, header_lines=6)
+        text = corrupt(plt_text([]) + "\n".join(lines) + "\n", data, header_lines=6)
         errors = _same_outcome(lambda: parse_plt(text), lambda: row_parse_plt(text))
         if errors:
             assert str(errors[0]) == str(errors[1])
@@ -465,7 +437,7 @@ class TestColumnarReadersMatchRowOracles:
             writer.writerow([t, repr(lat), repr(lon), "" if alt is None else repr(alt),
                              label, user, repr(meta)])
         path = tmp_path_factory.mktemp("csv") / "dataset.csv"
-        path.write_text(_corrupt(out.getvalue(), data, header_lines=1),
+        path.write_text(corrupt(out.getvalue(), data, header_lines=1),
                         encoding="utf-8", newline="")
 
         def columnar():
@@ -486,8 +458,8 @@ class TestColumnarReadersMatchRowOracles:
         for offset, duration, mode in rows:
             stamps = (" ".join(_stamp(data, start + offset + d, "/")) for d in (0, duration))
             lines.append("\t".join((*stamps, mode)))
-        text = _corrupt(labels_text([]) + "\n".join(lines) + "\n", data,
-                        header_lines=1, sep="\t")
+        text = corrupt(labels_text([]) + "\n".join(lines) + "\n", data,
+                       header_lines=1, sep="\t")
         # Equal spans, or the same error type and message.
         try:
             expected = row_parse_labels(text)

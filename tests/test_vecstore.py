@@ -81,6 +81,15 @@ class TestBasics:
                 store.insert_batch([make_record(created_at=created_at)])
         assert [r.created_at for r in store.fetch()] == [-(2**63), 2**63 - 1]
 
+    def test_user_that_is_not_utf8_rejected(self, store):
+        # A lone surrogate: what Path.iterdir makes of a name that is not UTF-8.
+        store.insert_batch([make_record(user="a")])
+        with pytest.raises(ValidationError, match=r"user 'a\\udcff' is not valid UTF-8"):
+            store.insert_batch([make_record(user="a\udcff")])
+        with pytest.raises(ValidationError, match="not valid UTF-8"):
+            store.fetch(user="a\udcff")
+        assert [r.user for r in store.fetch(user="a")] == ["a"]
+
 
 class TestFetchFilters:
     def populate(self, store):
