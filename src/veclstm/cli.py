@@ -49,7 +49,7 @@ from .trainer import (
     TrainData,
     StandardScaler,
     benchmark_pipelines,
-    encode_labels,
+    evaluate_loss,
     predict,
     random_oversample,
     run_epochs,
@@ -275,18 +275,25 @@ def split_rows(labels: np.ndarray, train: TrainConfig):
     The test rows come off first (seed), then the validation rows off
     the remainder (seed + 1), and the training rows left are oversampled
     (seed + 2). Returns ((train_rows, y_train), (val_rows, y_val),
-    (test_rows, y_test)), the training rows oversampled. An empty test
-    split raises TooFewSamples; the validation split may be empty. The
-    calls go through this module's names, which the traced benchmark run
-    wraps.
+    (test_rows, y_test)), the training rows oversampled. A split that
+    leaves no test rows, fewer than 2 rows to take the validation rows
+    from, or no training rows raises TooFewSamples naming its fraction
+    and row counts; the validation split may be empty. The calls go
+    through this module's names, which the traced benchmark run wraps.
     """
     (rest, y_rest), test = train_test_split(
         np.arange(labels.size), labels, train.test_fraction, train.seed)
+    where = f"test_fraction {train.test_fraction} of {labels.size} rows"
     if not test[0].size:
-        raise TooFewSamples(f"test_fraction {train.test_fraction} of {labels.size} rows"
-                            " leaves no test rows")
+        raise TooFewSamples(f"{where} leaves no test rows")
+    if rest.size < 2:
+        raise TooFewSamples(f"{where} leaves {rest.size} rows for training and"
+                            " validation, need at least 2")
     (rows, y_rows), val = train_test_split(
         rest, y_rest, train.validation_fraction, train.seed + 1)
+    if not rows.size:
+        raise TooFewSamples(f"validation_fraction {train.validation_fraction}"
+                            f" of {rest.size} rows leaves no training rows")
     return random_oversample(rows, y_rows, train.seed + 2), val, test
 
 
@@ -295,7 +302,7 @@ def prepare_splits(
     spec: ModelSpec,
     config: RunConfig,
 ) -> PreparedData:
-    """split -> oversample (train only) -> scale -> one-hot labels.
+    """split -> oversample (train only) -> scale; labels stay class codes.
 
     The rows come from split_rows, and each split's inputs are gathered
     once from them. The scaler is fit on the oversampled training rows
@@ -316,9 +323,9 @@ def prepare_splits(
 
     data = TrainData(
         x_train=inputs(train_rows),
-        y_train=encode_labels(y_train, spec.n_classes),
+        y_train=y_train,
         x_val=inputs(val_rows) if len(y_val) else None,
-        y_val=encode_labels(y_val, spec.n_classes) if len(y_val) else None,
+        y_val=y_val if len(y_val) else None,
     )
     return PreparedData(data=data, x_test=inputs(test_rows), y_test_codes=y_test)
 
@@ -406,7 +413,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig,
     x_train, cells_train = x_all[train_rows], cells[train_rows]
     params_hybrid, _, _, t_hybrid = run_epochs(
         hybrid, init_model_params(hybrid, seed=tcfg.seed),
-        lambda pos: (x_train[pos], cells_train[pos]), encode_labels(y_train), tcfg)
+        lambda pos: (x_train[pos], cells_train[pos]), y_train, tcfg)
 
     variants = [
         ("lstm_novec", specs["lstm"], report.params_novec, report.t_novec, 0.0),
@@ -421,8 +428,7 @@ def _bench_variants(dataset: ingest_mod.Dataset, config: RunConfig,
 
         val_acc = None
         if val_rows.size:
-            val_probs = predict(spec, params, inputs(val_rows))
-            val_acc = float((val_probs.argmax(axis=1) == y_val).mean())
+            _, val_acc = evaluate_loss(spec, params, inputs(val_rows), y_val)
         bundle = metrics_mod.evaluate_classifier(
             predict(spec, params, inputs(test_rows)), y_test,
             regression_basis=config.regression_basis)

@@ -411,17 +411,22 @@ def ingest_geolife(
 
     Per-file parse failures, and user directories whose name is not
     UTF-8, are collected as warnings and skipped, unless strict is set,
-    in which case the first failure raises.
+    in which case the first failure raises. Either way the error names
+    the file, as `<path>: <error>`.
     """
     warnings: list[IngestWarning] = []
     labeled: list[tuple[np.ndarray, ...]] = []  # (time, lat, lon, alt, label, user) per user
     n_points = n_outside_spans = n_unmapped = 0
 
     def skip(path: Path, exc: VecLstmError | OSError) -> None:
-        if strict:
-            raise exc
         # Bytes of a name that are not UTF-8 show as \xNN escapes.
-        warnings.append(IngestWarning(os.fsencode(path).decode("utf-8", "backslashreplace"), exc))
+        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+        if not strict:
+            warnings.append(IngestWarning(shown, exc))
+            return
+        if isinstance(exc, VecLstmError):  # an OSError names its file already
+            exc.args = (f"{shown}: {exc}",)
+        raise exc
 
     for user_id, plt_files, labels_path in iter_geolife_users(root):
         if labels_path is None:
@@ -659,8 +664,9 @@ def read_dataset_csv(path: Path) -> Dataset:
     """Read a dataset CSV; the first bad row raises MalformedLine.
 
     A row is bad when it has other than 7 fields, a field that does not
-    convert, a coordinate that parse_plt would reject as out of range, or
-    a label code outside [0, 7).
+    convert, a coordinate that parse_plt would reject as out of range, a
+    label code outside [0, 7) or a metadata value outside [0, 1] (NaN
+    among them).
     Line numbers count CSV records, the header being record 1; bytes
     that are not UTF-8 are reported by physical line and byte offset,
     before any other error. The rows are read in chunks into columns
@@ -688,6 +694,9 @@ def read_dataset_csv(path: Path) -> Dataset:
             label = columns[4][n:n + size]
             first.check((label < 0) | (label >= len(DEFAULT_MODES)),
                         lambda row: f"label {int(label[row])} outside [0, {len(DEFAULT_MODES)})")
+            metadata = columns[6][n:n + size]
+            first.check(~((metadata >= 0.0) & (metadata <= 1.0)),
+                        lambda row: f"metadata {float(metadata[row])} outside [0, 1]")
             if first.error is not None:
                 raise first.error
             columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))

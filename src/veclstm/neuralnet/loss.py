@@ -28,11 +28,11 @@ def softmax_cross_entropy(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Return (probs, loss, grad wrt logits) for a batch of one-hot targets.
 
-    logits and targets are (N, C). The loss is the mean of -log p_true
-    over the rows and the gradient is ``(probs - targets) / N``, the
-    exact gradient of the returned scalar. This is the one softmax of a
-    training step: the probabilities it returns are the ones the step
-    scores its batch with.
+    logits and targets are (N, C). The loss is cross_entropy of the
+    probabilities against each target row's class, and the gradient is
+    ``(probs - targets) / N``, the exact gradient of the returned scalar.
+    This is the one softmax of a training step: the probabilities it
+    returns are the ones the step scores its batch with.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -42,16 +42,18 @@ def softmax_cross_entropy(
             " must be the same (N, C)"
         )
     probs = softmax(logits)
-    return probs, cross_entropy(probs, targets), (probs - targets) / logits.shape[0]
+    loss = cross_entropy(probs, targets.argmax(axis=1))
+    return probs, loss, (probs - targets) / logits.shape[0]
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean over the rows of -log p_true, for (N, C) probabilities and
-    one-hot targets. Probabilities are clipped at 1e-300 inside the log
-    only; a non-finite mean raises NonFiniteError.
+    (N,) class codes in [0, C). Each row's true-class probability is
+    clipped at 1e-300 inside the log only; a non-finite mean raises
+    NonFiniteError.
     """
-    logp = np.log(np.maximum(probs, 1e-300))
-    loss = float(-(targets * logp).sum(axis=-1).mean())
+    p_true = probs[np.arange(probs.shape[0]), labels]
+    loss = float(-np.log(np.maximum(p_true, 1e-300)).mean())
     if not np.isfinite(loss):
         raise NonFiniteError("cross-entropy loss is non-finite")
     return loss

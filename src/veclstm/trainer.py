@@ -16,6 +16,9 @@ predict hands model_forward the whole split, which groups and slices
 its rows. Softmax, the loss and the metrics stay float64. Training
 keeps one float32 copy for the whole run, and each step takes one
 softmax: softmax_cross_entropy's, of the logits model_forward returns.
+Labels are (N,) int64 class codes from the split to the loss
+(encode_labels checks them); the (batch, C) one-hot target that
+run_epochs builds for softmax_cross_entropy is the only one-hot.
 Adam updates, in place, only the entries the model reads
 (models.trained_entries), held as flat vectors, and then rewrites those
 entries of the float32 copy.
@@ -152,13 +155,18 @@ class StandardScaler:
         return (value - self.mean_[feature]) / std
 
 
-def encode_labels(codes: np.ndarray, n_classes: int = 7) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.int64)
+def encode_labels(labels, n_classes: int = 7) -> np.ndarray:
+    """labels as (N,) int64 class codes: the one check of a label vector.
+
+    Labels that are not 1-D, a one-hot array among them, raise
+    ShapeMismatch; a code outside [0, n_classes) raises OutOfRange.
+    """
+    codes = np.asarray(labels, dtype=np.int64)
+    if codes.ndim != 1:
+        raise ShapeMismatch(f"labels must be (N,) class codes, got shape {codes.shape}")
     if codes.size and (codes.min() < 0 or codes.max() >= n_classes):
         raise OutOfRange(f"label codes outside [0, {n_classes})")
-    out = np.zeros((codes.size, n_classes), dtype=np.float64)
-    out[np.arange(codes.size), codes] = 1.0
-    return out
+    return codes
 
 
 def random_oversample(x: np.ndarray, y, seed: int):
@@ -277,10 +285,11 @@ def adam_step(grads: dict[str, np.ndarray], state: AdamState, config: TrainConfi
 
 @dataclass
 class TrainData:
-    """Preprocessed tensors ready for the loop (scaled, one-hot)."""
+    """Preprocessed inputs ready for the loop: scaled features and (N,)
+    class codes."""
 
     x_train: "np.ndarray | tuple"
-    y_train: np.ndarray  # (N, C) one-hot
+    y_train: np.ndarray  # (N,) int64 class codes
     x_val: "np.ndarray | tuple | None" = None
     y_val: np.ndarray | None = None
 
@@ -316,22 +325,24 @@ def predict(spec: ModelSpec, params: dict, x) -> np.ndarray:
 
 
 def evaluate_loss(spec: ModelSpec, params: dict, x,
-                  y_onehot: np.ndarray) -> tuple[float, float]:
-    """(mean loss, accuracy) without updating anything."""
+                  labels: np.ndarray) -> tuple[float, float]:
+    """(mean loss, accuracy) of predict's probabilities against (N,)
+    class codes, checked by encode_labels, without updating anything."""
     probs = predict(spec, params, x)
     if probs.shape[0] == 0:
         raise EmptyInput("cannot evaluate the loss over no rows")
-    if probs.shape[0] != len(y_onehot):
-        raise ShapeMismatch(f"{probs.shape[0]} samples but {len(y_onehot)} labels")
-    acc = float((probs.argmax(axis=1) == y_onehot.argmax(axis=1)).mean())
-    return cross_entropy(probs, y_onehot), acc
+    if probs.shape[0] != len(labels):
+        raise ShapeMismatch(f"{probs.shape[0]} samples but {len(labels)} labels")
+    codes = encode_labels(labels, spec.n_classes)
+    acc = float((probs.argmax(axis=1) == codes).mean())
+    return cross_entropy(probs, codes), acc
 
 
 def run_epochs(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
     batch_features: Callable[[np.ndarray], object],
-    y_onehot: np.ndarray,
+    labels: np.ndarray,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], list[float], list[float], float]:
     """Shared minibatch-Adam loop.
@@ -339,20 +350,24 @@ def run_epochs(
     batch_features maps an index array to the model input for those
     samples; swapping it is the only difference between the vectorized
     and non-vectorized benchmark pipelines. The CLI bench command calls
-    it with its own feature function. It must cover every row of
-    y_onehot: an index past the end of its inputs raises ShapeMismatch,
-    and no labels at all raise EmptyInput.
+    it with its own feature function. labels are (N,) class codes,
+    checked by encode_labels. batch_features must cover every row of
+    them: an index past the end of its inputs raises ShapeMismatch, and
+    no labels at all raise EmptyInput.
 
     Every step runs the forward and backward passes on the same float32
     copy of the parameters, whose trained entries adam_step rewrites
     after updating the float64 master weights in place. The loss, its
     logit gradient and the probabilities that score the batch come from
-    one softmax_cross_entropy call on the forward's logits. The caller's
-    arrays are not written to.
+    one softmax_cross_entropy call on the forward's logits, against the
+    batch's (batch, C) one-hot targets, built here per batch. The
+    caller's arrays are not written to.
     """
-    n = y_onehot.shape[0]
+    codes = encode_labels(labels, spec.n_classes)
+    n = codes.size
     if n == 0:
         raise EmptyInput("cannot train on no labels")
+    one_hot = np.eye(spec.n_classes)
     state = AdamState(params, trained_entries(spec))
     work = state.work
     rng = np.random.default_rng(config.seed)
@@ -371,16 +386,16 @@ def run_epochs(
                     x_batch = batch_features(idx)
                 except IndexError as exc:
                     raise ShapeMismatch(f"{n} labels, more than the samples: {exc}") from exc
-                y_batch = y_onehot[idx]
+                y_batch = codes[idx]
                 logits, cache = model_forward(spec, work, x_batch, with_cache=True)
-                probs, loss, d_logits = softmax_cross_entropy(logits, y_batch)
+                probs, loss, d_logits = softmax_cross_entropy(logits, one_hot[y_batch])
                 grads = model_backward(spec, work, cache, d_logits)
                 adam_step(grads, state, config)
             except VecLstmError as exc:
                 exc.args = (f"epoch {epoch}, batch {lo // config.batch_size}: {exc}",)
                 raise
             loss_sum += loss * idx.size
-            correct += int((probs.argmax(axis=1) == y_batch.argmax(axis=1)).sum())
+            correct += int((probs.argmax(axis=1) == y_batch).sum())
         losses.append(loss_sum / n)
         accuracies.append(correct / n)
     seconds = time.perf_counter() - start
@@ -449,17 +464,18 @@ def benchmark_pipelines(
     epoch (non-vectorized) and VecLSTM with the feature computed once for
     the whole dataset by vectorize_metadata (vectorized).
 
-    rows are the dataset rows trained on, in order, and may repeat as
-    oversampled rows do; every row when omitted. The feature scaler is
-    fit on them. The normalization bounds and count grid that the
-    per-sample side reads are built outside either timer, favoring it.
+    labels hold every dataset row's class code. rows are the dataset rows
+    trained on, in order, and may repeat as oversampled rows do; every
+    row when omitted. The feature scaler is fit on them. The
+    normalization bounds and count grid that the per-sample side reads
+    are built outside either timer, favoring it.
     Both sides share the seed and the training loop and see bit-identical
     features, so they end with bit-identical parameters and losses.
     t_novec and t_vec cover the epoch loops; t_vectorization is the
     vectorized side's one-time cost.
     """
     rows = np.arange(len(lat)) if rows is None else np.asarray(rows)
-    y_onehot = encode_labels(np.asarray(labels)[rows])
+    codes = np.asarray(labels)[rows]
 
     stats = fit_stats(lat, lon, alt)
     norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, vec_config)
@@ -490,10 +506,10 @@ def benchmark_pipelines(
     novec_spec, vec_spec = build_lstm_stack(1), build_veclstm(1)
     params_novec, losses_novec, _, t_novec = run_epochs(
         novec_spec, init_model_params(novec_spec, seed=config.seed), per_sample,
-        y_onehot, config)
+        codes, config)
     params_vec, losses_vec, _, t_vec = run_epochs(
         vec_spec, init_model_params(vec_spec, seed=config.seed), lambda idx: x_vec[idx],
-        y_onehot, config)
+        codes, config)
 
     reduction = 100.0 * (t_novec - t_vec) / t_novec if t_novec > 0 else 0.0
     return BenchmarkReport(
@@ -503,7 +519,7 @@ def benchmark_pipelines(
         reduction_pct=reduction,
         final_loss_novec=losses_novec[-1],
         final_loss_vec=losses_vec[-1],
-        n_samples=y_onehot.shape[0],
+        n_samples=len(codes),
         epochs=config.epochs,
         seed=config.seed,
         features=features,

@@ -308,6 +308,17 @@ def reduce_max_softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def onehot_cross_entropy(probs, targets):
+    """neuralnet.cross_entropy as it was, for (N, C) one-hot targets."""
+    from veclstm.errors import NonFiniteError
+
+    logp = np.log(np.maximum(probs, 1e-300))
+    loss = float(-(targets * logp).sum(axis=-1).mean())
+    if not np.isfinite(loss):
+        raise NonFiniteError("cross-entropy loss is non-finite")
+    return loss
+
+
 def per_row_model_gradients(forward, backward, spec, params, batch, grad_logits):
     """Logits and parameter gradients of a batch, one row at a time.
 
@@ -683,8 +694,9 @@ def row_read_dataset_csv(path):
 
     As the row-by-row reader always did, except that an integer outside
     int64, a latitude outside [-90, 90] or longitude outside [-180, 180],
-    and a label outside [0, 7), which that reader passed on to crash a
-    later stage, raise MalformedLine here as in the columnar reader.
+    a label outside [0, 7) and a metadata value outside [0, 1], which
+    that reader passed on to crash a later stage, raise MalformedLine
+    here as in the columnar reader.
     """
     import csv
 
@@ -720,6 +732,8 @@ def row_read_dataset_csv(path):
                 raise MalformedLine(line_no, f"longitude {lon} out of range")
             if not 0 <= rows[-1][4] < 7:
                 raise MalformedLine(line_no, f"label {rows[-1][4]} outside [0, 7)")
+            if not 0.0 <= rows[-1][6] <= 1.0:
+                raise MalformedLine(line_no, f"metadata {rows[-1][6]} outside [0, 1]")
     if not rows:
         raise EmptyDataset(f"{path} contains a header but no rows")
     dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, object, np.float64)

@@ -265,6 +265,15 @@ class TestSplit:
         assert peak <= 30e6
 
     @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    def test_prepare_splits_labels_are_class_codes(self, dataset, arch):
+        config = RunConfig(train=TrainConfig(seed=4))
+        data = prepare_splits(dataset, ARCH_BUILDERS[arch](n_features=1, seed=4), config).data
+        (train_rows, _), (val_rows, _), _ = split_rows(dataset.label, config.train)
+        for codes, rows in ((data.y_train, train_rows), (data.y_val, val_rows)):
+            assert codes.dtype == np.int64 and codes.shape == rows.shape
+            assert np.array_equal(codes, dataset.label[rows])
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
     def test_prepare_splits_matches_tuple_oracle(self, dataset, arch):
         config = RunConfig(train=TrainConfig(seed=4))
         spec = ARCH_BUILDERS[arch](n_features=1, seed=4)

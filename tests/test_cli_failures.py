@@ -129,9 +129,25 @@ class TestKnownFailures:
         out = tmp_path / "d.csv"
         rc, err = _run(["ingest", str(tree), "--out", str(out), "--strict"])
         assert rc == 1
-        assert err.strip() == ("ingest failed at stage parsing:"
+        assert err.strip() == (f"ingest failed at stage parsing: {tree}/Data/\\xff01/labels.txt:"
                                " directory name b'\\xff01' is not UTF-8")
         assert not out.exists()
+
+    @pytest.mark.parametrize("damaged, line, reason", [
+        ("000/Trajectory/20090310.plt", "39.9,116.3,0", "line 12: expected 7 fields, got 3"),
+        ("001/labels.txt", "2009/04/01 10:00:00\ttrain",
+         "line 3: expected 3 tab-separated fields, got 2"),
+    ])
+    def test_strict_ingest_names_the_damaged_file(self, tmp_path, damaged, line, reason):
+        tree = write_small_tree(tmp_path / "geolife")
+        path = tree / "Data" / damaged
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "d.csv"
+        rc, err = _run(["ingest", str(tree), "--out", str(out)])
+        assert rc == 0 and f"warning: {path}: {reason}" in err
+        rc, err = _run(["ingest", str(tree), "--out", str(out), "--strict"])
+        assert (rc, err.strip()) == (1, f"ingest failed at stage parsing: {path}: {reason}")
 
     def test_ingest_into_missing_directory(self, geolife_tree, tmp_path):
         out = tmp_path / "missing" / "d.csv"
@@ -205,6 +221,32 @@ class TestKnownFailures:
         assert rc == 1
         assert err.strip() == ("bench failed at stage preprocessing: test_fraction 0.001"
                                " of 300 rows leaves no test rows")
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("n, fractions, reason", [
+        (40, {"test_fraction": 0.999},
+         "test_fraction 0.999 of 40 rows leaves 0 rows for training and validation,"
+         " need at least 2"),
+        (3, {"test_fraction": 0.9},
+         "test_fraction 0.9 of 3 rows leaves 0 rows for training and validation,"
+         " need at least 2"),
+        (4, {"test_fraction": 0.2, "validation_fraction": 0.9},
+         "validation_fraction 0.9 of 3 rows leaves no training rows"),
+    ])
+    def test_split_without_training_rows_fails_at_preprocessing(
+            self, tmp_path, monkeypatch, command, n, fractions, reason):
+        def untouched(*args, **kwargs):
+            raise AssertionError("trained on a split with no training rows")
+
+        for name in ("benchmark_pipelines", "run_epochs", "train_model"):
+            monkeypatch.setattr(cli, name, untouched)
+        dataset = tmp_path / "small.csv"
+        write_dataset_csv(separable_dataset(n, seed=7), dataset)
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps({"train": {"epochs": 1, **fractions}}), encoding="utf-8")
+        argv = [command, str(dataset), "--out-dir", str(tmp_path / "o"), "--config", str(config)]
+        rc, err = _run(argv + (["--arch", "lstm"] if command == "train" else []))
+        assert (rc, err.strip()) == (1, f"{command} failed at stage preprocessing: {reason}")
 
 
 # --- property test over damaged inputs --------------------------------------

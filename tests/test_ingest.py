@@ -428,7 +428,8 @@ class TestColumnarReadersMatchRowOracles:
         st.one_of(st.floats(-90, 90), st.floats()),
         st.one_of(st.floats(-180, 180), st.floats()),
         st.one_of(st.none(), st.floats()), st.integers(-3, 9),
-        st.text(max_size=4), st.floats(0, 1)), max_size=6), data=st.data())
+        st.text(max_size=4), st.one_of(st.floats(0, 1), st.floats())), max_size=6),
+        data=st.data())
     def test_read_dataset_csv(self, tmp_path_factory, rows, data):
         out = io.StringIO(newline="")
         writer = csv.writer(out)
@@ -566,6 +567,23 @@ class TestDatasetCsvErrors:
         with pytest.raises(MalformedLine) as exc:
             read_dataset_csv(path)
         assert (exc.value.line_no, exc.value.reason) == (3, f"label {label} outside [0, 7)")
+
+    @pytest.mark.parametrize("user", [b"u", b'"u"'], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize("meta", ["nan", "inf", "-inf", "1e308", "-0.5", "1.5"])
+    def test_metadata_outside_the_unit_interval(self, tmp_path, user, meta):
+        path = self._write(tmp_path, b"1,2.0,3.0,,0," + user + b",0.0\n"
+                           + b"2,2.0,3.0,,0," + user + b",1.0\n"
+                           + b"3,2.0,3.0,,0," + user + b"," + meta.encode() + b"\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert (exc.value.line_no, exc.value.reason) == (
+            4, f"metadata {float(meta)} outside [0, 1]")
+
+    def test_label_is_checked_before_metadata(self, tmp_path):
+        path = self._write(tmp_path, b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,9,u,nan\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_dataset_csv(path)
+        assert (exc.value.line_no, exc.value.reason) == (3, "label 9 outside [0, 7)")
 
     def test_first_bad_row_wins_across_columns(self, tmp_path):
         # row 3 has a bad label, row 2 a bad metadata cell: row 2 is reported

@@ -43,6 +43,7 @@ from _oracles import (
     central_difference_grads,
     einsum_conv1d,
     einsum_conv1d_backward,
+    onehot_cross_entropy,
     reduce_max_softmax,
     relative_error,
     sliding_window_columns,
@@ -140,13 +141,41 @@ class TestSoftmaxCrossEntropy:
         targets[0] = np.eye(7)[1]
         probs, loss, _ = softmax_cross_entropy(logits, targets)
         assert probs[0, 1] == 0.0
-        assert loss == cross_entropy(probs, targets)
+        assert loss == cross_entropy(probs, targets.argmax(axis=1))
 
     def test_cross_entropy_clips_inside_the_log_and_rejects_nan(self):
-        target = np.eye(2)[[0]]
-        assert cross_entropy(np.array([[0.0, 1.0]]), target) == -math.log(1e-300)
+        codes = np.array([0])
+        assert cross_entropy(np.array([[0.0, 1.0]]), codes) == -math.log(1e-300)
         with pytest.raises(NonFiniteError):
-            cross_entropy(np.array([[np.nan, 1.0]]), target)
+            cross_entropy(np.array([[np.nan, 1.0]]), codes)
+
+    @staticmethod
+    def scored_batches(n):
+        """(logits, codes): rows of scale 1, 30 and 800, and in each batch
+        one row of exact 0 and 1 probabilities whose true class is at the
+        1, or one whose true class underflows to 0 and is clipped."""
+        rng = np.random.default_rng(n)
+        for i in range(40):
+            logits = rng.normal(size=(n, 7)) * rng.choice([1.0, 30.0, 800.0], size=(n, 1))
+            codes = rng.integers(0, 7, n)
+            row = rng.integers(0, n)
+            logits[row] = 0.0
+            logits[row, codes[row]] = 800.0 if i % 2 else -800.0
+            yield logits, codes
+
+    @pytest.mark.parametrize("n", [1, 37, 512])
+    def test_bit_identical_to_the_one_hot_oracle(self, n):
+        clipped = exact = 0
+        for logits, codes in self.scored_batches(n):
+            probs = softmax(logits)
+            targets = np.eye(7)[codes]
+            want = onehot_cross_entropy(probs, targets)
+            assert cross_entropy(probs, codes) == want
+            assert softmax_cross_entropy(logits, targets)[1] == want
+            p_true = probs[np.arange(n), codes]
+            clipped += int((p_true == 0.0).sum())
+            exact += int((p_true == 1.0).sum())
+        assert clipped and exact
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=9))
     @settings(max_examples=50, deadline=None)

@@ -42,7 +42,12 @@ from veclstm.trainer import (
 
 from veclstm.vectorizer import VectorizationConfig, vectorize_metadata
 
-from _oracles import adam_scalar_recurrence, as_sorted_multiset, per_block_adam_step
+from _oracles import (
+    adam_scalar_recurrence,
+    as_sorted_multiset,
+    onehot_cross_entropy,
+    per_block_adam_step,
+)
 
 
 class TestSplit:
@@ -105,9 +110,11 @@ class TestScaler:
 
 
 class TestOneHot:
+    """encode_labels checks class codes and builds no one-hot."""
+
     def test_endpoints(self):
-        assert np.array_equal(encode_labels(np.array([0, 6])),
-                              [[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1]])
+        codes = encode_labels(np.array([0, 6]))
+        assert codes.dtype == np.int64 and np.array_equal(codes, [0, 6])
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -116,9 +123,10 @@ class TestOneHot:
             encode_labels(np.array([-1]))
 
     def test_batch_encoding(self):
-        mat = encode_labels(np.array([0, 6, 3]))
-        assert mat.shape == (3, 7)
-        assert np.array_equal(mat.argmax(axis=1), [0, 6, 3])
+        codes = np.array([0, 6, 3])
+        assert encode_labels(codes) is codes
+        with pytest.raises(ShapeMismatch, match=r"\(N,\) class codes, got shape \(3, 7\)"):
+            encode_labels(np.eye(7)[codes])
 
 
 class TestOversample:
@@ -336,6 +344,45 @@ class TestTrainModel:
         monkeypatch.setattr(trainer, "softmax_cross_entropy", unused)
         probs = predict(spec, params, x)
         assert evaluate_loss(spec, params, x, y)[0] == loss.cross_entropy(probs, y)
+
+    @pytest.mark.parametrize("labels, error", [
+        (np.eye(7)[np.arange(6)], ShapeMismatch),
+        (np.arange(6)[:, None], ShapeMismatch),
+        (np.array([0, 1, 2, 3, 4, 7]), OutOfRange),
+        (np.array([0, 1, 2, -1, 4, 5]), OutOfRange),
+    ])
+    def test_labels_must_be_class_codes(self, labels, error):
+        # A one-hot array raises instead of being read as codes.
+        spec = build_lstm_stack(1)
+        params = init_model_params(spec, seed=0)
+        x = np.zeros((6, 1, 1))
+        with pytest.raises(error):
+            run_epochs(spec, params, lambda idx: x[idx], labels, TrainConfig(epochs=1, seed=0))
+        with pytest.raises(error):
+            evaluate_loss(spec, params, x, labels)
+
+    @pytest.mark.parametrize("arch", ["veclstm", "hybrid"])
+    @pytest.mark.parametrize("repeats", [False, True])
+    @pytest.mark.parametrize("n", [1, 700])  # 700: more than one 512-row slice
+    @pytest.mark.parametrize("head_scale", [1.0, 1e5])
+    def test_evaluate_loss_matches_the_one_hot_oracle(self, arch, repeats, n, head_scale):
+        rng = np.random.default_rng(12)
+        pool = 9 if repeats else n
+        rows = rng.integers(0, pool, n) if repeats else np.arange(n)
+        meta = rng.normal(size=(pool, 1, 1))[rows]
+        cells = rng.integers(0, 100, pool)[rows]
+        spec = build_veclstm(1) if arch == "veclstm" else build_hybrid(1)
+        x = meta if arch == "veclstm" else (meta, cells)
+        codes = rng.integers(0, 7, n)
+        params = init_model_params(spec, seed=13)
+        params["head.w"] *= head_scale  # 1e5: probabilities of exactly 0 and 1
+        probs, targets = predict(spec, params, x), np.eye(7)[codes]
+        want = (onehot_cross_entropy(probs, targets),
+                float((probs.argmax(axis=1) == targets.argmax(axis=1)).mean()))
+        assert evaluate_loss(spec, params, x, codes) == want
+        if head_scale > 1.0 and n > 1:
+            p_true = probs[np.arange(n), codes]
+            assert (p_true == 0.0).any() and (p_true == 1.0).any()
 
     def test_run_epochs_rejects_more_labels_than_samples(self):
         spec = build_lstm_stack(1)
