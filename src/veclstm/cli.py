@@ -311,7 +311,7 @@ def prepare_splits(
     (train_rows, y_train), (val_rows, y_val), (test_rows, y_test) = split_rows(
         dataset.label, config.train)
     meta = dataset.metadata.reshape(-1, 1)
-    scaler = StandardScaler().fit(meta[train_rows])
+    scaler = StandardScaler.fit(meta[train_rows])
     scaled = scaler.transform(meta).reshape(-1, 1, 1)  # (N, T=1, F=1)
     cells = None
     if spec.architecture == HYBRID:

@@ -66,10 +66,6 @@ class OutOfRange(VecLstmError):
 
 # --- training ---
 
-class NotFittedError(VecLstmError):
-    """Scaler applied before fit."""
-
-
 class TooFewSamples(VecLstmError):
     """Not enough samples to split."""
 

@@ -35,6 +35,7 @@ from .vectorizer import (
     fit_stats,
     is_missing,
     normalize_columns,
+    sample_cell_grids,
     vectorize_metadata,
 )
 
@@ -95,16 +96,16 @@ _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]
 
 
-def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str,
-                 text: Callable[[int], str]) -> np.ndarray:
+def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str) -> np.ndarray:
     """UTC seconds of each row's date and clock, up to the first row strptime rejects.
 
-    Row i's timestamp is text(i), read as f"%Y{sep}%m{sep}%d %H:%M:%S".
-    A canonical row (a 10-character date of ASCII digits and sep, and an
-    8-character HH:MM:SS clock of ASCII digits with hours below 24 and
-    minutes and seconds below 60) gets its seconds from one strptime per distinct date plus its clock
-    digits. Every other row, and each row whose date strptime rejects,
-    goes through strptime on text(i), in row order; the values stop
+    Row i's timestamp is f"{dates[i]} {clocks[i]}", read as
+    f"%Y{sep}%m{sep}%d %H:%M:%S". A canonical row (a 10-character date
+    of ASCII digits and sep, and an 8-character HH:MM:SS clock of ASCII
+    digits with hours below 24 and minutes and seconds below 60) gets its
+    seconds from one strptime per distinct date plus its clock digits.
+    Every other row, and each row whose date strptime rejects,
+    goes through strptime on its timestamp, in row order; the values stop
     before the first row that fails there.
     """
     n = len(dates)
@@ -141,7 +142,7 @@ def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str,
     fmt = f"{date_fmt} %H:%M:%S"
     for row in np.flatnonzero(~fast).tolist():
         try:
-            seconds[row] = _parse_utc(text(row), fmt)
+            seconds[row] = _parse_utc(f"{dates[row]} {clocks[row]}", fmt)
         except ValueError:
             return seconds[:row]
     return seconds
@@ -190,6 +191,30 @@ class _FirstFailure:
         if hits.size:
             self.fail(int(hits[0]), reason(int(hits[0])))
 
+    def check_coordinates(self, lat: np.ndarray, lon: np.ndarray) -> None:
+        """A latitude outside [-90, 90], then a longitude outside [-180, 180]."""
+        self.check(~((lat >= -90.0) & (lat <= 90.0)),
+                   lambda row: f"latitude {float(lat[row])} out of range")
+        self.check(~((lon >= -180.0) & (lon <= 180.0)),
+                   lambda row: f"longitude {float(lon[row])} out of range")
+
+
+def _cut_lines(lines: list[str], first_no: int, sep: str, n_fields: int,
+               kind: str = "") -> tuple[list[list[str]], _FirstFailure]:
+    """Each non-blank line's fields, split at sep, and a _FirstFailure over
+    their line numbers, counted from first_no. The rows stop before the
+    first line without n_fields fields, whose MalformedLine is its error."""
+    rows, line_nos = [], []
+    for line_no, line in enumerate(lines, first_no):
+        if line.strip():
+            fields = line.split(sep)
+            if len(fields) != n_fields:
+                return rows, _FirstFailure(line_nos, MalformedLine(
+                    line_no, f"expected {n_fields} {kind}fields, got {len(fields)}"))
+            rows.append(fields)
+            line_nos.append(line_no)
+    return rows, _FirstFailure(line_nos)
+
 
 def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse one PLT file into (time, lat, lon, alt) columns.
@@ -206,32 +231,16 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         raise TruncatedHeader(
             f"PLT file has {len(lines)} lines, expected at least {PLT_HEADER_LINES}"
         )
-    rows: list[list[str]] = []
-    line_nos: list[int] = []
-    short = None
-    for line_no, line in enumerate(lines[PLT_HEADER_LINES:], PLT_HEADER_LINES + 1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            short = MalformedLine(line_no, f"expected 7 fields, got {len(fields)}")
-            break
-        rows.append(fields)
-        line_nos.append(line_no)
-    first = _FirstFailure(line_nos, short)
+    rows, first = _cut_lines(lines[PLT_HEADER_LINES:], PLT_HEADER_LINES + 1, ",", 7)
     lat_s, lon_s, _, alt_s, days_s, dates, clocks = zip(*rows) if rows else [()] * 7
     # The days serial is unused but must be numeric.
     lat, lon, alt_feet, _ = (
         first.convert(cells, float, np.float64, lambda row, exc: f"non-numeric field: {exc}")
         for cells in (lat_s, lon_s, alt_s, days_s))
-    time = _utc_seconds(dates[:first.end], clocks[:first.end], "-",
-                        lambda row: f"{dates[row]} {clocks[row]}")
+    time = _utc_seconds(dates[:first.end], clocks[:first.end], "-")
     if time.size < first.end:
         first.fail(time.size, f"bad date/time {dates[time.size]},{clocks[time.size]}")
-    first.check(~((lat >= -90.0) & (lat <= 90.0)),
-                lambda row: f"latitude {float(lat[row])} out of range")
-    first.check(~((lon >= -180.0) & (lon <= 180.0)),
-                lambda row: f"longitude {float(lon[row])} out of range")
+    first.check_coordinates(lat, lon)
     first.check(np.concatenate(([False], time[1:] < time[:-1])),
                 lambda row: "timestamp decreases within file")
     if first.error is not None:
@@ -250,31 +259,20 @@ def parse_labels(data: bytes | str) -> list[LabelSpan]:
     lines = _as_text(data).splitlines()
     if not lines:
         raise TruncatedHeader("labels file is empty")
-    rows: list[list[str]] = []
-    line_nos: list[int] = []
-    short = None
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            short = MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-            break
-        rows.append(fields)
-        line_nos.append(line_no)
+    rows, first = _cut_lines(lines[1:], 2, "\t", 3, "tab-separated ")
     # Start and end interleaved, so the first bad one is in row order.
     texts = [text.strip() for fields in rows for text in fields[:2]]
     dates, _, clocks = zip(*(text.partition(" ") for text in texts)) if rows else ((), (), ())
-    times = _utc_seconds(dates, clocks, "/", texts.__getitem__)
+    times = _utc_seconds(dates, clocks, "/")
     n_ok = times.size // 2  # rows before the first bad timestamp
     start, end = times[:2 * n_ok:2], times[1:2 * n_ok:2]
     inverted = np.flatnonzero(start > end)
     if inverted.size:
-        raise InvertedSpan(f"line {line_nos[inverted[0]]}: span ends before it starts")
+        raise InvertedSpan(f"line {first.line_nos[inverted[0]]}: span ends before it starts")
     if n_ok < len(rows):
-        raise MalformedLine(line_nos[n_ok], "bad timestamp")
-    if short is not None:
-        raise short
+        raise MalformedLine(first.line_nos[n_ok], "bad timestamp")
+    if first.error is not None:
+        raise first.error
     return [LabelSpan(start=s, end=e, mode=fields[2].strip())
             for s, e, fields in zip(start.tolist(), end.tolist(), rows)]
 
@@ -324,7 +322,7 @@ def _metadata_scalars(
     feature: str,
 ) -> np.ndarray:
     if feature == "cell_density":
-        return vectorize_metadata(lat, lon, alt, config)
+        return vectorize_metadata(sample_cell_grids(lat, lon, alt, stats, config))
     if feature == "normalized_alt":
         return normalize_columns(lat, lon, alt, stats, config)[2]
     if feature == "normalized_speed":
@@ -669,38 +667,40 @@ def read_dataset_csv(path: Path) -> Dataset:
     among them).
     Line numbers count CSV records, the header being record 1; bytes
     that are not UTF-8 are reported by physical line and byte offset,
-    before any other error. The rows are read in chunks into columns
-    sized by a first pass over the bytes.
+    before any other error. The message names the file, as
+    `<path>: line <n>: <reason>`. The rows are read in chunks into
+    columns sized by a first pass over the bytes.
     """
-    capacity, plain = _scan_dataset_csv(path)
-    columns = [np.empty(capacity, dtype) for dtype, _, _ in _CSV_FORMATS]
-    users: dict[str, str] = {}  # one str object per distinct user
-    n = 0
-    with open(path, "rb") if plain else open(path, encoding="utf-8", newline="") as fh:
-        for cells, stop in _split_chunks(fh) if plain else _csv_chunks(fh):
-            size, line_no = len(cells[0]), n + 2
-            first = _FirstFailure(range(line_no, line_no + size),
-                                  None if stop is None else MalformedLine(line_no + size, stop))
-            cells[3] = [cell or "nan" for cell in cells[3]]
-            for k, (dtype, _, parse) in enumerate(_CSV_FORMATS):
-                if parse is not None:
-                    values = first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
-                    columns[k][n:n + values.size] = values
-            lat, lon = columns[1][n:n + size], columns[2][n:n + size]
-            first.check(~((lat >= -90.0) & (lat <= 90.0)),
-                        lambda row: f"latitude {float(lat[row])} out of range")
-            first.check(~((lon >= -180.0) & (lon <= 180.0)),
-                        lambda row: f"longitude {float(lon[row])} out of range")
-            label = columns[4][n:n + size]
-            first.check((label < 0) | (label >= len(DEFAULT_MODES)),
-                        lambda row: f"label {int(label[row])} outside [0, {len(DEFAULT_MODES)})")
-            metadata = columns[6][n:n + size]
-            first.check(~((metadata >= 0.0) & (metadata <= 1.0)),
-                        lambda row: f"metadata {float(metadata[row])} outside [0, 1]")
-            if first.error is not None:
-                raise first.error
-            columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))
-            n += size
+    try:
+        capacity, plain = _scan_dataset_csv(path)
+        columns = [np.empty(capacity, dtype) for dtype, _, _ in _CSV_FORMATS]
+        users: dict[str, str] = {}  # one str object per distinct user
+        n = 0
+        with open(path, "rb") if plain else open(path, encoding="utf-8", newline="") as fh:
+            for cells, stop in _split_chunks(fh) if plain else _csv_chunks(fh):
+                size, line_no = len(cells[0]), n + 2
+                first = _FirstFailure(range(line_no, line_no + size),
+                                      None if stop is None else MalformedLine(line_no + size, stop))
+                cells[3] = [cell or "nan" for cell in cells[3]]
+                for k, (dtype, _, parse) in enumerate(_CSV_FORMATS):
+                    if parse is not None:
+                        values = first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
+                        columns[k][n:n + values.size] = values
+                first.check_coordinates(columns[1][n:n + size], columns[2][n:n + size])
+                label = columns[4][n:n + size]
+                n_modes = len(DEFAULT_MODES)
+                first.check((label < 0) | (label >= n_modes),
+                            lambda row: f"label {int(label[row])} outside [0, {n_modes})")
+                metadata = columns[6][n:n + size]
+                first.check(~((metadata >= 0.0) & (metadata <= 1.0)),
+                            lambda row: f"metadata {float(metadata[row])} outside [0, 1]")
+                if first.error is not None:
+                    raise first.error
+                columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))
+                n += size
+    except MalformedLine as exc:  # line_no and reason stay as they were
+        exc.args = (f"{path}: {exc}",)
+        raise
     if not n:
         raise EmptyDataset(f"{path} contains a header but no rows")
     time, lat, lon, alt, label, user, metadata = (column[:n] for column in columns)

@@ -27,7 +27,7 @@ entries of the float32 copy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     EmptyClassSet,
     EmptyInput,
-    NotFittedError,
     OutOfRange,
     ShapeMismatch,
     TooFewSamples,
@@ -56,10 +55,9 @@ from .vectorizer import (
     VectorizationConfig,
     cell_index,
     fit_stats,
-    histogram2d,
     impute_missing,
     min_max_normalize,
-    normalize_columns,
+    sample_cell_grids,
     vectorize_metadata,
 )
 
@@ -122,33 +120,29 @@ def train_test_split(x: np.ndarray, y, test_fraction: float, seed: int):
 
 
 class StandardScaler:
-    """Per-feature (x - mean) / std with population std.
+    """Per-feature (x - mean) / std with population std, from known
+    moments or StandardScaler.fit's of the data.
 
     Features with std below 1e-12 map to 0 so constant columns stay
     finite.
     """
 
-    def __init__(self):
-        self.mean_: np.ndarray | None = None
-        self.std_: np.ndarray | None = None
+    def __init__(self, mean, std):
+        self.mean_ = np.asarray(mean, dtype=np.float64)
+        self.std_ = np.asarray(std, dtype=np.float64)
 
-    def fit(self, x: np.ndarray) -> "StandardScaler":
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "StandardScaler":
         x = np.asarray(x, dtype=np.float64)
-        self.mean_ = x.mean(axis=0)
-        self.std_ = x.std(axis=0)
-        return self
+        return cls(x.mean(axis=0), x.std(axis=0))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise NotFittedError("scaler used before fit")
         x = np.asarray(x, dtype=np.float64)
         safe = np.where(self.std_ < 1e-12, 1.0, self.std_)
         out = (x - self.mean_) / safe
         return np.where(self.std_ < 1e-12, 0.0, out)
 
     def transform_value(self, value: float, feature: int = 0) -> float:
-        if self.mean_ is None:
-            raise NotFittedError("scaler used before fit")
         std = self.std_[feature]
         if std < 1e-12:
             return 0.0
@@ -159,11 +153,16 @@ def encode_labels(labels, n_classes: int = 7) -> np.ndarray:
     """labels as (N,) int64 class codes: the one check of a label vector.
 
     Labels that are not 1-D, a one-hot array among them, raise
-    ShapeMismatch; a code outside [0, n_classes) raises OutOfRange.
+    ShapeMismatch. Labels of a dtype that is not an integer kind (float,
+    bool, object, str) and codes outside [0, n_classes) raise OutOfRange;
+    no labels at all convert to an empty int64 vector.
     """
-    codes = np.asarray(labels, dtype=np.int64)
-    if codes.ndim != 1:
-        raise ShapeMismatch(f"labels must be (N,) class codes, got shape {codes.shape}")
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatch(f"labels must be (N,) class codes, got shape {labels.shape}")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise OutOfRange(f"labels must be integer class codes, got dtype {labels.dtype}")
+    codes = labels.astype(np.int64, copy=False)
     if codes.size and (codes.min() < 0 or codes.max() >= n_classes):
         raise OutOfRange(f"label codes outside [0, {n_classes})")
     return codes
@@ -466,9 +465,9 @@ def benchmark_pipelines(
 
     labels hold every dataset row's class code. rows are the dataset rows
     trained on, in order, and may repeat as oversampled rows do; every
-    row when omitted. The feature scaler is fit on them. The
-    normalization bounds and count grid that the per-sample side reads
-    are built outside either timer, favoring it.
+    row when omitted. The feature scaler is fit on them. The per-sample
+    side reads the vectorized side's bounds and the count grid of its
+    cells, built outside either timer, favoring it.
     Both sides share the seed and the training loop and see bit-identical
     features, so they end with bit-identical parameters and losses.
     t_novec and t_vec cover the epoch loops; t_vectorization is the
@@ -477,20 +476,19 @@ def benchmark_pipelines(
     rows = np.arange(len(lat)) if rows is None else np.asarray(rows)
     codes = np.asarray(labels)[rows]
 
-    stats = fit_stats(lat, lon, alt)
-    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, vec_config)
-    grid = histogram2d(norm_lat, norm_lon, replace(vec_config, value_mode="count")).grid
-    peak = grid.max()
-
     t0 = time.perf_counter()
-    raw = vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
-    scaler = StandardScaler().fit(raw[rows])
+    stats = fit_stats(lat, lon, alt)
+    cells = sample_cell_grids(lat, lon, alt, stats, vec_config)
+    raw = vectorize_metadata(cells).reshape(-1, 1)
+    scaler = StandardScaler.fit(raw[rows])
     features = scaler.transform(raw).reshape(-1, 1, 1)
     t_vectorization = time.perf_counter() - t0
     x_vec = features[rows]
 
     lat_bounds, lon_bounds = stats.bounds("lat"), stats.bounds("lon")
     g = vec_config.grid_size
+    grid = np.bincount(cells, minlength=g * g).reshape(g, g)
+    peak = grid.max()
 
     def per_sample(idx: np.ndarray) -> np.ndarray:
         # deliberately unvectorized: the work the vectorized side does once

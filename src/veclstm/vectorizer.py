@@ -186,21 +186,13 @@ def sample_cell_grids(
     return cell_indices(norm_lat, norm_lon, config.grid_size)
 
 
-def vectorize_metadata(
-    lat: np.ndarray,
-    lon: np.ndarray,
-    alt: np.ndarray,
-    config: VectorizationConfig = VectorizationConfig(),
-) -> np.ndarray:
-    """Per-sample scalar: own-cell count over the max cell count.
+def vectorize_metadata(cells: np.ndarray) -> np.ndarray:
+    """Per-sample scalar: own-cell count over the peak cell count.
 
-    Built from the dataset-wide count heatmap, so all outputs lie in
-    (0, 1] and at least one equals 1.0.
+    cells are the whole dataset's, from sample_cell_grids, so all outputs
+    lie in (0, 1] and at least one equals 1.0.
     """
-    if len(lat) == 0:
+    if len(cells) == 0:
         raise EmptyInput("cannot vectorize metadata of an empty dataset")
-    stats = fit_stats(lat, lon, alt)
-    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
-    cells = cell_indices(norm_lat, norm_lon, config.grid_size)
     counts = np.bincount(cells)
     return counts[cells] / counts.max()

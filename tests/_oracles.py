@@ -349,6 +349,23 @@ def brute_force_histogram(norm_lat, norm_lon, grid_size):
     return np.array(grid, dtype=np.float64)
 
 
+def self_fitting_vectorize_metadata(lat, lon, alt, config=None):
+    """The density feature as it was computed before the caller passed in
+    the cells: fit the stats, normalize and index the cells itself."""
+    from veclstm.errors import EmptyInput
+    from veclstm.vectorizer import (VectorizationConfig, cell_indices, fit_stats,
+                                    normalize_columns)
+
+    config = VectorizationConfig() if config is None else config
+    if len(lat) == 0:
+        raise EmptyInput("cannot vectorize metadata of an empty dataset")
+    stats = fit_stats(lat, lon, alt)
+    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
+    cells = cell_indices(norm_lat, norm_lon, config.grid_size)
+    counts = np.bincount(cells)
+    return counts[cells] / counts.max()
+
+
 def add_at_histogram(norm_lat, norm_lon, grid_size, value_mode):
     """The (G, G) heatmap as np.add.at scatters (row, column) pairs,
     divided by the point count in density mode."""
@@ -840,7 +857,7 @@ def tuple_prepare_splits(dataset, spec, config):
     def split_meta(x):
         return x[0] if isinstance(x, tuple) else x
 
-    scaler = StandardScaler().fit(split_meta(x_train))
+    scaler = StandardScaler.fit(split_meta(x_train))
 
     def assemble(x):
         scaled = scaler.transform(split_meta(x))

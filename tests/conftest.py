@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from veclstm.ingest import Dataset
-from veclstm.vectorizer import fit_stats, vectorize_metadata
+from veclstm.vectorizer import fit_stats, sample_cell_grids, vectorize_metadata
 
 PLT_HEADER = "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n0,2,255,My Track,0,0,2,8421376\n0\n"
 
@@ -133,11 +133,12 @@ def separable_dataset(n: int, seed: int = 7, class_codes=(0, 1, 2),
         label.append(np.full(size, code, dtype=np.int64))
     lat, lon, label = (np.concatenate(col) for col in (lat, lon, label))
     alt = np.full(lat.size, 50.0)
+    stats = fit_stats(lat, lon, alt)
     return Dataset(
         time=np.arange(1_200_000_000, 1_200_000_000 + lat.size, dtype=np.int64),
         lat=lat, lon=lon, alt=alt, label=label,
         user=np.array([f"u{code}" for code in label.tolist()], dtype=object),
         # the density metadata of the assembled cloud
-        metadata=vectorize_metadata(lat, lon, alt),
-        stats=fit_stats(lat, lon, alt),
+        metadata=vectorize_metadata(sample_cell_grids(lat, lon, alt, stats)),
+        stats=stats,
     )

@@ -4,6 +4,9 @@ PAIRS pairs of runs as long as BENCHMARK.json's run_seconds."""
 
 import json
 import math
+import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import PAIRS, SIDES, STDERR_TAIL_LINES, run_once, summarize  # noqa: E402
+from bench_pairs import (PAIRS, SIDES, STDERR_TAIL_LINES, run_once, source_digest,  # noqa: E402
+                         summarize)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -52,6 +56,45 @@ def test_record_has_medians_quartiles_and_wins(path):
                         "failed": record["failed"][side][i]} for i in range(PAIRS)]
                 for side in SIDES}
         assert summarize(runs, BENCHMARK["end_to_end"]) == metrics, workload["name"]
+
+
+# The tool hashes each side's src/ from this record on.
+DIGEST_RECORDS = [p for p in RECORDS
+                  if int(re.fullmatch(r"BENCH_(\d+)\.json", p.name).group(1)) >= 24]
+
+
+@pytest.mark.parametrize("path", DIGEST_RECORDS, ids=[p.name for p in DIGEST_RECORDS])
+def test_record_names_the_source_each_side_ran(path):
+    env = json.loads(path.read_text(encoding="utf-8"))["env"]
+    for side in SIDES:
+        assert re.fullmatch(r"[0-9a-f]{64}", env[side]["src_sha256"]), side
+        assert "git_head" in env[side], side
+
+
+def test_source_digest_follows_paths_and_bytes_only(tmp_path):
+    first = tmp_path / "a"
+    (first / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (first / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    (first / "src" / "pkg" / "__init__.py").write_bytes(b"")
+    (first / "README.md").write_text("not source")
+    second = tmp_path / "b"
+    shutil.copytree(first, second)
+    digest = source_digest(first)
+    assert source_digest(second) == digest
+    # mtimes, caches and files outside src/**/*.py do not count
+    os.utime(second / "src" / "pkg" / "mod.py", (0, 0))
+    (second / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    (second / "src" / "pkg" / "__pycache__" / "stray.py").write_bytes(b"y = 2\n")
+    (second / "README.md").write_text("changed")
+    assert source_digest(second) == digest
+    # one byte of a source file does
+    (second / "src" / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    assert source_digest(second) != digest
+    # and so does its path
+    (second / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    assert source_digest(second) == digest
+    (second / "src" / "pkg" / "mod.py").rename(second / "src" / "pkg" / "other.py")
+    assert source_digest(second) != digest
 
 
 def test_pair_wins_follow_each_metric_direction():

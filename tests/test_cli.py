@@ -204,7 +204,8 @@ class TestVectorize:
         rc = main(["vectorize", str(dataset_csv), "--store", str(tmp_path / "v.vlvs")])
         assert rc == 1
         assert capsys.readouterr().err.strip() == (
-            "vectorize failed at stage dataset load: line 3: latitude inf out of range")
+            f"vectorize failed at stage dataset load: {dataset_csv}: line 3:"
+            " latitude inf out of range")
 
     def test_no_store_given(self, sep_csv, monkeypatch):
         monkeypatch.delenv("VECLSTM_STORE", raising=False)
@@ -390,6 +391,35 @@ class TestTrain:
         assert not all(np.array_equal(blocks[k], params[k]) for k in params)
         want = predict(spec, params, x_test)
         assert np.array_equal(predict(spec, blocks, x_test), want)
+
+
+class TestDatasetErrorsNameTheFile:
+    COMMAND_ARGS = {
+        "vectorize": lambda out: ["--store", str(out / "v.vlvs")],
+        "train": lambda out: ["--arch", "lstm", "--out-dir", str(out / "o")],
+        "bench": lambda out: ["--out-dir", str(out / "o")],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_stderr_names_the_file_and_the_line(self, tmp_path, capsys, command):
+        dataset = separable_dataset(10, seed=5)
+        dataset.lon[2] = 200.0  # the fourth record, after the header
+        dataset_csv = tmp_path / "bad.csv"
+        write_dataset_csv(dataset, dataset_csv)
+        assert main([command, str(dataset_csv), *self.COMMAND_ARGS[command](tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"{command} failed at stage dataset load: {dataset_csv}: line 4:"
+            " longitude 200.0 out of range")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys, command):
+        dataset_csv = tmp_path / "bad.csv"
+        write_dataset_csv(separable_dataset(10, seed=5), dataset_csv)
+        dataset_csv.write_bytes(dataset_csv.read_bytes().replace(b"u0", b"\xff0", 1))
+        assert main([command, str(dataset_csv), *self.COMMAND_ARGS[command](tmp_path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{command} failed at stage dataset load: {dataset_csv}: line 2:")
+        assert "invalid UTF-8 at byte" in err
 
 
 class TestBench:

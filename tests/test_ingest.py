@@ -536,6 +536,15 @@ class TestDatasetCsvErrors:
         assert exc.value.line_no == 3
         assert "UTF-8" in str(exc.value)
 
+    def test_errors_name_the_file_and_keep_line_and_reason(self, tmp_path):
+        for body in (b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,0,\xff\xfe,0.5\n",
+                     b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,0,u,1.5\n"):
+            path = self._write(tmp_path, body)
+            with pytest.raises(MalformedLine) as exc:
+                read_dataset_csv(path)
+            assert exc.value.line_no == 3
+            assert str(exc.value) == f"{path}: line 3: {exc.value.reason}"
+
     def test_field_over_csv_limit(self, tmp_path):
         path = self._write(tmp_path, b"1,2.0,3.0,,0,u,0.5\n2,2.0,3.0,,0,"
                            + b"u" * (csv.field_size_limit() + 1) + b",0.5\n")

@@ -1,6 +1,7 @@
 """Trainer tests: splitting, scaling, balancing, Adam, the loop, benchmark."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from veclstm.errors import (
     EmptyClassSet,
     EmptyInput,
-    NotFittedError,
     OutOfRange,
     ShapeMismatch,
     TooFewSamples,
@@ -40,13 +40,14 @@ from veclstm.trainer import (
     train_test_split,
 )
 
-from veclstm.vectorizer import VectorizationConfig, vectorize_metadata
+from veclstm.vectorizer import VectorizationConfig
 
 from _oracles import (
     adam_scalar_recurrence,
     as_sorted_multiset,
     onehot_cross_entropy,
     per_block_adam_step,
+    self_fitting_vectorize_metadata,
 )
 
 
@@ -81,32 +82,41 @@ class TestSplit:
 
 class TestScaler:
     def test_two_point_feature(self):
-        scaler = StandardScaler().fit(np.array([[1.0], [3.0]]))
+        scaler = StandardScaler.fit(np.array([[1.0], [3.0]]))
         assert np.array_equal(scaler.transform(np.array([[1.0], [3.0]])),
                               [[-1.0], [1.0]])
 
     def test_constant_feature_maps_to_zero(self):
-        scaler = StandardScaler().fit(np.full((5, 1), 4.2))
+        scaler = StandardScaler.fit(np.full((5, 1), 4.2))
         assert np.array_equal(scaler.transform(np.full((3, 1), 4.2)),
                               np.zeros((3, 1)))
 
     def test_moments_after_scaling(self):
         rng = np.random.default_rng(8)
         x = rng.normal(3.0, 2.5, size=(400, 3))
-        scaled = StandardScaler().fit(x).transform(x)
+        scaled = StandardScaler.fit(x).transform(x)
         assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(scaled.var(axis=0) - 1.0) < 1e-9)
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            StandardScaler().transform(np.zeros((2, 1)))
 
     def test_scalar_path_matches_matrix_path(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(50, 1))
-        scaler = StandardScaler().fit(x)
+        scaler = StandardScaler.fit(x)
         for v in (-1.0, 0.0, 2.5):
             assert scaler.transform_value(v) == scaler.transform(np.array([[v]]))[0, 0]
+
+    def test_known_moments_transform_like_a_fit(self):
+        # Moments given as plain floats, as a saved model would load them.
+        rng = np.random.default_rng(10)
+        x = rng.normal(3.0, 2.5, size=(60, 3))
+        x[:, 2] = 4.2  # a constant feature
+        fitted = StandardScaler.fit(x)
+        known = StandardScaler(x.mean(axis=0).tolist(), x.std(axis=0).tolist())
+        probe = np.vstack([rng.normal(3.0, 2.5, size=(20, 3)), x])
+        assert np.array_equal(known.transform(probe), fitted.transform(probe))
+        for feature in range(3):
+            for v in (-1.0, 0.0, 4.2, 7.5):
+                assert known.transform_value(v, feature) == fitted.transform_value(v, feature)
 
 
 class TestOneHot:
@@ -121,6 +131,15 @@ class TestOneHot:
             encode_labels(np.array([7]))
         with pytest.raises(OutOfRange):
             encode_labels(np.array([-1]))
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0.5, 6.9]), np.array([0.0, 6.0]), [True, False],
+        np.array([0, 6], dtype=object), np.array(["0", "6"]),
+    ], ids=["fractional", "integral_float", "bool", "object", "str"])
+    def test_non_integer_dtype_names_it(self, labels):
+        dtype = str(np.asarray(labels).dtype)
+        with pytest.raises(OutOfRange, match=re.escape(f"got dtype {dtype}")):
+            encode_labels(labels)
 
     def test_batch_encoding(self):
         codes = np.array([0, 6, 3])
@@ -350,6 +369,11 @@ class TestTrainModel:
         (np.arange(6)[:, None], ShapeMismatch),
         (np.array([0, 1, 2, 3, 4, 7]), OutOfRange),
         (np.array([0, 1, 2, -1, 4, 5]), OutOfRange),
+        # labels of a dtype that is not an integer kind, never truncated
+        (np.array([0.5, 1.0, 2.0, 3.0, 4.0, 6.9]), OutOfRange),
+        (np.array([True, False, True, False, True, False]), OutOfRange),
+        (np.array([0, 1, 2, 3, 4, 5], dtype=object), OutOfRange),
+        (np.array(["0", "1", "2", "3", "4", "5"]), OutOfRange),
     ])
     def test_labels_must_be_class_codes(self, labels, error):
         # A one-hot array raises instead of being read as codes.
@@ -398,9 +422,11 @@ class TestTrainModel:
         spec = build_lstm_stack(1)
         params = init_model_params(spec, seed=0)
         x = np.zeros((6, 1, 1))
-        with pytest.raises(EmptyInput, match="no labels"):
-            run_epochs(spec, params, lambda idx: x[idx], encode_labels(np.arange(0)),
-                       TrainConfig(epochs=1, seed=0))
+        # np.array([]) is float64: no labels, not labels of a float dtype
+        for labels in (encode_labels(np.arange(0)), np.array([])):
+            with pytest.raises(EmptyInput, match="no labels"):
+                run_epochs(spec, params, lambda idx: x[idx], labels,
+                           TrainConfig(epochs=1, seed=0))
 
     def test_one_softmax_per_step(self, monkeypatch):
         # The training forward ends at the logits; the loss takes the one
@@ -540,6 +566,18 @@ class TestBenchmark:
         assert report.reduction_pct == pytest.approx(
             100.0 * (report.t_novec - report.t_vec) / report.t_novec, abs=1e-9)
 
+    def test_fits_the_stats_and_bins_once(self, monkeypatch):
+        # One fit_stats and one sample_cell_grids pass feed both sides.
+        calls = []
+        for name in ("fit_stats", "sample_cell_grids"):
+            def counted(*args, real=getattr(trainer, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(trainer, name, counted)
+        lat, lon, alt, labels = self.make_columns(n=200, seed=24)
+        benchmark_pipelines(lat, lon, alt, labels, TrainConfig(epochs=1, batch_size=64, seed=1))
+        assert calls == ["fit_stats", "sample_cell_grids"]
+
     @pytest.mark.parametrize("value_mode", ["count", "density"])
     def test_pipelines_learn_the_same_thing(self, value_mode):
         # same seed, same math: both pipelines see the scaled
@@ -556,6 +594,6 @@ class TestBenchmark:
         assert report.params_novec.keys() == report.params_vec.keys()
         for key, block in report.params_novec.items():
             assert np.array_equal(block, report.params_vec[key]), key
-        raw = vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
-        scaled = StandardScaler().fit(raw[rows]).transform(raw)
+        raw = self_fitting_vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
+        scaled = StandardScaler.fit(raw[rows]).transform(raw)
         assert np.array_equal(report.features.reshape(-1, 1), scaled)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veclstm import vectorizer
 from veclstm.errors import EmptyInput, LengthMismatch
 from veclstm.vectorizer import (
     MISSING,
@@ -19,12 +20,17 @@ from veclstm.vectorizer import (
     vectorize_trajectory,
 )
 
-from _oracles import add_at_histogram, brute_force_histogram
+from _oracles import add_at_histogram, brute_force_histogram, self_fitting_vectorize_metadata
 
 
 def columns(points):
     """(lat, lon, alt) columns of a list of (lat, lon, alt) rows."""
     return np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+
+
+def own_cells(lat, lon, alt, config=VectorizationConfig()):
+    """Each sample's flat cell, binned against the samples' own bounds."""
+    return sample_cell_grids(lat, lon, alt, fit_stats(lat, lon, alt), config)
 
 
 class TestFitStats:
@@ -175,12 +181,12 @@ class TestVectorizeTrajectory:
 class TestVectorizeMetadata:
     def test_single_cell_all_ones(self):
         points = [(0.5, 0.5, 0.0)] * 5
-        assert vectorize_metadata(*columns(points)).tolist() == [1.0] * 5
+        assert vectorize_metadata(own_cells(*columns(points))).tolist() == [1.0] * 5
 
     def test_two_cell_ratio(self):
         # 4 points in one cell, 2 in another: scalars 1.0 and 0.5
         points = [(0.05, 0.05, 0.0)] * 4 + [(0.95, 0.95, 0.0)] * 2
-        scalars = vectorize_metadata(*columns(points)).tolist()
+        scalars = vectorize_metadata(own_cells(*columns(points))).tolist()
         assert scalars[:4] == [1.0] * 4
         assert scalars[4:] == [0.5] * 2
 
@@ -188,7 +194,7 @@ class TestVectorizeMetadata:
         rng = np.random.default_rng(55)
         points = [(la, lo, 0.0) for la, lo in zip(
             rng.uniform(size=200), rng.uniform(size=200))]
-        scalars = vectorize_metadata(*columns(points)).tolist()
+        scalars = vectorize_metadata(own_cells(*columns(points))).tolist()
         arr = np.asarray(points)
         stats = fit_stats(*columns(points))
         norm_lat, norm_lon, _ = normalize_columns(
@@ -204,9 +210,39 @@ class TestVectorizeMetadata:
         rng = np.random.default_rng(77)
         points = [(la, lo, 0.0) for la, lo in zip(
             rng.uniform(size=80), rng.uniform(size=80))]
-        scalars = vectorize_metadata(*columns(points)).tolist()
+        scalars = vectorize_metadata(own_cells(*columns(points))).tolist()
         assert all(0 < s <= 1.0 for s in scalars)
         assert max(scalars) == 1.0
+
+    def test_no_cells_rejected(self):
+        with pytest.raises(EmptyInput):
+            vectorize_metadata(np.zeros(0, dtype=np.int64))
+
+    def test_reads_the_cells_it_is_given(self, monkeypatch):
+        # The caller fits the stats and bins once; the feature does neither.
+        def unused(*args):
+            raise AssertionError("vectorize_metadata refit or renormalized")
+
+        cells = np.array([3, 3, 7, 3, 7, 0])
+        monkeypatch.setattr(vectorizer, "fit_stats", unused)
+        monkeypatch.setattr(vectorizer, "normalize_columns", unused)
+        assert vectorize_metadata(cells).tolist() == [1.0, 1.0, 2 / 3, 1.0, 2 / 3, 1 / 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cols=st.integers(1, 40).flatmap(lambda n: st.tuples(*[st.one_of(
+               st.lists(st.one_of(st.just(MISSING), st.floats(-1e3, 1e3)),
+                        min_size=n, max_size=n),
+               st.floats(-1e3, 1e3).map(lambda v: [v] * n),  # a constant column
+               st.just([MISSING] * n)) for _ in range(3)])),
+           grid_size=st.sampled_from([1, 10, 37]), missing_default=st.sampled_from([0.0, 1.0]))
+    def test_composition_matches_the_self_fitting_oracle(self, cols, grid_size,
+                                                         missing_default):
+        lat, lon, alt = (np.array(col, dtype=np.float64) for col in cols)
+        config = VectorizationConfig(grid_size=grid_size, missing_default=missing_default)
+        got = vectorize_metadata(own_cells(lat, lon, alt, config))
+        want = self_fitting_vectorize_metadata(lat, lon, alt, config)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSampleCellGrids:

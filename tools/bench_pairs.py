@@ -10,7 +10,9 @@ with seed first-seed + i; even pairs run the parent first and odd pairs
 the change first. Runs go one at a time, so that the two sides never
 share the CPUs.
 
-The output holds each side's environment line, every run's metrics and,
+The output holds each side's environment line, with the sha256 of its
+``src/`` tree (``src_sha256``) and, where git can name it, the commit it
+has checked out (``git_head``, else null), every run's metrics and,
 per workload and end-to-end metric, each side's median and quartiles
 over the pairs and the number of pairs the change won (a tie counts for
 neither side). ``claim_met`` applies the gain rule: the change wins at
@@ -22,6 +24,7 @@ operations than the parent.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -32,6 +35,27 @@ import numpy as np
 SIDES = ("parent", "change")
 PAIRS = 10
 STDERR_TAIL_LINES = 20
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of checkout's
+    src/**/*.py files. Two copies of one tree agree whatever their mtimes,
+    and __pycache__ directories are left out."""
+    digest = hashlib.sha256()
+    files = sorted((path.relative_to(checkout).as_posix(), path)
+                   for path in (checkout / "src").rglob("*.py")
+                   if "__pycache__" not in path.parts)
+    for name, path in files:
+        for part in (name.encode("utf-8"), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+def git_head(checkout: Path) -> str | None:
+    """The commit checkout has checked out, or None where git cannot tell."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -120,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
 
     first = runs[workloads[0]]
     doc = {
-        "env": {side: first[side][0]["env"] for side in SIDES},
+        "env": {side: {**first[side][0]["env"], "src_sha256": source_digest(checkouts[side]),
+                       "git_head": git_head(checkouts[side])} for side in SIDES},
         "seconds": seconds,
         "seeds": [args.first_seed + i for i in range(PAIRS)],
         "workloads": {
