@@ -34,7 +34,7 @@ from .vectorizer import (
     VectorizationConfig,
     fit_stats,
     is_missing,
-    normalize_columns,
+    normalize_column,
     sample_cell_grids,
     vectorize_metadata,
 )
@@ -221,10 +221,10 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
     The first six lines are header and skipped. time is int64 UTC
     seconds. Altitude arrives in feet and is converted to meters; the
-    sentinel -777 becomes MISSING. Raises TruncatedHeader on short files
-    and MalformedLine(line_no) on the first bad row (wrong field count,
-    non-numeric fields, out-of-range coordinates, or a timestamp going
-    backwards).
+    sentinel -777 and nan become MISSING. Raises TruncatedHeader on short
+    files and MalformedLine(line_no) on the first bad row (wrong field
+    count, non-numeric fields, out-of-range coordinates, an infinite
+    altitude, or a timestamp going backwards).
     """
     lines = _as_text(data).splitlines()
     if len(lines) < PLT_HEADER_LINES:
@@ -241,6 +241,7 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     if time.size < first.end:
         first.fail(time.size, f"bad date/time {dates[time.size]},{clocks[time.size]}")
     first.check_coordinates(lat, lon)
+    first.check(np.isinf(alt_feet), lambda row: f"altitude {float(alt_feet[row])} out of range")
     first.check(np.concatenate(([False], time[1:] < time[:-1])),
                 lambda row: "timestamp decreases within file")
     if first.error is not None:
@@ -322,9 +323,9 @@ def _metadata_scalars(
     feature: str,
 ) -> np.ndarray:
     if feature == "cell_density":
-        return vectorize_metadata(sample_cell_grids(lat, lon, alt, stats, config))
+        return vectorize_metadata(sample_cell_grids(lat, lon, stats, config))
     if feature == "normalized_alt":
-        return normalize_columns(lat, lon, alt, stats, config)[2]
+        return normalize_column(alt, stats.bounds("alt"), config)
     if feature == "normalized_speed":
         # math-module haversine per consecutive pair: numpy's sin/cos
         # round differently in a few pairs per 10^5, which would change

@@ -432,8 +432,9 @@ def train_model(
 class BenchmarkReport:
     """Timing comparison of the two feature-supply pipelines.
 
-    features (every row's scaled feature, (N, 1, 1)) and the two trained
-    parameter dicts are kept for scoring.
+    features (every row's scaled feature, (N, 1, 1)), cells (every
+    row's flat grid cell) and the two trained parameter dicts are kept
+    for scoring.
     """
 
     t_novec: float
@@ -446,6 +447,7 @@ class BenchmarkReport:
     epochs: int
     seed: int
     features: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
     params_novec: dict[str, np.ndarray] = field(repr=False)
     params_vec: dict[str, np.ndarray] = field(repr=False)
 
@@ -471,14 +473,14 @@ def benchmark_pipelines(
     Both sides share the seed and the training loop and see bit-identical
     features, so they end with bit-identical parameters and losses.
     t_novec and t_vec cover the epoch loops; t_vectorization is the
-    vectorized side's one-time cost.
+    vectorized side's one-time cost, the binning of cells included.
     """
     rows = np.arange(len(lat)) if rows is None else np.asarray(rows)
     codes = np.asarray(labels)[rows]
 
     t0 = time.perf_counter()
     stats = fit_stats(lat, lon, alt)
-    cells = sample_cell_grids(lat, lon, alt, stats, vec_config)
+    cells = sample_cell_grids(lat, lon, stats, vec_config)
     raw = vectorize_metadata(cells).reshape(-1, 1)
     scaler = StandardScaler.fit(raw[rows])
     features = scaler.transform(raw).reshape(-1, 1, 1)
@@ -521,6 +523,7 @@ def benchmark_pipelines(
         epochs=config.epochs,
         seed=config.seed,
         features=features,
+        cells=cells,
         params_novec=params_novec,
         params_vec=params_vec,
     )

@@ -1,11 +1,12 @@
 """Grid-heatmap vectorization of trajectories.
 
-Raw (lat, lon, alt) values are min-max normalized to [0, 1] per
-dimension, missing values replaced by a configured default, and the
-normalized (lat, lon) pairs binned into a G x G histogram. The
+Raw lat and lon values are min-max normalized to [0, 1] per column
+against fitted bounds, missing values replaced by a configured default,
+and the normalized (lat, lon) pairs binned into a G x G histogram. The
 flattened histogram is the vector representation; the per-sample
 "metadata" feature is a sample's cell density relative to the densest
-cell.
+cell. Altitude is fitted with the other columns but normalized only for
+the `normalized_alt` metadata feature.
 """
 
 from __future__ import annotations
@@ -102,22 +103,19 @@ def impute_missing(value: float, config: VectorizationConfig) -> float:
     return config.missing_default if is_missing(value) else value
 
 
-def normalize_columns(
-    lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
-    stats: NormalizationStats, config: VectorizationConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized normalize-then-impute over whole columns."""
-    out = []
-    for values, dim in ((lat, "lat"), (lon, "lon"), (alt, "alt")):
-        lo, hi = stats.bounds(dim)
-        values = np.asarray(values, dtype=np.float64)
-        if hi == lo:
-            norm = np.zeros_like(values)
-        else:
-            norm = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-        norm = np.where(np.isnan(values), config.missing_default, norm)
-        out.append(norm)
-    return out[0], out[1], out[2]
+def normalize_column(
+    values: np.ndarray, bounds: tuple[float, float], config: VectorizationConfig,
+) -> np.ndarray:
+    """impute_missing(min_max_normalize(v, lo, hi), config) over a whole
+    column, bit for bit."""
+    lo, hi = bounds
+    values = np.asarray(values, dtype=np.float64)
+    if hi == lo:
+        norm = np.zeros_like(values)
+    else:
+        norm = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    norm[np.isnan(values)] = config.missing_default
+    return norm
 
 
 def cell_index(value: float, grid_size: int) -> int:
@@ -167,14 +165,14 @@ def vectorize_trajectory(
     lat, lon, alt = arr[:, 0], arr[:, 1], arr[:, 2]
     if stats is None:
         stats = fit_stats(lat, lon, alt)
-    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
+    norm_lat = normalize_column(lat, stats.bounds("lat"), config)
+    norm_lon = normalize_column(lon, stats.bounds("lon"), config)
     return histogram2d(norm_lat, norm_lon, config).flatten()
 
 
 def sample_cell_grids(
     lat: np.ndarray,
     lon: np.ndarray,
-    alt: np.ndarray,
     stats: NormalizationStats,
     config: VectorizationConfig = VectorizationConfig(),
 ) -> np.ndarray:
@@ -182,8 +180,9 @@ def sample_cell_grids(
     (N,). These are the spatial inputs of the hybrid model's convolution
     branch, which runs each index as the one-hot (G, G) grid of its cell.
     """
-    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
-    return cell_indices(norm_lat, norm_lon, config.grid_size)
+    return cell_indices(normalize_column(lat, stats.bounds("lat"), config),
+                        normalize_column(lon, stats.bounds("lon"), config),
+                        config.grid_size)
 
 
 def vectorize_metadata(cells: np.ndarray) -> np.ndarray:

@@ -353,15 +353,22 @@ def self_fitting_vectorize_metadata(lat, lon, alt, config=None):
     """The density feature as it was computed before the caller passed in
     the cells: fit the stats, normalize and index the cells itself."""
     from veclstm.errors import EmptyInput
-    from veclstm.vectorizer import (VectorizationConfig, cell_indices, fit_stats,
-                                    normalize_columns)
+    from veclstm.vectorizer import VectorizationConfig, cell_indices, fit_stats
 
     config = VectorizationConfig() if config is None else config
     if len(lat) == 0:
         raise EmptyInput("cannot vectorize metadata of an empty dataset")
     stats = fit_stats(lat, lon, alt)
-    norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
-    cells = cell_indices(norm_lat, norm_lon, config.grid_size)
+    norm = []
+    for values, dim in ((lat, "lat"), (lon, "lon")):
+        lo, hi = stats.bounds(dim)
+        values = np.asarray(values, dtype=np.float64)
+        if hi == lo:
+            col = np.zeros_like(values)
+        else:
+            col = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+        norm.append(np.where(np.isnan(values), config.missing_default, col))
+    cells = cell_indices(norm[0], norm[1], config.grid_size)
     counts = np.bincount(cells)
     return counts[cells] / counts.max()
 
@@ -669,6 +676,8 @@ def row_parse_plt(data):
             raise MalformedLine(line_no, f"latitude {lat} out of range")
         if not (-180.0 <= lon <= 180.0):
             raise MalformedLine(line_no, f"longitude {lon} out of range")
+        if math.isinf(alt_feet):
+            raise MalformedLine(line_no, f"altitude {alt_feet} out of range")
         if prev_ts is not None and ts < prev_ts:
             raise MalformedLine(line_no, "timestamp decreases within file")
         prev_ts = ts
@@ -842,8 +851,7 @@ def tuple_prepare_splits(dataset, spec, config):
     seed = config.train.seed
 
     if spec.architecture == HYBRID:
-        grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.alt,
-                                  dataset.stats, config.vectorizer)
+        grids = sample_cell_grids(dataset.lat, dataset.lon, dataset.stats, config.vectorizer)
         features = (meta, grids)
     else:
         features = meta

@@ -139,6 +139,6 @@ def separable_dataset(n: int, seed: int = 7, class_codes=(0, 1, 2),
         lat=lat, lon=lon, alt=alt, label=label,
         user=np.array([f"u{code}" for code in label.tolist()], dtype=object),
         # the density metadata of the assembled cloud
-        metadata=vectorize_metadata(sample_cell_grids(lat, lon, alt, stats)),
+        metadata=vectorize_metadata(sample_cell_grids(lat, lon, stats)),
         stats=stats,
     )

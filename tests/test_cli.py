@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from veclstm import cli
+from veclstm import cli, trainer
 from veclstm.cli import (ARCH_BUILDERS, RunConfig, load_run_config, main,
                          prepare_splits, split_rows)
 from veclstm.errors import ConfigError
@@ -442,6 +442,23 @@ class TestBench:
         recomputed = 100.0 * (t_novec - t_vec) / t_novec
         assert doc["reduction_pct"] == pytest.approx(recomputed, abs=1e-9)
         assert doc["config"]["train"]["seed"] == 3
+
+    def test_bins_the_dataset_once(self, sep_csv, tmp_path, train_config, monkeypatch):
+        # The hybrid trains on the cells the pair's vectorization binned
+        # inside its timer, so it shares the pair's vectorize_seconds.
+        calls = []
+        for module in (cli, trainer):
+            def counted(*args, real=module.sample_cell_grids, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "sample_cell_grids", counted)
+        out_dir = tmp_path / "bench"
+        assert main(["bench", str(sep_csv), "--out-dir", str(out_dir),
+                     "--config", str(train_config)]) == 0
+        assert len(calls) == 1
+        rows = {row["variant"]: row
+                for row in json.loads((out_dir / "bench.json").read_text())["rows"]}
+        assert rows["hybrid_vec"]["vectorize_seconds"] == rows["veclstm_vec"]["vectorize_seconds"]
 
     def test_store_workload_section(self, sep_csv, tmp_path, train_config):
         out_dir = tmp_path / "bench_store"

@@ -20,10 +20,10 @@ import veclstm
 from veclstm import cli
 from veclstm.cli import main
 from veclstm.errors import VecLstmError
-from veclstm.ingest import DEFAULT_MODES, write_dataset_csv
+from veclstm.ingest import DEFAULT_MODES, read_dataset_csv, write_dataset_csv
 from veclstm.metrics import REGRESSION_BASES
 
-from conftest import corrupt, flip_bit, separable_dataset, write_small_tree
+from conftest import corrupt, flip_bit, plt_text, separable_dataset, write_small_tree
 
 SRC = Path(veclstm.__file__).parent
 
@@ -137,6 +137,8 @@ class TestKnownFailures:
         ("000/Trajectory/20090310.plt", "39.9,116.3,0", "line 12: expected 7 fields, got 3"),
         ("001/labels.txt", "2009/04/01 10:00:00\ttrain",
          "line 3: expected 3 tab-separated fields, got 2"),
+        ("000/Trajectory/20090310.plt", "39.9,116.3,0,-inf,39000.0,2009-03-11,00:00:00",
+         "line 12: altitude -inf out of range"),
     ])
     def test_strict_ingest_names_the_damaged_file(self, tmp_path, damaged, line, reason):
         tree = write_small_tree(tmp_path / "geolife")
@@ -148,6 +150,25 @@ class TestKnownFailures:
         assert rc == 0 and f"warning: {path}: {reason}" in err
         rc, err = _run(["ingest", str(tree), "--out", str(out), "--strict"])
         assert (rc, err.strip()) == (1, f"ingest failed at stage parsing: {path}: {reason}")
+
+    def test_infinite_altitude_drops_its_file_from_a_normalized_alt_dataset(self, tmp_path):
+        # One infinite altitude would make every normalized_alt feature
+        # nan or 0.0, so its file is dropped like any malformed file.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metadata_feature": "normalized_alt"}), encoding="utf-8")
+        tree = write_small_tree(tmp_path / "geolife")
+        clean = tmp_path / "clean.csv"
+        assert _run(["ingest", str(tree), "--out", str(clean), "--config", str(config)])[0] == 0
+        path = tree / "Data" / "001" / "Trajectory" / "20090402.plt"
+        path.write_text(plt_text([(40.03, 116.43, 230, "2009-04-01", "08:30:00"),
+                                  (40.04, 116.44, "1e309", "2009-04-01", "08:40:00")]),
+                        encoding="utf-8")
+        out = tmp_path / "d.csv"
+        rc, err = _run(["ingest", str(tree), "--out", str(out), "--config", str(config)])
+        assert rc == 0 and f"warning: {path}: line 8: altitude inf out of range" in err
+        dataset = read_dataset_csv(out)
+        assert np.all((dataset.metadata >= 0.0) & (dataset.metadata <= 1.0))
+        assert out.read_bytes() == clean.read_bytes()
 
     def test_ingest_into_missing_directory(self, geolife_tree, tmp_path):
         out = tmp_path / "missing" / "d.csv"

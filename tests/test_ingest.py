@@ -66,9 +66,20 @@ class TestParsePlt:
         assert columns[0].dtype == np.int64
 
     def test_altitude_sentinel_becomes_missing(self):
-        text = plt_text([(39.9, 116.4, -777, "2009-03-10", "12:00:00")])
-        _, _, _, (alt,) = parse_plt(text)
-        assert is_missing(alt)
+        # so does a nan altitude, unlike an infinite one
+        text = plt_text([(39.9, 116.4, -777, "2009-03-10", "12:00:00"),
+                         (39.9, 116.4, "nan", "2009-03-10", "12:00:01")])
+        _, _, _, alt = parse_plt(text)
+        assert all(is_missing(value) for value in alt.tolist())
+
+    @pytest.mark.parametrize("alt, shown", [("inf", "inf"), ("-inf", "-inf"),
+                                            ("1e309", "inf")])
+    def test_infinite_altitude(self, alt, shown):
+        text = plt_text([(39.9, 116.4, 100, "2009-03-10", "12:00:00"),
+                         (39.9, 116.4, alt, "2009-03-10", "12:00:01")])
+        with pytest.raises(MalformedLine, match=f"altitude {shown} out of range") as exc:
+            parse_plt(text)
+        assert exc.value.line_no == 8
 
     def test_truncated_header(self):
         with pytest.raises(TruncatedHeader):
@@ -99,11 +110,16 @@ class TestParsePlt:
             parse_plt(text)
 
     def test_first_failing_check_wins(self):
-        # within a row the latitude check comes first; across rows the
-        # earlier row wins whatever its check
+        # within a row latitude, longitude, altitude and time are checked
+        # in that order; across rows the earlier row wins whatever its check
         both = plt_text([(95.0, 200.0, 100, "2009-03-10", "12:00:00")])
         with pytest.raises(MalformedLine, match="latitude"):
             parse_plt(both)
+        for lon, reason in ((200.0, "longitude"), (116.4, "altitude")):
+            late = plt_text([(39.9, 116.4, 100, "2009-03-10", "12:00:01"),
+                             (39.9, lon, "inf", "2009-03-10", "12:00:00")])
+            with pytest.raises(MalformedLine, match=reason):
+                parse_plt(late)
         text = plt_text([(39.9, 200.0, 100, "2009-03-10", "12:00:00"),
                          (95.0, 116.4, 100, "2009-03-10", "12:00:01")]) + "1,2\n"
         with pytest.raises(MalformedLine, match="longitude") as exc:
@@ -359,12 +375,13 @@ def _same_outcome(columnar, oracle):
 # rows share a date.
 OFFSETS = st.one_of(st.integers(0, 400_000_000), st.integers(0, 3 * 86_400))
 
-# Coordinates run a little past their valid ranges, and the timestamps
-# are sorted unless the draw says otherwise, so every check of the
-# parser gets to fail.
+# Coordinates run a little past their valid ranges, altitudes may be
+# infinite or nan, and the timestamps are sorted unless the draw says
+# otherwise, so every check of the parser gets to fail.
 plt_rows = st.lists(st.tuples(
     st.floats(-100, 100), st.floats(-200, 200),
-    st.one_of(st.just(-777.0), st.floats(-1e4, 1e5)),
+    st.one_of(st.just(-777.0), st.floats(-1e4, 1e5),
+              st.sampled_from((math.inf, -math.inf, math.nan))),
     OFFSETS,
 ), max_size=6)
 

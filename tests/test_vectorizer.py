@@ -9,12 +9,14 @@ from veclstm import vectorizer
 from veclstm.errors import EmptyInput, LengthMismatch
 from veclstm.vectorizer import (
     MISSING,
+    NormalizationStats,
     VectorizationConfig,
+    cell_index,
     fit_stats,
     histogram2d,
     impute_missing,
     min_max_normalize,
-    normalize_columns,
+    normalize_column,
     sample_cell_grids,
     vectorize_metadata,
     vectorize_trajectory,
@@ -30,7 +32,13 @@ def columns(points):
 
 def own_cells(lat, lon, alt, config=VectorizationConfig()):
     """Each sample's flat cell, binned against the samples' own bounds."""
-    return sample_cell_grids(lat, lon, alt, fit_stats(lat, lon, alt), config)
+    return sample_cell_grids(lat, lon, fit_stats(lat, lon, alt), config)
+
+
+def normalized(lat, lon, stats, config=VectorizationConfig()):
+    """The normalized, imputed (lat, lon) columns."""
+    return (normalize_column(lat, stats.bounds("lat"), config),
+            normalize_column(lon, stats.bounds("lon"), config))
 
 
 class TestFitStats:
@@ -75,6 +83,72 @@ class TestNormalize:
         # An imputed value outside [0, 1] would bin into a wrapped row.
         with pytest.raises(ValueError, match="missing_default"):
             VectorizationConfig(missing_default=value)
+
+
+def column(n):
+    """n floats: some missing, one constant value, or all missing."""
+    return st.one_of(
+        st.lists(st.one_of(st.just(MISSING), st.floats(-1e3, 1e3)), min_size=n, max_size=n),
+        st.floats(-1e3, 1e3).map(lambda v: [v] * n),
+        st.just([MISSING] * n))
+
+
+# A (lat, lon) column pair, binned against its own fitted bounds (None:
+# the extremes sit at the bounds) or against drawn (lo, hi) pairs that
+# may clamp values or be degenerate.
+LAT_LON = st.integers(1, 40).flatmap(lambda n: st.tuples(column(n), column(n)))
+BOUNDS = st.one_of(st.none(), st.tuples(*[
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2).map(sorted) for _ in range(2)]))
+
+
+def per_sample_normalized(values, bounds, config):
+    """impute_missing(min_max_normalize(...)) a value at a time, as the
+    bench's per-sample side computes it."""
+    return np.array([impute_missing(min_max_normalize(float(v), *bounds), config)
+                     for v in values], dtype=np.float64)
+
+
+class TestColumnMatchesPerSample:
+    """The column path the vectorized side bins with equals, bit for bit,
+    the per-sample path the bench's non-vectorized side runs."""
+
+    @staticmethod
+    def stats(lat, lon, bounds):
+        if bounds is None:
+            return fit_stats(lat, lon, np.zeros_like(lat))
+        (lat_lo, lat_hi), (lon_lo, lon_hi) = bounds
+        return NormalizationStats(lat_lo, lat_hi, lon_lo, lon_hi, 0.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cols=LAT_LON, bounds=BOUNDS, missing_default=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_normalize_column(self, cols, bounds, missing_default):
+        lat, lon = (np.array(col, dtype=np.float64) for col in cols)
+        stats = self.stats(lat, lon, bounds)
+        config = VectorizationConfig(missing_default=missing_default)
+        for values, dim in ((lat, "lat"), (lon, "lon")):
+            # A drawn range far narrower than the values overflows to inf,
+            # which both paths clamp to 1.0.
+            with np.errstate(over="ignore"):
+                got = normalize_column(values, stats.bounds(dim), config)
+            want = per_sample_normalized(values, stats.bounds(dim), config)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cols=LAT_LON, bounds=BOUNDS, grid_size=st.sampled_from([1, 10, 37]),
+           missing_default=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_sample_cell_grids(self, cols, bounds, grid_size, missing_default):
+        lat, lon = (np.array(col, dtype=np.float64) for col in cols)
+        stats = self.stats(lat, lon, bounds)
+        config = VectorizationConfig(grid_size=grid_size, missing_default=missing_default)
+        nlat = per_sample_normalized(lat, stats.bounds("lat"), config)
+        nlon = per_sample_normalized(lon, stats.bounds("lon"), config)
+        want = [cell_index(la, grid_size) * grid_size + cell_index(lo, grid_size)
+                for la, lo in zip(nlat.tolist(), nlon.tolist())]
+        with np.errstate(over="ignore"):
+            cells = sample_cell_grids(lat, lon, stats, config)
+        assert cells.dtype == np.int64
+        assert cells.tolist() == want
 
 
 class TestHistogram:
@@ -129,7 +203,7 @@ class TestHistogram:
         stats = fit_stats(lat, lon, alt)
         for missing_default in (0.0, 0.5, 1.0):
             config = VectorizationConfig(grid_size, missing_default, value_mode)
-            norm_lat, norm_lon, _ = normalize_columns(lat, lon, alt, stats, config)
+            norm_lat, norm_lon = normalized(lat, lon, stats, config)
             grid = histogram2d(norm_lat, norm_lon, config).grid
             want = add_at_histogram(norm_lat, norm_lon, grid_size, value_mode)
             assert grid.dtype == np.float64
@@ -153,8 +227,7 @@ class TestVectorizeTrajectory:
         assert vec.sum() == 1000
         arr = np.asarray(points)
         stats = fit_stats(*columns(points))
-        norm_lat, norm_lon, _ = normalize_columns(
-            arr[:, 0], arr[:, 1], arr[:, 2], stats, VectorizationConfig())
+        norm_lat, norm_lon = normalized(arr[:, 0], arr[:, 1], stats)
         expected = brute_force_histogram(norm_lat, norm_lon, 10).reshape(-1)
         assert np.array_equal(vec, expected)
 
@@ -197,8 +270,7 @@ class TestVectorizeMetadata:
         scalars = vectorize_metadata(own_cells(*columns(points))).tolist()
         arr = np.asarray(points)
         stats = fit_stats(*columns(points))
-        norm_lat, norm_lon, _ = normalize_columns(
-            arr[:, 0], arr[:, 1], arr[:, 2], stats, VectorizationConfig())
+        norm_lat, norm_lon = normalized(arr[:, 0], arr[:, 1], stats)
         grid = brute_force_histogram(norm_lat, norm_lon, 10)
         peak = grid.max()
         for scalar, la, lo in zip(scalars, norm_lat, norm_lon):
@@ -225,7 +297,7 @@ class TestVectorizeMetadata:
 
         cells = np.array([3, 3, 7, 3, 7, 0])
         monkeypatch.setattr(vectorizer, "fit_stats", unused)
-        monkeypatch.setattr(vectorizer, "normalize_columns", unused)
+        monkeypatch.setattr(vectorizer, "normalize_column", unused)
         assert vectorize_metadata(cells).tolist() == [1.0, 1.0, 2 / 3, 1.0, 2 / 3, 1 / 3]
 
     @settings(max_examples=200, deadline=None)
@@ -249,9 +321,8 @@ class TestSampleCellGrids:
     def test_one_hot_per_sample(self):
         lat = np.array([0.0, 10.0])
         lon = np.array([0.0, 10.0])
-        alt = np.array([0.0, 0.0])
         stats = fit_stats(*columns([(0, 0, 0), (10, 10, 0)]))
-        cells = sample_cell_grids(lat, lon, alt, stats)
+        cells = sample_cell_grids(lat, lon, stats)
         # one flat index r * G + c per sample: the 1 of its one-hot grid
         assert cells.dtype == np.int64 and cells.shape == (2,)
         assert cells.tolist() == [0 * 10 + 0, 9 * 10 + 9]
