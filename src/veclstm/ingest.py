@@ -475,8 +475,8 @@ def ingest_geolife(
 # --- CSV round trip ----------------------------------------------------
 
 # Rows per chunk of the dataset CSV writer and of the csv.reader path of
-# its reader, and bytes per chunk of the reader's other path: 64k rows
-# of 64 bytes. A chunk is what either holds at once besides the columns.
+# its reader, and bytes per block its np.loadtxt path reads: 64k rows of
+# 64 bytes. A chunk is what either holds at once besides the columns.
 _CHUNK_ROWS = 1 << 16
 _CHUNK_BYTES = 64 * _CHUNK_ROWS
 
@@ -485,8 +485,15 @@ _CHUNK_BYTES = 64 * _CHUNK_ROWS
 # and an empty alt cell reads as "nan", MISSING.
 _CSV_FORMATS = (
     (np.int64, str, int), (np.float64, repr, float), (np.float64, repr, float),
-    (np.float64, lambda value: "" if is_missing(value) else repr(value), float),
+    (np.float64, lambda value: "" if is_missing(value) else repr(value),
+     lambda cell: float(cell or "nan")),
     (np.int64, str, int), (object, None, None), (np.float64, repr, float))
+
+# The dataset columns as np.loadtxt reads them. A wider user field would
+# cost time in every row; a user that fills it is taken from its line.
+_USER_WIDTH = 16
+_LOADTXT_DTYPE = [(name, f"U{_USER_WIDTH}" if dtype is object else dtype)
+                  for name, (dtype, _, _) in zip(DATASET_COLUMNS, _CSV_FORMATS)]
 
 
 def _distinct_text(values: np.ndarray, fmt: Callable, end: str) -> list[str]:
@@ -551,10 +558,12 @@ def _scan_dataset_csv(path: Path) -> tuple[int, bool]:
     """(rows after the header at most, whether the file is plain).
 
     Raises MalformedLine at the first byte that is not UTF-8, by physical
-    line and byte offset. A plain file has no '"', no NUL and no CR
-    outside CRLF, so each line is one record whose fields are the
-    comma-separated parts of the line.
+    line and byte offset. A plain file has no '"', no NUL, no CR outside
+    CRLF and no line of csv.field_size_limit() bytes or more, so each line
+    is one record whose fields are the comma-separated parts of the line,
+    none of them over the limit.
     """
+    limit = csv.field_size_limit()
     newlines = breaks = offset = 0
     plain, last = True, b"\n"
     with open(path, "rb") as fh:
@@ -565,84 +574,36 @@ def _scan_dataset_csv(path: Path) -> tuple[int, bool]:
                 line_no = newlines + block.count(b"\n", 0, exc.start) + 1
                 raise MalformedLine(line_no, f"invalid UTF-8 at byte {offset + exc.start}") from None
             data = np.frombuffer(block, np.uint8)
-            cr = np.flatnonzero(data == ord("\r"))
-            # A CR ending the file has no LF after it; it is its own index.
-            lone_cr = np.count_nonzero(data[np.minimum(cr + 1, data.size - 1)] != ord("\n"))
-            lf = np.count_nonzero(data == ord("\n"))
-            newlines += lf
-            breaks += lf + lone_cr
-            plain = plain and not lone_cr and b'"' not in block and b"\0" not in block
+            lf = np.flatnonzero(data == ord("\n"))
+            # Every CR but those before a LF, a CR ending the file among them.
+            lone_cr = (np.count_nonzero(data == ord("\r"))
+                       - np.count_nonzero(data[lf[lf > 0] - 1] == ord("\r")))
+            newlines += lf.size
+            breaks += lf.size + lone_cr
+            plain = (plain and not lone_cr and b'"' not in block and b"\0" not in block
+                     and np.diff(lf, prepend=-1, append=data.size).max() <= limit)
             offset += len(block)
             last = block[-1:]
     records = breaks + (last not in (b"\n", b"\r"))
     return max(records - 1, 0), plain
 
 
-def _check_header(reader) -> None:
-    """Read the header record from csv.reader reader; MalformedLine at line 1 if wrong."""
+def _check_header(reader):
+    """reader after its header record; MalformedLine at line 1 if that is wrong."""
     try:
         header = next(reader, None)
     except csv.Error as exc:
         raise MalformedLine(1, str(exc)) from None
     if header is None or tuple(header) != DATASET_COLUMNS:
         raise MalformedLine(1, f"expected header {','.join(DATASET_COLUMNS)}")
+    return reader
 
 
-def _plain_rows(block: bytes, limit: int) -> tuple[int, str | None, int]:
-    """(rows, stop, size) of block, whole lines of a plain file.
-
-    rows counts the lines before the first one that csv.reader rejects
-    (a field over limit characters) or reads with other than 7 fields,
-    stop is the reason for that line or None, and size is the bytes of
-    those rows. Separators are found in the bytes, and csv.reader reads
-    only the lines whose separators or widths are suspect.
-    """
-    data = np.frombuffer(block, np.uint8)
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    ends = np.flatnonzero(data[seps] == ord("\n"))  # the separator ending each line
-    if not block.endswith(b"\n"):  # an unterminated last line
-        seps = np.append(seps, data.size)
-        ends = np.append(ends, seps.size - 1)
-    # Line i has 7 fields when separator 7i + 6 ends it. Up to the first
-    # line that has not, separator s ends a field of line s // 7; a field
-    # of more than limit bytes may have more than limit characters.
-    wide = np.diff(seps, prepend=-1) - 1 > limit
-    suspects = np.union1d(np.flatnonzero(ends != np.arange(6, 7 * ends.size, 7)),
-                          np.flatnonzero(wide) // 7)
-    starts = np.concatenate(([0], seps[ends] + 1)).tolist()
-    for row in suspects.tolist():
-        try:
-            fields = next(csv.reader([block[starts[row]:starts[row + 1]].decode("utf-8")]))
-        except csv.Error as exc:
-            return row, str(exc), starts[row]
-        if len(fields) != 7:
-            return row, f"expected 7 columns, got {len(fields)}", starts[row]
-    return ends.size, None, len(block)
-
-
-def _split_chunks(fh) -> Iterator[tuple[list, str | None]]:
-    """The records of binary file fh, plain, in chunks after its header.
-
-    Yields (cells by column, stop): the cells of a chunk's records up to
-    the first bad one, and the reason that record is bad, or None. Each
-    chunk is cut with one line-end replace and one comma split.
-    """
-    limit = csv.field_size_limit()
-    _check_header(csv.reader([fh.readline().decode("utf-8")]))
-    for block in _line_blocks(fh):
-        rows, stop, size = _plain_rows(block, limit)
-        text = block[:size].decode("utf-8").replace("\r", "")
-        cells = text.replace("\n", ",").split(",")
-        del cells[7 * rows:]  # the empty cell after the last line end
-        yield [cells[k::7] for k in range(7)], stop
-        if stop is not None:
-            return
-
-
-def _csv_chunks(fh) -> Iterator[tuple[list, str | None]]:
-    """_split_chunks for a text file of any form, cut by csv.reader."""
-    reader = csv.reader(fh)
-    _check_header(reader)
+def _csv_values(reader, line_no: int) -> Iterator[tuple[list, _FirstFailure]]:
+    """(values by column, first) per chunk of the records of csv.reader
+    reader from line line_no on: the values before the first cell that
+    does not convert, users as text, and the chunk's first bad record, by
+    its cells, its field count or csv.reader. Returns the next line number."""
     while True:
         rows, stop = [], None
         try:
@@ -653,10 +614,51 @@ def _csv_chunks(fh) -> Iterator[tuple[list, str | None]]:
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             stop = str(exc)
-        if rows or stop is not None:
-            yield list(zip(*rows)) or [()] * 7, stop
+        cells, end = list(zip(*rows)) or [()] * 7, line_no + len(rows)
+        first = _FirstFailure(range(line_no, end),
+                              None if stop is None else MalformedLine(end, stop))
+        yield [cells[k] if parse is None
+               else first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
+               for k, (dtype, _, parse) in enumerate(_CSV_FORMATS)], first
         if stop is not None or len(rows) < _CHUNK_ROWS:
-            return
+            return end
+        line_no = end
+
+
+def _loadtxt_values(block: bytes) -> list | None:
+    """The values of block, whole lines of a plain file, by column as
+    np.loadtxt reads them, users as text; or None, for csv.reader, where
+    loadtxt rejects a field (that float() or int() may take, as 1_0 or
+    full-width digits) or skips a line (a blank one, a record of no fields)."""
+    lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")) + (block[-1] != ord("\n"))
+    if len(block) <= 2 * lines:  # maybe blank lines only, which loadtxt would warn of
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(block), dtype=_LOADTXT_DTYPE, delimiter=",", quotechar=None,
+                           comments=None, converters={3: _CSV_FORMATS[3][2]}, encoding="utf-8",
+                           ndmin=1)
+    except ValueError:
+        return None
+    if table.size != lines:
+        return None
+    users = table["user"].tolist()
+    if np.char.str_len(table["user"]).max() == _USER_WIDTH:  # a user may have been cut
+        users = [line.split(",")[5] for line in block.decode("utf-8").split("\n")[:lines]]
+    return [users if name == "user" else table[name] for name in DATASET_COLUMNS]
+
+
+def _plain_values(fh) -> Iterator[tuple[list, _FirstFailure]]:
+    """_csv_values for binary file fh, plain: np.loadtxt reads it by block,
+    and csv.reader each block that loadtxt cannot vouch for."""
+    _check_header(csv.reader([fh.readline().decode("utf-8")]))
+    line_no = 2
+    for block in _line_blocks(fh):
+        if (values := _loadtxt_values(block)) is None:
+            text = io.StringIO(block.decode("utf-8"), newline="")
+            line_no = yield from _csv_values(csv.reader(text), line_no)
+        else:
+            yield values, _FirstFailure(range(line_no, line_no + len(values[0])))
+            line_no += len(values[0])
 
 
 def read_dataset_csv(path: Path) -> Dataset:
@@ -678,15 +680,12 @@ def read_dataset_csv(path: Path) -> Dataset:
         users: dict[str, str] = {}  # one str object per distinct user
         n = 0
         with open(path, "rb") if plain else open(path, encoding="utf-8", newline="") as fh:
-            for cells, stop in _split_chunks(fh) if plain else _csv_chunks(fh):
-                size, line_no = len(cells[0]), n + 2
-                first = _FirstFailure(range(line_no, line_no + size),
-                                      None if stop is None else MalformedLine(line_no + size, stop))
-                cells[3] = [cell or "nan" for cell in cells[3]]
-                for k, (dtype, _, parse) in enumerate(_CSV_FORMATS):
+            chunks = _plain_values(fh) if plain else _csv_values(_check_header(csv.reader(fh)), 2)
+            for values, first in chunks:
+                size = len(first.line_nos)
+                for column, value, (_, _, parse) in zip(columns, values, _CSV_FORMATS):
                     if parse is not None:
-                        values = first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
-                        columns[k][n:n + values.size] = values
+                        column[n:n + len(value)] = value
                 first.check_coordinates(columns[1][n:n + size], columns[2][n:n + size])
                 label = columns[4][n:n + size]
                 n_modes = len(DEFAULT_MODES)
@@ -697,7 +696,7 @@ def read_dataset_csv(path: Path) -> Dataset:
                             lambda row: f"metadata {float(metadata[row])} outside [0, 1]")
                 if first.error is not None:
                     raise first.error
-                columns[5][n:n + size] = list(map(users.setdefault, cells[5], cells[5]))
+                columns[5][n:n + size] = list(map(users.setdefault, values[5], values[5]))
                 n += size
     except MalformedLine as exc:  # line_no and reason stay as they were
         exc.args = (f"{path}: {exc}",)

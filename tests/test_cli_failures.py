@@ -93,7 +93,10 @@ class TestFailureGuard:
         ("cli", {"load_run_config"}),
         # float(), int() and strptime reject a cell only by ValueError;
         # each of these turns it into a MalformedLine at the cell's row.
-        ("ingest", {"_utc_seconds", "_FirstFailure.convert", "_scan_dataset_csv"}),
+        # np.loadtxt rejects a block by ValueError; _loadtxt_values only
+        # sends that block to csv.reader, which finds its bad record.
+        ("ingest", {"_utc_seconds", "_FirstFailure.convert", "_scan_dataset_csv",
+                    "_loadtxt_values"}),
     ])
     def test_no_handler_catches_bare_errors(self, module, allowed):
         mod = getattr(veclstm, module)

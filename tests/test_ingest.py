@@ -5,7 +5,9 @@ import csv
 import io
 import math
 import struct
+import warnings
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -768,3 +770,159 @@ class TestDatasetCsvChunkBoundary:
             b"uu,0.25", b'"u,0.25', 1)
         expected = self._same_columns(self._write(tmp_path, rows))
         assert expected["user"][per_chunk - 1].startswith('a\r\nb,"c"u')
+
+
+# --- the np.loadtxt path of the reader against the row oracle ----------
+
+def _read_as_oracle(path) -> str:
+    """read_dataset_csv gives the oracle's columns, bit for bit, or its
+    error at the same line for the same reason, and warns of nothing.
+    Returns the outcome: "read" or the error's type."""
+    try:
+        expected = row_read_dataset_csv(path)
+    except (MalformedLine, EmptyDataset) as exc:
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(type(exc)) as got:
+            warnings.simplefilter("always")
+            read_dataset_csv(path)
+        if isinstance(exc, MalformedLine):
+            assert (got.value.line_no, got.value.reason) == (exc.line_no, exc.reason)
+        assert caught == []
+        return type(exc).__name__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataset = read_dataset_csv(path)
+    assert caught == []
+    for name in DATASET_COLUMNS:
+        got, want = getattr(dataset, name), expected[name]
+        assert got.dtype == want.dtype, name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    return "read"
+
+
+def _arabic_indic_digits(text: str) -> str:
+    return "".join(chr(0x660 + int(ch)) if "0" <= ch <= "9" else ch for ch in text)
+
+
+def _full_width_digits(text: str) -> str:
+    return "".join(chr(0xFF10 + int(ch)) if "0" <= ch <= "9" else ch for ch in text)
+
+
+def _underscored(text: str) -> str:
+    """text with '_' between its first two adjacent digits, if it has any."""
+    for i in range(len(text) - 1):
+        if text[i].isdigit() and text[i + 1].isdigit():
+            return text[:i + 1] + "_" + text[i + 1:]
+    return text
+
+
+# How a number is written: as repr or str writes it, or in a form that
+# float() and int() accept and np.loadtxt rejects.
+DIGIT_FORMS = {"ascii": str, "underscore": _underscored,
+               "full-width": _full_width_digits, "arabic-indic": _arabic_indic_digits}
+
+
+class TestLoadtxtDivergences:
+    """Each input on which np.loadtxt and csv.reader with float() and int()
+    part ways reads as the row oracle reads it."""
+
+    ROW = "1235866126,39.9,116.4,,1,u,0.5"
+
+    def _write(self, tmp_path, body: str, end: str = "\n"):
+        path = tmp_path / "dataset.csv"
+        path.write_text(",".join(DATASET_COLUMNS) + end + body, encoding="utf-8", newline="")
+        return path
+
+    @pytest.mark.parametrize("body, fast", [
+        # loadtxt skips a blank line; csv.reader reads it as a record of no fields.
+        (f"{ROW}\n\n{ROW}\n", False),
+        (f"{ROW}\n{ROW}\n\n", False),
+        # numpy's default comments="#" would cut the user at '#'.
+        (f"{ROW}\n".replace(",u,", ",a#b,"), True),
+        (f"{ROW}\n".replace(",u,", ",#,"), True),
+        # wider than the user field loadtxt reads first
+        (f"{ROW}\n{ROW}\n".replace(",u,", "," + "w" * 100 + ",", 1), True),
+        (f"{ROW}\n".replace(",u,", "," + "é" * 16 + ","), True),
+    ], ids=["blank_mid", "blank_end", "hash_in_user", "hash_user", "user_100", "user_16"])
+    def test_lines_and_users(self, tmp_path, body, fast):
+        assert (ingest_mod._loadtxt_values(body.encode()) is not None) == fast
+        _read_as_oracle(self._write(tmp_path, body))
+
+    # A label of one digit has no underscore form, so it is written 01.
+    @pytest.mark.parametrize("column, text, value", [
+        ("time", "1235866126", 1235866126), ("label", "01", 1), ("lat", "39.9", 39.9)])
+    @pytest.mark.parametrize("form", ["underscore", "full-width", "arabic-indic"])
+    def test_digits_loadtxt_rejects(self, tmp_path, column, text, value, form):
+        cells = dict(zip(DATASET_COLUMNS, self.ROW.split(",")))
+        cells[column] = DIGIT_FORMS[form](text)
+        body = f"{self.ROW}\n" + ",".join(cells.values()) + "\n"
+        assert ingest_mod._loadtxt_values(body.encode()) is None
+        path = self._write(tmp_path, body)
+        _read_as_oracle(path)
+        assert getattr(read_dataset_csv(path), column)[1] == value
+
+    @pytest.mark.parametrize("body, end", [
+        (f"{ROW}\r\n{ROW}\r\n", "\r\n"),
+        (f"{ROW}\n{ROW}", "\n"),
+        (f"{ROW}\r\n{ROW}", "\r\n"),
+    ], ids=["crlf", "unterminated", "crlf_unterminated"])
+    def test_line_ends(self, tmp_path, body, end):
+        assert ingest_mod._loadtxt_values(body.encode()) is not None
+        _read_as_oracle(self._write(tmp_path, body, end))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    def test_header_only_raises_with_no_warning(self, tmp_path, end):
+        path = self._write(tmp_path, "", end)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(EmptyDataset):
+            warnings.simplefilter("always")
+            read_dataset_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("body", ["\n", "\r\n\r\n", "\n\n\n"])
+    def test_blank_lines_only_raise_with_no_warning(self, tmp_path, body):
+        _read_as_oracle(self._write(tmp_path, body))
+
+
+# Users with neither a quote nor a line end, so that most files stay
+# plain: '#', spaces, non-ASCII, and users as wide as or wider than the
+# field np.loadtxt reads first.
+USER_TEXT = st.text(alphabet=st.characters(exclude_characters='",\r\n\x00',
+                                           exclude_categories=("Cs",)), max_size=3)
+DIFF_USERS = st.one_of(st.sampled_from(("000", "a#b", "#", " u ", "北京", "")), USER_TEXT,
+                       st.text(alphabet="ab#", min_size=15, max_size=17),
+                       st.just("x" * 100))
+
+
+class TestLoadtxtMatchesRowOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(0, 2**40), st.floats(-90, 90), st.floats(-180, 180),
+        st.one_of(st.none(), st.floats()), st.integers(0, 6), DIFF_USERS, st.floats(0, 1)),
+        max_size=8),
+        forms=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([0, 1, 2, 3, 4, 6]),
+                                 st.sampled_from(sorted(DIGIT_FORMS))), max_size=2),
+        blanks=st.lists(st.integers(0, 8), max_size=2),
+        end=st.sampled_from(["\n", "\r\n"]), terminated=st.booleans(),
+        block=st.sampled_from([40, 120, 1 << 22]))
+    def test_read_dataset_csv(self, tmp_path_factory, rows, forms, blanks, end, terminated,
+                              block):
+        cells = [["" if value is None else repr(value) if isinstance(value, float) else str(value)
+                  for value in row] for row in rows]
+        # A few numbers in a form that float() and int() accept and loadtxt rejects.
+        for row, column, form in forms:
+            if row < len(cells):
+                cells[row][column] = DIGIT_FORMS[form](cells[row][column])
+        lines = [",".join(row) for row in cells]
+        for at in blanks:
+            lines.insert(min(at, len(lines)), "")
+        body = end.join(lines) + (end if terminated and lines else "")
+        event(f"loadtxt reads the body as one block: "
+              f"{bool(body) and ingest_mod._loadtxt_values(body.encode()) is not None}")
+        event(f"line end {end!r}, terminated: {terminated}")
+        path = tmp_path_factory.mktemp("csv") / "dataset.csv"
+        path.write_text(",".join(DATASET_COLUMNS) + end + body, encoding="utf-8", newline="")
+        # Small blocks mix loadtxt blocks and csv.reader blocks in one file.
+        with mock.patch.object(ingest_mod, "_CHUNK_BYTES", block):
+            event(_read_as_oracle(path))
