@@ -602,8 +602,9 @@ def _check_header(reader):
 def _csv_values(reader, line_no: int) -> Iterator[tuple[list, _FirstFailure]]:
     """(values by column, first) per chunk of the records of csv.reader
     reader from line line_no on: the values before the first cell that
-    does not convert, users as text, and the chunk's first bad record, by
-    its cells, its field count or csv.reader. Returns the next line number."""
+    does not convert, users as an object array of text, and the chunk's
+    first bad record, by its cells, its field count or csv.reader.
+    Returns the next line number."""
     while True:
         rows, stop = [], None
         try:
@@ -617,7 +618,7 @@ def _csv_values(reader, line_no: int) -> Iterator[tuple[list, _FirstFailure]]:
         cells, end = list(zip(*rows)) or [()] * 7, line_no + len(rows)
         first = _FirstFailure(range(line_no, end),
                               None if stop is None else MalformedLine(end, stop))
-        yield [cells[k] if parse is None
+        yield [np.array(cells[k], dtype=object) if parse is None
                else first.convert(cells[k], parse, dtype, lambda row, exc: str(exc))
                for k, (dtype, _, parse) in enumerate(_CSV_FORMATS)], first
         if stop is not None or len(rows) < _CHUNK_ROWS:
@@ -627,7 +628,8 @@ def _csv_values(reader, line_no: int) -> Iterator[tuple[list, _FirstFailure]]:
 
 def _loadtxt_values(block: bytes) -> list | None:
     """The values of block, whole lines of a plain file, by column as
-    np.loadtxt reads them, users as text; or None, for csv.reader, where
+    np.loadtxt reads them, users as a str array (an object array where
+    one may have been cut); or None, for csv.reader, where
     loadtxt rejects a field (that float() or int() may take, as 1_0 or
     full-width digits) or skips a line (a blank one, a record of no fields)."""
     lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")) + (block[-1] != ord("\n"))
@@ -641,9 +643,10 @@ def _loadtxt_values(block: bytes) -> list | None:
         return None
     if table.size != lines:
         return None
-    users = table["user"].tolist()
-    if np.char.str_len(table["user"]).max() == _USER_WIDTH:  # a user may have been cut
-        users = [line.split(",")[5] for line in block.decode("utf-8").split("\n")[:lines]]
+    users = table["user"]
+    if np.char.str_len(users).max() == _USER_WIDTH:  # a user may have been cut
+        users = np.array([line.split(",")[5] for line in block.decode("utf-8").split("\n")[:lines]],
+                         dtype=object)
     return [users if name == "user" else table[name] for name in DATASET_COLUMNS]
 
 
@@ -659,6 +662,19 @@ def _plain_values(fh) -> Iterator[tuple[list, _FirstFailure]]:
         else:
             yield values, _FirstFailure(range(line_no, line_no + len(values[0])))
             line_no += len(values[0])
+
+
+def _shared_users(values: np.ndarray, users: dict[str, str]) -> np.ndarray:
+    """values, a chunk's users as a str or object array, as an object
+    array of the one str that users keeps per distinct user. Each run of
+    equal values is looked up once: a dataset CSV is sorted by user."""
+    if not len(values):
+        return np.empty(0, dtype=object)
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    firsts = values[np.concatenate(([0], starts))].tolist()
+    shared = np.empty(len(firsts), dtype=object)
+    shared[:] = [users.setdefault(user, user) for user in firsts]
+    return np.repeat(shared, np.diff(np.concatenate(([0], starts, [len(values)]))))
 
 
 def read_dataset_csv(path: Path) -> Dataset:
@@ -696,7 +712,7 @@ def read_dataset_csv(path: Path) -> Dataset:
                             lambda row: f"metadata {float(metadata[row])} outside [0, 1]")
                 if first.error is not None:
                     raise first.error
-                columns[5][n:n + size] = list(map(users.setdefault, values[5], values[5]))
+                columns[5][n:n + size] = _shared_users(values[5], users)
                 n += size
     except MalformedLine as exc:  # line_no and reason stay as they were
         exc.args = (f"{path}: {exc}",)

@@ -9,10 +9,16 @@ through a fusion dense layer. Its grid input is either each sample's
 cell as one flat index r * G + c, run as that cell's one-hot grid, or
 a float (G, G) heatmap per sample.
 
-Parameters live in a flat dict of named arrays so the optimizer and
-checkpoint code can stay generic. The forward and backward passes
-compute in the dtype of the dict they are given: the trainer keeps
-float64 master weights and passes a float32 copy. Features and
+Parameters are a dict of named arrays, one per param_blocks key, so the
+checkpoint code can stay generic. Training keeps each of its parameter
+sets in a ParamArena: a dict whose blocks are views into one flat
+buffer, laid out so that each LSTM's stacked gate matrix is a view and
+the entries training moves lie in a few contiguous runs. Any other dict
+works too; its LSTM gates are then stacked into new arrays on every
+call. The forward and backward passes compute in the dtype of the
+dict they are given: the trainer keeps float64 master weights and
+passes a float32 copy. model_backward writes the gradients into the
+arena the dict names as its grad, or into new arrays. Features and
 heatmaps enter as float64, cell indices as int64, and each layer casts
 its input; probabilities come out float64. model_forward is the one
 place that merges a batch's repeated rows, grouping rows exactly by
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -48,6 +54,7 @@ from .neuralnet import (
     maxpool1d_forward,
     softmax,
 )
+from .neuralnet.lstm import FIELDS as _LSTM_FIELDS
 
 LSTM_BASELINE = "LSTM_BASELINE"
 VECLSTM = "VECLSTM"
@@ -155,9 +162,6 @@ def build_hybrid(n_features: int = 1, **overrides) -> ModelSpec:
 
 # --- parameter blocks ---------------------------------------------------
 
-_LSTM_FIELDS = tuple(f.name for f in fields(LstmParams))
-
-
 def _lstm_layers(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
     """(prefix, input size, hidden size) of each LSTM layer, in order."""
     h1, h2 = spec.lstm_units
@@ -167,10 +171,10 @@ def _lstm_layers(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
 def param_blocks(spec: ModelSpec) -> dict[str, tuple[tuple[int, ...], Any]]:
     """Every parameter block: key -> (shape, Glorot (fan_in, fan_out)).
 
-    The one statement of the model's parameter layout. A weight is drawn
+    The one statement of the model's parameter blocks. A weight is drawn
     Glorot-uniform from its fans, receptive-field fans for the conv; a
     bias has None and starts at zero. The weights draw in key order, so
-    the order fixes what a seed gives, and AdamState's flat layout.
+    the order fixes what a seed gives. ParamArena lays the blocks out.
     """
     blocks = {}
     for prefix, n_in, hidden in _lstm_layers(spec):
@@ -223,7 +227,67 @@ def init_model_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
             for key, (shape, fans) in param_blocks(spec).items()}
 
 
+class ParamArena(dict):
+    """A parameter dict of a spec whose blocks are views into one flat
+    buffer, flat, zeroed or holding a copy of values.
+
+    The buffer holds first the blocks of the layers that are not LSTMs,
+    each whole and in key order, then each LSTM layer as the blocks of
+    LstmParams.gate_major, grouped by LstmParams.gate_groups for
+    spec.timesteps. lstm maps each LSTM prefix to the LstmParams whose
+    fields are this dict's own arrays and whose stacked() are views. So
+    the entries training moves lie in one contiguous run per LSTM layer,
+    the first one led by the other layers' blocks (trained_runs), at the
+    same offsets in every arena of the spec. The keys keep param_blocks
+    order. Write into the blocks: a key rebound to another array would
+    leave the buffer.
+
+    grad is the arena of the spec that model_backward writes this one's
+    gradients into, or None for new arrays on every call; each layer's
+    LstmParams.grad is its layer there.
+    """
+
+    def __init__(self, spec: ModelSpec, dtype, values: dict[str, np.ndarray] | None = None,
+                 grad: ParamArena | None = None):
+        blocks = param_blocks(spec)
+        layers = {prefix: (n_in, hidden) for prefix, n_in, hidden in _lstm_layers(spec)}
+        groups = LstmParams.gate_groups(spec.timesteps)
+        shapes = {key: shape for key, (shape, _) in blocks.items()
+                  if key.split(".")[0] not in layers}
+        shapes.update(((prefix, gates), (1 + n_in + hidden, len(gates) * hidden))
+                      for prefix, (n_in, hidden) in layers.items() for gates in groups)
+        self.flat = np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype)
+        views, lo = {}, 0
+        for name, shape in shapes.items():
+            views[name] = self.flat[lo:lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
+        self.lstm = {}
+        for prefix in layers:
+            layer = self.lstm[prefix] = LstmParams.gate_major(
+                {gates: views[prefix, gates] for gates in groups},
+                grad=None if grad is None else grad.lstm[prefix])
+            views.update((f"{prefix}.{name}", getattr(layer, name)) for name in _LSTM_FIELDS)
+        super().__init__((key, views[key]) for key in blocks)
+        self.grad = grad
+        if values is not None:
+            for key, block in self.items():
+                block[...] = values[key]
+
+
+def trained_runs(spec: ModelSpec) -> tuple[slice, ...]:
+    """The entries trained_entries selects, as the contiguous runs of a
+    ParamArena's flat buffer that hold them, in buffer order."""
+    mask = ParamArena(spec, bool)
+    for key, index in trained_entries(spec).items():
+        mask[key][index] = True
+    edges = np.flatnonzero(np.diff(mask.flat, prepend=False, append=False)).tolist()
+    return tuple(slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
+
+
 def _lstm_view(params: dict[str, np.ndarray], prefix: str) -> LstmParams:
+    """The LstmParams of an LSTM layer, over the dict's own arrays."""
+    if isinstance(params, ParamArena):
+        return params.lstm[prefix]
     return LstmParams(**{name: params[f"{prefix}.{name}"] for name in _LSTM_FIELDS})
 
 
@@ -450,6 +514,10 @@ def model_backward(
 
     For a batch whose repeated rows were merged, the N rows of
     grad_logits are first summed onto the distinct row each one repeats.
+    The returned dict is keyed and shaped like params. When params is a
+    ParamArena with a grad arena, its blocks are that arena's views,
+    written in place, so each call returns the same arrays; else they
+    are new arrays.
     """
     iv = cache.internals
     inverse = iv.get("inverse")
@@ -472,15 +540,22 @@ def _backward_rows(
     grad_logits: np.ndarray,
 ) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
+    grad = params.grad if isinstance(params, ParamArena) else None
+
+    def out(cls, *keys):
+        """cls over the gradient arena's views of keys, or None for new arrays."""
+        return None if grad is None else cls(*(grad[key] for key in keys))
 
     head = DenseParams(params["head.w"], params["head.b"])
-    dw, db, d_head_in = dense_backward(iv["head_in"], head, grad_logits)
+    dw, db, d_head_in = dense_backward(iv["head_in"], head, grad_logits,
+                                       out=out(DenseParams, "head.w", "head.b"))
     grads["head.w"], grads["head.b"] = dw, db
 
     if spec.has_grid_branch:
         d_pre_fusion = d_head_in * (iv["pre_fusion"] > 0)
         fusion = DenseParams(params["fusion.w"], params["fusion.b"])
-        dw, db, d_fused = dense_backward(iv["fused_in"], fusion, d_pre_fusion)
+        dw, db, d_fused = dense_backward(iv["fused_in"], fusion, d_pre_fusion,
+                                         out=out(DenseParams, "fusion.w", "fusion.b"))
         grads["fusion.w"], grads["fusion.b"] = dw, db
         h2_width = spec.lstm_units[1]
         d_e2 = d_fused[:, :h2_width]
@@ -491,7 +566,8 @@ def _backward_rows(
         )
         d_pre_conv = d_act_conv * (iv["pre_conv"] > 0)
         conv = Conv1dParams(params["conv.kernels"], params["conv.biases"])
-        dk, dbias, _ = conv1d_backward(iv["grid"], conv, d_pre_conv, input_grad=False)
+        dk, dbias, _ = conv1d_backward(iv["grid"], conv, d_pre_conv, input_grad=False,
+                                       out=out(Conv1dParams, "conv.kernels", "conv.biases"))
         grads["conv.kernels"], grads["conv.biases"] = dk, dbias
     else:
         d_e2 = d_head_in

@@ -6,6 +6,9 @@ flattened to (K, C_in*k). The backward pass is two more products, one
 for the kernel gradient and one for the input gradient, whose window
 columns are folded back onto the input with k shifted adds. A caller
 that needs only the parameter gradients can skip the second product.
+The parameter gradients are written into the arrays of an out
+Conv1dParams (a gradient arena's views), or into new arrays when out
+is None.
 
 The convolution computes in the dtype of its kernels, to which it
 casts its input and upstream gradient; pooling keeps the dtype it is
@@ -53,11 +56,13 @@ def conv1d_forward(x: np.ndarray, params: Conv1dParams) -> np.ndarray:
 
 def conv1d_backward(
     x: np.ndarray, params: Conv1dParams, grad_out: np.ndarray,
-    input_grad: bool = True,
+    input_grad: bool = True, out: Conv1dParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (d_kernels, d_biases, d_input) for conv1d_forward.
 
-    With input_grad=False, d_input is not formed and is returned as None.
+    d_kernels and d_biases are out's arrays, written in place, or new
+    ones. With input_grad=False, d_input is not formed and is returned
+    as None.
     """
     x = np.asarray(x, dtype=params.kernels.dtype)
     if x.ndim != 3:
@@ -71,8 +76,12 @@ def conv1d_backward(
 
     g = grad_out.reshape(n * n_windows, k_filters)
     flat_kernels = params.kernels.reshape(k_filters, c_in * width)
-    d_kernels = (g.T @ _columns(x, width)).reshape(k_filters, c_in, width)
-    d_biases = g.sum(axis=0)
+    if out is None:
+        out = Conv1dParams(np.empty(params.kernels.shape, params.kernels.dtype),
+                           np.empty(params.biases.shape, params.biases.dtype))
+    np.matmul(g.T, _columns(x, width), out=out.kernels.reshape(k_filters, c_in * width))
+    g.sum(axis=0, out=out.biases)
+    d_kernels, d_biases = out.kernels, out.biases
     if not input_grad:
         return d_kernels, d_biases, None
     d_cols = (g @ flat_kernels).reshape(n, n_windows, c_in, width)

@@ -1,24 +1,29 @@
 """LSTM sequence with hand-derived backpropagation through time.
 
-Gate layout: the parameters are stored one weight matrix per gate, each
-of shape (H, F+H), acting on the concatenation [x_t; h_{t-1}]. Forward
+Gate layout: the parameters are one weight matrix per gate, each of
+shape (H, F+H), acting on the concatenation [x_t; h_{t-1}]. Forward
 follows the standard sigmoid/tanh cell:
 
     i, f, o = sigmoid(W [x; h] + b)      g = tanh(W_g [x; h] + b_g)
     c_t = f * c_{t-1} + i * g            h_t = o * tanh(c_t)
 
-The gates are computed together: each call stacks the four matrices
-once into one (4H, F+H) matrix in i, f, o, g order, so a step is one
-matrix product into a (4H, N) pre-activation buffer, whose gate
-activations are applied in place. The batch is the last axis inside the
-kernels so that each gate block is one contiguous (H, N) array. A
-sequence computes the input projection W_x x_t + b for all T before the
-time loop, and its first step, from the zero state, skips W_h h and
-sets c = i * g. Backward runs the time loop for the gate gradients only,
-writing its elementwise products into a few arrays made once per call,
-and forms the weight and input gradients after it, as products over
-all T. A caller that does not need the input gradient skips it with
-input_grad=False.
+The gates are computed together: a step is one matrix product of the
+stacked (4H, F+H) gate matrix, in i, f, o, g order, into a (4H, N)
+pre-activation buffer, whose gate activations are applied in place.
+Parameters made by LstmParams.gate_major (the training arena's) store
+each group of gates as one block, biases in its first row and the
+weights transposed below it, so stacking them is a view; other
+parameters are stacked into new arrays on every call. The batch is the
+last axis inside the kernels so that each gate block is one contiguous
+(H, N) array. A sequence computes the input projection W_x x_t + b for
+all T before the time loop, and its first step, from the zero state,
+skips W_h h and sets c = i * g. Backward runs the time loop for the
+gate gradients only, writing its elementwise products into a few
+scratch arrays, and forms the weight and input gradients after it, as
+products over all T. The parameter gradients are written into the
+blocks of params.grad, which keeps the scratch arrays from call to
+call, or of new gate-major parameters when that is None. A caller that
+does not need the input gradient skips it with input_grad=False.
 
 Sequences cross the API batch-first, (N, T, F) in and (N, T, H) out,
 but the hidden sequence and the input gradient come back as transposed
@@ -34,7 +39,9 @@ its forget gate or recurrent columns: both multiply the zero state. It
 stacks only the input columns of i, o and g into a (3H, F) matrix, its
 cache holds those three gates, and its forget-gate and recurrent-column
 gradients are zero, so the optimizer never touches them
-(LstmParams.read_entries).
+(LstmParams.read_entries). Gate-major parameters for one-step
+sequences group i, o and g apart from f, so the bias row and input rows
+of that group, the entries training moves, are one contiguous run.
 
 The kernels compute in the dtype of the parameter arrays, to which
 they cast their inputs and upstream gradients. Everything operates on
@@ -44,6 +51,8 @@ batches: a sequence is (N, T, F), and each step's hidden output is
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -53,6 +62,7 @@ from ..errors import ShapeMismatch, StaleCacheError
 from .activations import check_finite, sigmoid_inplace
 
 GATES = ("i", "f", "o", "g")
+FIELDS = tuple(f"{kind}_{gate}" for kind in "wb" for gate in GATES)
 
 
 @dataclass
@@ -65,6 +75,32 @@ class LstmParams:
     b_f: np.ndarray
     b_o: np.ndarray
     b_g: np.ndarray
+    # Set by gate_major: the blocks the fields are views of, by their gates.
+    blocks: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False)
+    # Gate-major parameters that lstm_backward writes this layer's
+    # gradients into, or None for new ones on every call.
+    grad: LstmParams | None = field(default=None, repr=False, compare=False)
+    # lstm_backward's scratch arrays, by name, when these are its grad.
+    scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def gate_major(cls, blocks: dict[tuple[str, ...], np.ndarray],
+                   grad: LstmParams | None = None) -> LstmParams:
+        """Parameters whose fields are views of gate-major blocks.
+
+        blocks maps groups of gates, together the four (gate_groups), to
+        one (1 + F + H, len(gates) * H) array each: row 0 holds the
+        group's biases side by side, and the rows below its weight
+        matrices transposed, the F input rows first.
+        """
+        views = {}
+        for gates, block in blocks.items():
+            hidden = block.shape[1] // len(gates)
+            for k, gate in enumerate(gates):
+                cols = slice(k * hidden, (k + 1) * hidden)
+                views[f"w_{gate}"], views[f"b_{gate}"] = block[1:, cols].T, block[0, cols]
+        return cls(**views, blocks=blocks, grad=grad)
 
     @property
     def hidden_size(self) -> int:
@@ -98,16 +134,33 @@ class LstmParams:
             cols = np.s_[:, :input_size]
             return {"w_i": cols, "w_o": cols, "w_g": cols,
                     "b_i": np.s_[:], "b_o": np.s_[:], "b_g": np.s_[:]}
-        return {f"{kind}_{gate}": np.s_[...] for kind in "wb" for gate in GATES}
+        return {name: np.s_[...] for name in FIELDS}
+
+    @staticmethod
+    @functools.cache
+    def gate_groups(t_len: int) -> tuple[tuple[str, ...], ...]:
+        """The groups of gates that gate-major parameters for t_len-step
+        sequences store together: the gates such a sequence reads, in
+        i, f, o, g order, then the others, if any."""
+        read = LstmParams.read_entries(t_len, 0)
+        groups = (tuple(gate for gate in GATES if f"b_{gate}" in read),
+                  tuple(gate for gate in GATES if f"b_{gate}" not in read))
+        return tuple(gates for gates in groups if gates)
 
     def stacked(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
         """The gate matrix and bias a t_len-step sequence uses.
 
         (4H, F+H) and (4H,), gates in i, f, o, g order; for t_len = 1,
-        the input columns of i, o and g only: (3H, F) and (3H,).
+        the input columns of i, o and g only: (3H, F) and (3H,). They are
+        views of the block of those gates when there is one (gate_major),
+        else new arrays.
         """
         read = self.read_entries(t_len, self.input_size)
-        gates = [gate for gate in GATES if f"b_{gate}" in read]
+        gates = self.gate_groups(t_len)[0]
+        block = self.blocks.get(gates)
+        if block is not None:
+            n_cols = self.w_i[read["w_i"]].shape[1]
+            return block[1:1 + n_cols].T, block[0]
         w = np.concatenate([getattr(self, f"w_{gate}")[read[f"w_{gate}"]] for gate in gates])
         b = np.concatenate([getattr(self, f"b_{gate}")[read[f"b_{gate}"]] for gate in gates])
         return w, b
@@ -137,6 +190,17 @@ def _cell(
         c += gates[1] * c_prev
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
+
+
+def _scratch(kept: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
+             dtype: np.dtype) -> np.ndarray:
+    """An uninitialized array for a value that dies inside one call: a
+    view of the buffer kept under name, grown to the largest call so far."""
+    size = math.prod(shape)
+    buf = kept.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = kept[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def _sigmoid_slope(s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -222,9 +286,12 @@ def lstm_backward(
 
     grad_out is (N, T, H) when the forward returned sequences, else
     (N, H) against the last hidden state. Returns (param grads keyed
-    like LstmParams fields, input grads of shape (N, T, F)); the input
-    grads are a transposed view of a batch-last (T, F, N) array. With
-    input_grad=False they are not formed and are returned as None.
+    like LstmParams fields, input grads of shape (N, T, F)). The param
+    grads are the fields of params.grad, or of new zeroed gate-major
+    parameters when that is None; only the entries that a t_len-step
+    sequence reads are written. The input grads are a transposed view
+    of a batch-last (T, F, N) array. With input_grad=False they are not
+    formed and are returned as None.
     """
     if cache.consumed:
         raise StaleCacheError("lstm cache already consumed by a backward pass")
@@ -242,16 +309,22 @@ def lstm_backward(
             raise ShapeMismatch("upstream gradient shape mismatch (last state)")
         grad_last = np.ascontiguousarray(grad_out.T)
 
+    grad = params.grad
+    if grad is None:
+        grad = LstmParams.gate_major({
+            gates: np.zeros((1 + n_in + h, len(gates) * h), dtype=params.w_i.dtype)
+            for gates in LstmParams.gate_groups(t_len)})
     w, _ = params.stacked(t_len)
     w_h_t = w[:, n_in:].T
-    d_gates = np.empty_like(cache.gates)
+    dtype = cache.gates.dtype
+    d_gates = _scratch(grad.scratch, "d_gates", cache.gates.shape, dtype)
     # The elementwise products go through out= into dc, tmp, the carried
     # dc_next and the gate gradient blocks, in the order of the plain
     # expressions: dc = dh * o * (1 - tanh_c^2) + dc_next, then
     # d_i = (dc * g) * (i * (1 - i)), d_f = (dc * c_{t-1}) * (f * (1 - f)),
     # d_o = (dh * tanh_c) * (o * (1 - o)) and d_g = (dc * i) * (1 - g^2).
-    dc = np.empty((h, n), dtype=d_gates.dtype)
-    tmp = np.empty_like(dc)
+    dc = _scratch(grad.scratch, "dc", (h, n), dtype)
+    tmp = _scratch(grad.scratch, "tmp", (h, n), dtype)
     dh_next = dc_next = None
     for t in range(t_len - 1, -1, -1):
         if cache.return_sequences:
@@ -286,30 +359,18 @@ def lstm_backward(
                 dc_next = np.empty_like(dc)
             np.multiply(dc, f, out=dc_next)
 
+    # The gradient of stacked(t_len), written transposed into the rows
+    # of its gate-major block: biases in row 0, then the weight rows.
+    # h_{-1} = 0: step 0 adds nothing to the recurrent rows.
+    block = grad.blocks[LstmParams.gate_groups(t_len)[0]]
     if t_len == 1:
-        d_w = np.dot(d_gates[0], cache.x[0].T)
+        np.dot(cache.x[0], d_gates[0].T, out=block[1:1 + n_in])
     else:
-        # Contract over time and batch at once: one product per weight
-        # block. h_{-1} = 0: step 0 adds nothing to the recurrent columns.
-        d_w = np.concatenate([
-            np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2])),
-            np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2])),
-        ], axis=1)
-    d_b = d_gates.sum(axis=(0, 2))
-
-    # d_w and d_b are the gradient of stacked(t_len). Scatter it, gate by
-    # gate, into zeroed views of one (4H, F+H) and one (4H,) array; entries
-    # outside read_entries multiply the zero state and get zero.
-    read = params.read_entries(t_len, n_in)
-    w_grads = _split(np.zeros((4 * h, n_in + h), dtype=d_w.dtype), h)
-    b_grads = _split(np.zeros(4 * h, dtype=d_b.dtype), h)
-    grads = {}
-    for gate, w_grad, b_grad in zip(GATES, w_grads, b_grads):
-        grads[f"w_{gate}"], grads[f"b_{gate}"] = w_grad, b_grad
-    read_gates = [gate for gate in GATES if f"b_{gate}" in read]
-    for gate, w_rows, b_rows in zip(read_gates, _split(d_w, h), _split(d_b, h)):
-        grads[f"w_{gate}"][read[f"w_{gate}"]] = w_rows
-        grads[f"b_{gate}"][read[f"b_{gate}"]] = b_rows
+        # Contract over time and batch at once: one product per part.
+        block[1:1 + n_in] = np.tensordot(d_gates, cache.x, axes=([0, 2], [0, 2])).T
+        block[1 + n_in:] = np.tensordot(d_gates[1:], cache.h[:-1], axes=([0, 2], [0, 2])).T
+    d_gates.sum(axis=(0, 2), out=block[0])
+    grads = {name: getattr(grad, name) for name in FIELDS}
     if not input_grad:
         return grads, None
     dx = np.matmul(w[:, :n_in].T, d_gates)  # (T, F, N)

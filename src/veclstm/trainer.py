@@ -19,16 +19,18 @@ softmax: softmax_cross_entropy's, of the logits model_forward returns.
 Labels are (N,) int64 class codes from the split to the loss
 (encode_labels checks them); the (batch, C) one-hot target that
 run_epochs builds for softmax_cross_entropy is the only one-hot.
-Adam updates, in place, only the entries the model reads
-(models.trained_entries), held as flat vectors, and then rewrites those
-entries of the float32 copy.
+Training holds the master weights, the float32 copy, the gradients and
+Adam's moments in arenas of one layout (models.ParamArena): the
+backward pass writes the gradients into theirs in place, and Adam
+updates, in place, only the few runs of the entries the model reads
+(models.trained_runs), then casts each run into the float32 copy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -43,12 +45,13 @@ from .errors import (
 )
 from .models import (
     ModelSpec,
+    ParamArena,
     build_lstm_stack,
     build_veclstm,
     init_model_params,
     model_backward,
     model_forward,
-    trained_entries,
+    trained_runs,
 )
 from .neuralnet import cross_entropy, softmax_cross_entropy
 from .vectorizer import (
@@ -195,89 +198,76 @@ def random_oversample(x: np.ndarray, y, seed: int):
 # --- Adam ----------------------------------------------------------------
 
 class AdamState:
-    """Adam's state over the entries of a parameter dict that training
-    moves (trained: block key -> basic index, models.trained_entries).
+    """Adam's state over one training run of a spec, in its ParamArenas.
 
-    The float64 master values of those entries, m, v and adam_step's
-    scratch are each one flat vector. work is the compute_params copy of
-    every block that the model runs on for the whole of training;
-    adam_step rewrites its trained entries in place. The gradients are
-    staged in work's dtype.
+    master holds the float64 master weights, a copy of params, and work
+    their compute_params copy that the model runs on for the whole run.
+    grad is the arena model_backward writes work's gradients into
+    (work.grad). p is master's flat buffer. adam_step moves only the
+    entries in models.trained_runs; Adam's moments m and v hold those
+    runs, joined in buffer order. Each of runs has its views of the
+    gradients, p, m, v and work, and the update's scratch.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], trained: dict[str, Any]):
-        self._params = params
-        self.work = compute_params(params)
-        size = sum(params[key][index].size for key, index in trained.items())
-        self.p = np.empty(size)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, spec: ModelSpec, params: dict[str, np.ndarray]):
+        self.master = ParamArena(spec, np.float64, params)
+        work = compute_params(params)
+        work_dtype = np.result_type(*work.values())
+        self.grad = ParamArena(spec, work_dtype)
+        self.work = ParamArena(spec, work_dtype, work, grad=self.grad)
+        self.p = self.master.flat
         self.t = 0
-        work_dtype = np.result_type(*self.work.values())
-        self.g = np.empty(size, dtype=work_dtype)
-        self.g2 = np.empty(size, dtype=work_dtype)
-        self.step = np.empty(size)
-        self.denom = np.empty(size)
-        # key, index, and the block's part of g, p and work, as views
-        self.parts = []
-        lo = 0
-        for key, index in trained.items():
-            block = params[key][index]
-            part = slice(lo, lo + block.size)
-            lo += block.size
-            p_part = self.p[part].reshape(block.shape)
-            p_part[...] = block
-            self.parts.append((key, index, self.g[part].reshape(block.shape), p_part,
-                               self.work[key][index]))
-
-    def master(self) -> dict[str, np.ndarray]:
-        """Float64 copies of the full blocks with the trained entries as
-        trained; the dict given at construction is left as it was."""
-        out = {key: p.astype(np.float64) for key, p in self._params.items()}
-        for key, index, _, p_part, _ in self.parts:
-            out[key][index] = p_part
-        return out
+        runs = trained_runs(spec)
+        sizes = [run.stop - run.start for run in runs]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+        scratch = [np.empty(max(sizes), dtype=dtype)
+                   for dtype in (work_dtype, work_dtype, np.float64, np.float64)]
+        starts = np.cumsum([0] + sizes).tolist()
+        self.runs = [(self.grad.flat[run], self.p[run], self.m[lo:lo + size],
+                      self.v[lo:lo + size], self.work.flat[run], *(a[:size] for a in scratch))
+                     for run, lo, size in zip(runs, starts, sizes)]
 
 
 def adam_step(grads: dict[str, np.ndarray], state: AdamState, config: TrainConfig) -> None:
     """One Adam update with bias correction (t increments first), in
-    place over state's trained entries and then their work copies.
+    place over state's trained runs, then cast into their work copies.
 
+    grads is the dict model_backward returned for state.work: its blocks
+    are the views of state.grad, which the update reads in place.
     The arithmetic and its dtypes are those of the per-block formula
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
         p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
     whose (1 - beta) products round in g's dtype. An entry whose
     gradient is always zero keeps its value exactly (eps > 0), so the
-    entries outside the trained set can be left out.
+    entries outside the trained runs can be left out.
     """
-    if grads.keys() != state.work.keys():
+    if grads.keys() != state.grad.keys():
         raise ShapeMismatch("gradient keys do not match parameter keys")
     for key, grad in grads.items():
-        if grad.shape != state.work[key].shape:
-            raise ShapeMismatch(f"gradient shape mismatch for {key}")
-    for key, index, g_part, _, _ in state.parts:
-        np.copyto(g_part, grads[key][index])
+        if grad is not state.grad[key]:
+            raise ShapeMismatch(f"gradient for {key} is not its block of the state's"
+                                " gradient arena")
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t
-    g, g2, m, v, step, denom = state.g, state.g2, state.m, state.v, state.step, state.denom
-    np.multiply(g, g, out=g2)
-    np.multiply(g2, 1.0 - config.beta2, out=g2)
-    np.multiply(g, 1.0 - config.beta1, out=g)
-    m *= config.beta1
-    m += g
-    v *= config.beta2
-    v += g2
-    np.divide(m, bc1, out=step)
-    step *= config.learning_rate
-    np.divide(v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += config.epsilon
-    step /= denom
-    state.p -= step
-    for _, _, _, p_part, work_part in state.parts:
-        np.copyto(work_part, p_part)
+    for g, p, m, v, work, g1, g2, step, denom in state.runs:
+        np.multiply(g, g, out=g2)
+        np.multiply(g2, 1.0 - config.beta2, out=g2)
+        np.multiply(g, 1.0 - config.beta1, out=g1)
+        m *= config.beta1
+        m += g1
+        v *= config.beta2
+        v += g2
+        np.divide(m, bc1, out=step)
+        step *= config.learning_rate
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        step /= denom
+        p -= step
+        np.copyto(work, p)
 
 
 # --- training loop -------------------------------------------------------
@@ -309,7 +299,8 @@ class TrainReport:
 
 
 def compute_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The float32 copy of the master weights that the model runs on."""
+    """The float32 copy of the master weights that the model runs on, a
+    new array per block; AdamState copies it into its work arena."""
     return {key: p.astype(np.float32) for key, p in params.items()}
 
 
@@ -355,19 +346,23 @@ def run_epochs(
     no labels at all raise EmptyInput.
 
     Every step runs the forward and backward passes on the same float32
-    copy of the parameters, whose trained entries adam_step rewrites
-    after updating the float64 master weights in place. The loss, its
-    logit gradient and the probabilities that score the batch come from
-    one softmax_cross_entropy call on the forward's logits, against the
-    batch's (batch, C) one-hot targets, built here per batch. The
-    caller's arrays are not written to.
+    arena of the parameters (AdamState.work); the backward pass writes
+    the gradients into the state's gradient arena, and adam_step updates
+    the float64 master arena in place and then rewrites the trained runs
+    of the float32 one. The result is the master weights as a new
+    C-contiguous array per block, the layout init_model_params and a
+    checkpoint give, so that predict rounds alike on all three. The
+    loss, its logit gradient and the probabilities that score the batch
+    come from one softmax_cross_entropy call on the forward's logits,
+    against the batch's (batch, C) one-hot targets, built here per
+    batch. The caller's arrays are not written to.
     """
     codes = encode_labels(labels, spec.n_classes)
     n = codes.size
     if n == 0:
         raise EmptyInput("cannot train on no labels")
     one_hot = np.eye(spec.n_classes)
-    state = AdamState(params, trained_entries(spec))
+    state = AdamState(spec, params)
     work = state.work
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
@@ -398,7 +393,8 @@ def run_epochs(
         losses.append(loss_sum / n)
         accuracies.append(correct / n)
     seconds = time.perf_counter() - start
-    return state.master(), losses, accuracies, seconds
+    master = {key: np.ascontiguousarray(block) for key, block in state.master.items()}
+    return master, losses, accuracies, seconds
 
 
 def train_model(

@@ -267,6 +267,9 @@ class FileVectorStore(VectorStore):
     fetch reads the whole file on every call. While the file holds the
     same bytes as at the last scan, the index of that scan picks the
     hits; any other bytes are scanned, and checked, record by record.
+    insert_batch extends the index with the records it appends, for the
+    bytes the file holds after it, so a fetch after an insert parses no
+    record again.
     """
 
     def __init__(self, path: str | Path, grid_size: int = 10):
@@ -345,15 +348,19 @@ class FileVectorStore(VectorStore):
             os.unlink(tmp_name)
             raise StorageError(f"write failed: {exc}") from exc
 
-    def _scan(self, data: bytes, header: _Header) -> _Index:
+    def _scan(self, data: bytes, header: _Header, known: _Index | None = None) -> _Index:
         """Parse exactly `header.count` records from the committed bytes
-        into the columns of an index."""
+        into the columns of an index. Given known, the index of the
+        records that data's committed bytes begin with, only the records
+        after them are parsed, and the index is known's extended."""
         end = header.end
-        rest = _RECORD_TAIL.size + 4 * self._vector_len  # label onwards
+        vector_bytes = 4 * self._vector_len
+        rest = _RECORD_TAIL.size + vector_bytes  # label onwards
         head = _RECORD_HEAD.unpack_from
         offsets, ids, users = [], [], []
-        offset = header.start
-        for _ in range(header.count):
+        done = 0 if known is None else known.ids.size
+        offset = header.start if not done else int(known.vectors[-1]) + vector_bytes
+        for _ in range(header.count - done):
             if offset + _RECORD_HEAD.size > end:
                 raise SchemaMismatch(
                     f"{self.path}: record at byte {offset} is cut short at byte {end}")
@@ -376,15 +383,22 @@ class FileVectorStore(VectorStore):
 
         offsets = np.array(offsets, dtype=np.int64)
         tails = offsets + _RECORD_HEAD.size + np.fromiter(map(len, users), np.int64, len(users))
-        codes = {user: code for code, user in enumerate(dict.fromkeys(users))}
-        ids = np.array(ids, dtype=np.uint64)
+        codes = {} if known is None else dict(known.user_codes)
+        for user in users:
+            codes.setdefault(user, len(codes))
+        columns = [offsets, np.array(ids, dtype=np.uint64),
+                   np.fromiter(map(codes.__getitem__, users), np.int64, len(users)),
+                   _gather(data, tails, 1).ravel(), _gather(data, tails + 1, 8).view("<i8").ravel(),
+                   tails + _RECORD_TAIL.size]
+        if known is not None:
+            columns = [np.concatenate(pair) for pair in zip(
+                (known.offsets, known.ids, known.users, known.labels, known.created_at,
+                 known.vectors), columns)]
+        offsets, ids, user_codes, labels, created_at, vectors = columns
         return _Index(
-            data=data, offsets=offsets, ids=ids, user_codes=codes,
-            users=np.fromiter(map(codes.__getitem__, users), np.int64, len(users)),
-            user_bytes=np.array(list(codes), dtype=object),
-            labels=_gather(data, tails, 1).ravel(),
-            created_at=_gather(data, tails + 1, 8).view("<i8").ravel(),
-            vectors=tails + _RECORD_TAIL.size,
+            data=data, offsets=offsets, ids=ids, user_codes=codes, users=user_codes,
+            user_bytes=np.array(list(codes), dtype=object), labels=labels,
+            created_at=created_at, vectors=vectors,
             in_id_order=bool(np.all(ids[1:] >= ids[:-1])))
 
     def _records(self, data: bytes, header: _Header,
@@ -447,6 +461,7 @@ class FileVectorStore(VectorStore):
             header = self._upgrade_v1()
         count, end = header.count, header.end
         payload = self._pack_records(records, vectors, count + 1)
+        index, self._index = self._index, None
         try:
             with open(self.path, "r+b") as fh:
                 # Write at the committed end, not at EOF, so a torn tail
@@ -464,6 +479,15 @@ class FileVectorStore(VectorStore):
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise StorageError(f"append to {self.path} failed: {exc}") from exc
+        if index is not None and index.data[:_HEADER.size] == self._pack_header(count, end):
+            # The file now holds the committed bytes the index was scanned
+            # from, with this batch appended, if no other writer came in
+            # between; fetch compares the bytes, so the index serves only
+            # if so.
+            new_header = _Header(FILE_VERSION, count + len(records), _HEADER.size, new_end)
+            data = b"".join((self._pack_header(new_header.count, new_end),
+                             index.data[_HEADER.size:end], payload))
+            self._index = self._scan(data, new_header, index)
         return len(records)
 
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:

@@ -824,6 +824,29 @@ DIGIT_FORMS = {"ascii": str, "underscore": _underscored,
                "full-width": _full_width_digits, "arabic-indic": _arabic_indic_digits}
 
 
+class TestSharedUsers:
+    """The reader keeps one str per distinct user, looked up once per run
+    of equal users, whatever the order of the runs."""
+
+    USERS = ["b", "a", "a", "b", "a", "\u00e9", "\u00e9", "b"]
+
+    @pytest.mark.parametrize("long_user", [False, True], ids=["fit", "cut"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv_reader"])
+    def test_one_str_per_distinct_user(self, tmp_path, quoted, long_user):
+        # A user that fills loadtxt's field takes the users from the lines.
+        users = self.USERS + ["x" * 20] * 2 * long_user
+        path = tmp_path / "dataset.csv"
+        lines = [",".join(DATASET_COLUMNS)]
+        for i, user in enumerate(users):
+            cell = f'"{user}"' if quoted else user
+            lines.append(f"{i},39.9,116.3,,{i % 7},{cell},0.5")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _read_as_oracle(path) == "read"
+        got = read_dataset_csv(path).user
+        assert got.tolist() == users
+        assert len({id(u) for u in got}) == len(set(users)) == 3 + long_user
+
+
 class TestLoadtxtDivergences:
     """Each input on which np.loadtxt and csv.reader with float() and int()
     part ways reads as the row oracle reads it."""

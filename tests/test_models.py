@@ -25,12 +25,18 @@ from veclstm.models import (
     model_backward,
     model_forward,
     normalize_batch,
+    ParamArena,
+    param_blocks,
     param_count,
     trained_entries,
+    trained_runs,
 )
 from veclstm.models import _backward_rows, _forward_rows
-from veclstm.neuralnet import lstm_backward, softmax, softmax_cross_entropy
-from veclstm.trainer import AdamState, TrainConfig, compute_params, predict, run_epochs
+from veclstm import trainer
+from veclstm.neuralnet import LstmParams, lstm_backward, softmax, softmax_cross_entropy
+from veclstm.trainer import (
+    AdamState, TrainConfig, adam_step, compute_params, predict, run_epochs,
+)
 
 from _oracles import (
     add_at_logit_sum,
@@ -311,14 +317,19 @@ class TestTrainedEntries:
         spec, _ = self.batch(arch, n=1, seed=0)
         params = init_model_params(spec, seed=2)
         masks = _trained_masks(spec, params)
-        state = AdamState(params, trained_entries(spec))
-        assert state.p.size == sum(int(mask.sum()) for mask in masks.values())
-        state.p[:] = 10.0 + np.arange(state.p.size)  # unlike any initial value
-        master = state.master()
-        written = np.concatenate([master[key][mask] for key, mask in masks.items()])
-        assert np.array_equal(np.sort(written), state.p)
+        state = AdamState(spec, params)
+        # one run per LSTM layer, the first one led by the other blocks
+        runs = trained_runs(spec)
+        assert len(runs) == 2
+        assert sum(run.stop - run.start for run in runs) == sum(
+            int(mask.sum()) for mask in masks.values())
+        for run in runs:
+            state.p[run] = 10.0 + np.arange(run.start, run.stop)  # unlike any initial value
+        written = np.concatenate([state.master[key][mask] for key, mask in masks.items()])
+        assert np.array_equal(np.sort(written),
+                              np.concatenate([state.p[run] for run in runs]))
         for key, mask in masks.items():
-            assert np.array_equal(master[key][~mask], params[key][~mask]), key
+            assert np.array_equal(state.master[key][~mask], params[key][~mask]), key
 
     def test_longer_sequences_train_every_entry(self):
         spec = ModelSpec(architecture=VECLSTM, timesteps=2, lstm_units=(4, 3))
@@ -708,3 +719,125 @@ class TestCopyFreeStep:
         assert np.shares_memory(d_h1, d_e1)
         assert d_h1.transpose(1, 2, 0).flags.c_contiguous
         assert dx1 is None
+
+
+class TestParamArena:
+    """Training's parameter sets are views into one flat buffer each: the
+    LSTM gates stack as views, and gradients are written in place."""
+
+    SPECS = {
+        "veclstm": lambda: build_veclstm(1),
+        "hybrid": lambda: build_hybrid(1),
+        "lstm_t2": lambda: ModelSpec(architecture=LSTM_BASELINE, n_features=2, timesteps=2,
+                                     lstm_units=(5, 4)),
+    }
+
+    @staticmethod
+    def batch(spec, n, seed):
+        rng = np.random.default_rng(seed)
+        meta = rng.normal(size=(n, spec.timesteps, spec.n_features))
+        if spec.has_grid_branch:
+            return meta, rng.integers(0, spec.grid_size ** 2, n)
+        return meta
+
+    @staticmethod
+    def backward(spec, params, batch, seed):
+        _, cache = model_forward(spec, params, batch, with_cache=True)
+        d_logits = np.random.default_rng(seed).normal(size=cache.logits.shape) / len(cache.logits)
+        return model_backward(spec, params, cache, d_logits)
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_every_block_is_a_view_of_its_arena(self, case):
+        spec = self.SPECS[case]()
+        params = init_model_params(spec, seed=3)
+        state = AdamState(spec, params)
+        for arena, dtype in ((state.master, np.float64), (state.work, np.float32),
+                             (state.grad, np.float32)):
+            assert list(arena) == list(param_blocks(spec))
+            assert arena.flat.dtype == dtype and arena.flat.size == param_count(spec)
+            for key, block in arena.items():
+                assert block.dtype == dtype, key
+                assert np.shares_memory(block, arena.flat), key
+        assert state.work.grad is state.grad and state.master.grad is None
+        for key, value in params.items():
+            assert np.array_equal(state.master[key], value), key
+            assert np.array_equal(state.work[key], value.astype(np.float32)), key
+        assert not state.grad.flat.any()
+
+    @pytest.mark.parametrize("case, t_len", [("veclstm", 1), ("hybrid", 1), ("lstm_t2", 2)])
+    def test_stacked_gates_are_views(self, case, t_len):
+        spec = self.SPECS[case]()
+        arena = ParamArena(spec, np.float32, compute_params(init_model_params(spec, seed=4)))
+        for prefix, layer in arena.lstm.items():
+            fields = {name: getattr(layer, name) for name in
+                      ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")}
+            assert all(fields[name] is arena[f"{prefix}.{name}"] for name in fields)
+            w, b = layer.stacked(t_len)
+            want_w, want_b = LstmParams(**{k: v.copy() for k, v in fields.items()}).stacked(t_len)
+            assert w.base is not None and np.shares_memory(w, arena.flat), prefix
+            assert b.base is not None and np.shares_memory(b, arena.flat), prefix
+            assert np.array_equal(w, want_w) and np.array_equal(b, want_b), prefix
+
+    def test_init_through_the_arena_matches_the_per_layer_oracle(self):
+        for spec in (build_veclstm(1), build_hybrid(1), self.SPECS["lstm_t2"]()):
+            master = AdamState(spec, init_model_params(spec, seed=7)).master
+            expected = per_layer_init_model_params(spec, seed=7)
+            assert list(master) == list(expected)
+            for key, array in expected.items():
+                assert np.array_equal(master[key], array), key
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_runs_hold_exactly_the_trained_entries(self, case):
+        spec = self.SPECS[case]()
+        mask = ParamArena(spec, bool)
+        for run in trained_runs(spec):
+            mask.flat[run] = True
+        want = _trained_masks(spec, init_model_params(spec, seed=0))
+        for key, block in mask.items():
+            assert np.array_equal(block, want[key]), key
+
+    @pytest.mark.parametrize("case", ["veclstm", "hybrid"])
+    def test_backward_returns_the_same_arrays_step_after_step(self, case):
+        spec = self.SPECS[case]()
+        state = AdamState(spec, init_model_params(spec, seed=5))
+        first = self.backward(spec, state.work, self.batch(spec, 64, seed=6), seed=7)
+        assert all(first[key] is state.grad[key] for key in first)
+        second = self.backward(spec, state.work, self.batch(spec, 37, seed=8), seed=9)
+        assert all(second[key] is first[key] for key in first)
+
+    @pytest.mark.parametrize("case", ["veclstm", "hybrid"])
+    def test_untrained_gradients_stay_zero(self, monkeypatch, case):
+        spec = self.SPECS[case]()
+        states = []
+
+        def keep(grads, state, config):
+            states.append(state)
+            return adam_step(grads, state, config)
+
+        monkeypatch.setattr(trainer, "adam_step", keep)
+        x = self.batch(spec, 200, seed=10)
+        rows = (lambda idx: (x[0][idx], x[1][idx])) if spec.has_grid_branch else (lambda idx: x[idx])
+        run_epochs(spec, init_model_params(spec, seed=11), rows, np.arange(200) % 7,
+                   TrainConfig(epochs=4, batch_size=40, seed=0))
+        assert len(states) == 20 and all(state is states[0] for state in states)
+        grad = states[0].grad
+        masks = _trained_masks(spec, grad)
+        for key, block in grad.items():
+            assert np.all(block[~masks[key]] == 0.0), key
+        assert all(np.any(grad.flat[run] != 0.0) for run in trained_runs(spec))
+
+    @pytest.mark.parametrize("case", ["veclstm", "hybrid", "lstm_t2"])
+    def test_two_live_caches_back_propagate_like_fresh_buffers(self, case):
+        spec = self.SPECS[case]()
+        state = AdamState(spec, init_model_params(spec, seed=12))
+        unlinked = ParamArena(spec, np.float32, state.work)
+        batches = [self.batch(spec, n, seed) for n, seed in ((64, 13), (37, 14))]
+        caches = [model_forward(spec, state.work, batch, with_cache=True)[1] for batch in batches]
+        for batch, cache, seed in zip(batches[::-1], caches[::-1], (15, 16)):
+            d_logits = np.random.default_rng(seed).normal(size=cache.logits.shape)
+            grads = model_backward(spec, state.work, cache, d_logits)
+            _, fresh_cache = model_forward(spec, unlinked, batch, with_cache=True)
+            fresh = model_backward(spec, unlinked, fresh_cache, d_logits)
+            for key in fresh:
+                assert not np.shares_memory(fresh[key], state.grad.flat), key
+                assert np.array_equal(grads[key], fresh[key]), key

@@ -16,11 +16,13 @@ from veclstm.errors import (
 from veclstm import models, trainer
 from veclstm.neuralnet import loss
 from veclstm.models import (
+    ParamArena,
     build_hybrid,
     build_lstm_stack,
     build_veclstm,
     init_model_params,
     trained_entries,
+    trained_runs,
 )
 from veclstm.neuralnet import LstmSequenceCache, softmax
 from veclstm.trainer import (
@@ -184,17 +186,21 @@ class TestOversample:
 class TestAdam:
     @pytest.fixture
     def run(self, monkeypatch):
-        """The master weights after one adam_step per gradient dict, every
-        block trained whole and the work copy (so the gradients) in
-        float64."""
+        """The master weights after one adam_step per gradient dict, with
+        the work copy (so the gradients) in float64. The single block "w"
+        stands for lstm2.b_i of a spec that has as many units there; every
+        other block gets zero gradients."""
         monkeypatch.setattr(trainer, "compute_params",
                             lambda params: {k: p.astype(np.float64) for k, p in params.items()})
 
         def run(params, grads, config=TrainConfig()):
-            state = AdamState(params, {key: np.s_[...] for key in params})
+            spec = build_veclstm(1, lstm_units=(1, params["w"].size))
+            state = AdamState(spec, {**init_model_params(spec, seed=0),
+                                     "lstm2.b_i": params["w"]})
             for g in grads:
-                adam_step(g, state, config)
-            return state.master()
+                state.grad["lstm2.b_i"][...] = g["w"]
+                adam_step(dict(state.grad), state, config)
+            return {"w": state.master["lstm2.b_i"]}
         return run
 
     def test_zero_gradient_keeps_params(self, run):
@@ -229,7 +235,7 @@ class TestAdam:
         params = init_model_params(spec, seed=4)
         trained = trained_entries(spec)
         config = TrainConfig()
-        state = AdamState(params, trained)
+        state = AdamState(spec, params)
         oracle = dict(params)
         m = {key: np.zeros_like(p) for key, p in params.items()}
         v = {key: np.zeros_like(p) for key, p in params.items()}
@@ -241,27 +247,30 @@ class TestAdam:
                 # magnitudes over six decades, and some exact zeros
                 part[...] = (rng.normal(size=part.shape) * 10.0 ** rng.uniform(-5, 1, part.shape)
                              * (rng.random(part.shape) > 0.1))
-            adam_step(grads, state, config)
+            for key, grad in grads.items():
+                state.grad[key][...] = grad
+            adam_step(dict(state.grad), state, config)
             oracle = per_block_adam_step(oracle, grads, m, v, t, config.learning_rate,
                                          config.beta1, config.beta2, config.epsilon)
 
-        master = state.master()
-        assert all(np.array_equal(master[key], oracle[key]) for key in params)
+        assert all(np.array_equal(state.master[key], oracle[key]) for key in params)
         work = compute_params(oracle)
         assert all(np.array_equal(state.work[key], work[key]) for key in params)
         for flat, blocks in ((state.m, m), (state.v, v)):
-            assert np.array_equal(
-                flat, np.concatenate([blocks[key][index].ravel() for key, index in trained.items()]))
+            arena = ParamArena(spec, np.float64, blocks)
+            assert np.array_equal(flat, np.concatenate(
+                [arena.flat[run] for run in trained_runs(spec)]))
 
     def test_misshapen_untrained_block_is_rejected(self):
         spec = build_veclstm(1)
         params = init_model_params(spec, seed=4)
         assert "lstm1.w_f" not in trained_entries(spec)
-        state = AdamState(params, trained_entries(spec))
-        grads = {key: np.zeros(p.shape, dtype=np.float32) for key, p in params.items()}
-        grads["lstm1.w_f"] = grads["lstm1.w_f"][:, :-1]
-        with pytest.raises(ShapeMismatch, match="lstm1.w_f"):
-            adam_step(grads, state, TrainConfig())
+        state = AdamState(spec, params)
+        for wrong in (state.grad["lstm1.w_f"][:, :-1], state.grad["lstm1.w_f"].copy()):
+            grads = dict(state.grad)
+            grads["lstm1.w_f"] = wrong
+            with pytest.raises(ShapeMismatch, match="lstm1.w_f"):
+                adam_step(grads, state, TrainConfig())
         assert state.t == 0
 
 

@@ -181,3 +181,46 @@ def test_long_lived_store_matches_a_fresh_one_and_the_record_loop(tmp_path_facto
             got = _outcome(lambda: store.fetch(**query))
             assert got == _outcome(lambda: fresh_fetch(path, **query))
             assert got == _outcome(lambda: record_loop_vlvs_fetch(store, **query))
+
+
+def assert_same_index(got, want):
+    for name, a, b in zip(got._fields, got, want):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def test_insert_extends_the_index_instead_of_a_rescan(tmp_path, monkeypatch):
+    store = FileVectorStore(tmp_path / "v.vlvs")
+    store.init_schema()
+    store.insert_batch(make_records(5, seed=20))
+    scan = FileVectorStore._scan
+    full_scans = []
+
+    def counted(self, data, header, known=None):
+        if self is store:
+            full_scans.append(known is None)
+        return scan(self, data, header, known)
+
+    monkeypatch.setattr(FileVectorStore, "_scan", counted)
+    store.fetch()
+    for i in range(4):
+        batch = make_records(3 + i, seed=21 + i, users=[USERS[i % 3], f"new{i}"])
+        store.insert_batch(batch)
+        got = store.fetch(user=f"new{i}")
+        assert [r.user for r in got] == [f"new{i}"] * len(got) and got
+        assert store.fetch(id_range=(1, 5)) == fresh_fetch(store.path, id_range=(1, 5))
+    # The first fetch scanned the file; each insert after it parsed only
+    # the records it appended, and no fetch parsed a record again.
+    assert full_scans == [True] + [False] * 4
+    data = store.path.read_bytes()
+    assert_same_index(store._index, scan(store, data, store._parse_header(data, len(data))))
+    assert store.fetch() == fresh_fetch(store.path)
+
+
+def test_extended_index_does_not_serve_after_another_writer(fetched):
+    fetched.insert_batch(make_records(2, seed=30))
+    FileVectorStore(fetched.path).insert_batch(make_records(3, seed=31, users=["eve"]))
+    assert [r.record_id for r in fetched.fetch(user="eve")] == [9, 10, 11]
+    assert fetched.fetch() == fresh_fetch(fetched.path)
