@@ -10,7 +10,15 @@ Directory layout expected under a GeoLife root:
 
 The assembled dataset has the seven columns time, lat, lon, alt, label,
 user, metadata, ordered by (user, timestamp).
-"""
+
+The PLT, labels and dataset-CSV readers read their rows with np.loadtxt
+into typed columns, PLT and label timestamps as fixed-width str columns
+that one decoder turns into UTC seconds. A file, or a block of a dataset CSV,
+that loadtxt cannot vouch for goes to a row-by-row reader: one where
+loadtxt rejects a field, skips a line, may have cut a str field, or
+could cut other lines or fields than Python's str.splitlines(), str.split()
+and float() would. Either way the columns, and the first bad row's
+MalformedLine with its line number and reason, are the row reader's."""
 
 from __future__ import annotations
 
@@ -96,31 +104,31 @@ _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]
 
 
-def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str) -> np.ndarray:
+def _utc_seconds(dates: np.ndarray, clocks: np.ndarray, sep: str) -> np.ndarray:
     """UTC seconds of each row's date and clock, up to the first row strptime rejects.
 
-    Row i's timestamp is f"{dates[i]} {clocks[i]}", read as
-    f"%Y{sep}%m{sep}%d %H:%M:%S". A canonical row (a 10-character date
-    of ASCII digits and sep, and an 8-character HH:MM:SS clock of ASCII
-    digits with hours below 24 and minutes and seconds below 60) gets its
-    seconds from one strptime per distinct date plus its clock digits.
-    Every other row, and each row whose date strptime rejects,
-    goes through strptime on its timestamp, in row order; the values stop
-    before the first row that fails there.
+    dates and clocks are str arrays with no NUL. Row i's timestamp is
+    f"{dates[i]} {clocks[i]}", read as f"%Y{sep}%m{sep}%d %H:%M:%S". A
+    canonical row (a 10-character date of ASCII digits and sep, and an
+    8-character HH:MM:SS clock of ASCII digits with hours below 24 and
+    minutes and seconds below 60) gets its seconds from one strptime per
+    distinct date plus its clock digits. Every other row, and each row
+    whose date strptime rejects, goes through strptime on its timestamp,
+    in row order; the values stop before the first row that fails there.
     """
     n = len(dates)
     date_fmt = f"%Y{sep}%m{sep}%d"
-    # Lengths come from the str objects: a numpy str array drops trailing NULs.
-    fast = ((np.fromiter(map(len, dates), np.intp, n) == 10)
-            & (np.fromiter(map(len, clocks), np.intp, n) == 8))
-    date = np.array(dates, dtype="U10").view(np.uint32).reshape(n, 10)
-    clock = np.array(clocks, dtype="U8").view(np.uint32).reshape(n, 8)
+    # Code points, cut or NUL-padded to one past the canonical width: a
+    # canonical value has a 0 there, a longer one does not.
+    date = np.ascontiguousarray(dates, dtype="U11").view(np.uint32).reshape(n, 11)
+    clock = np.ascontiguousarray(clocks, dtype="U9").view(np.uint32).reshape(n, 9)
     date_digit = date[:, _DATE_DIGITS].astype(np.int64) - ord("0")
     clock_digit = clock[:, _CLOCK_DIGITS].astype(np.int64) - ord("0")
-    fast &= (((date_digit >= 0) & (date_digit <= 9)).all(axis=1)
-             & ((clock_digit >= 0) & (clock_digit <= 9)).all(axis=1)
-             & (date[:, 4] == ord(sep)) & (date[:, 7] == ord(sep))
-             & (clock[:, 2] == ord(":")) & (clock[:, 5] == ord(":")))
+    fast = ((date[:, 10] == 0) & (clock[:, 8] == 0)
+            & ((date_digit >= 0) & (date_digit <= 9)).all(axis=1)
+            & ((clock_digit >= 0) & (clock_digit <= 9)).all(axis=1)
+            & (date[:, 4] == ord(sep)) & (date[:, 7] == ord(sep))
+            & (clock[:, 2] == ord(":")) & (clock[:, 5] == ord(":")))
     hms = clock_digit[:, 0::2] * 10 + clock_digit[:, 1::2]
     fast &= (hms[:, 0] < 24) & (hms[:, 1] < 60) & (hms[:, 2] < 60)
 
@@ -146,6 +154,17 @@ def _utc_seconds(dates: Sequence[str], clocks: Sequence[str], sep: str) -> np.nd
         except ValueError:
             return seconds[:row]
     return seconds
+
+
+def _before_nul(*columns: Sequence[str]) -> int:
+    """The rows before the first with a NUL in a cell of one of columns.
+
+    A str array drops the NULs that end a value, and strptime rejects
+    every timestamp with a NUL, so the row readers give _utc_seconds only
+    the rows before it.
+    """
+    return min(next((row for row, cell in enumerate(cells) if "\0" in cell), len(cells))
+               for cells in columns)
 
 
 class _FirstFailure:
@@ -216,16 +235,89 @@ def _cut_lines(lines: list[str], first_no: int, sep: str, n_fields: int,
     return rows, _FirstFailure(line_nos)
 
 
-def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse one PLT file into (time, lat, lon, alt) columns.
+# --- np.loadtxt ---------------------------------------------------------
 
-    The first six lines are header and skipped. time is int64 UTC
-    seconds. Altitude arrives in feet and is converted to meters; the
-    sentinel -777 and nan become MISSING. Raises TruncatedHeader on short
-    files and MalformedLine(line_no) on the first bad row (wrong field
-    count, non-numeric fields, out-of-range coordinates, an infinite
-    altitude, or a timestamp going backwards).
+# Bytes that np.loadtxt's float parser skips next to a number and float()
+# does not.
+_LOADTXT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# ASCII bytes that end a line for str.splitlines() and not for np.loadtxt,
+# and NUL, which a str array drops from the end of a value.
+_NOT_LOADTXT = (b"\0", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _loadtxt_values(block: bytes, dtype, delimiter: str = ",",
+                    converters: dict | None = None) -> np.ndarray | None:
+    """The rows of block, whole lines of UTF-8 text, as np.loadtxt reads
+    them into a structured array of dtype; or None, for a row-by-row
+    reader, where loadtxt rejects a field (that float() or int() may take,
+    as 1_0 or full-width digits), could read a number float() rejects (one
+    next to a byte of _LOADTXT_SPACE) or skips a line (a blank one, a
+    record of no fields). A value may fill a str field, where loadtxt may
+    have cut it: the caller checks (_fills)."""
+    lines = block.count(b"\n") + (block[-1:] != b"\n")
+    # len(block) <= 2 * lines: maybe blank lines only, which loadtxt would warn of
+    if len(block) <= 2 * lines or any(byte in block for byte in _LOADTXT_SPACE):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(block), dtype=dtype, delimiter=delimiter, quotechar=None,
+                           comments=None, converters=converters, encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+    return table if table.size == lines else None
+
+
+def _fills(column: np.ndarray) -> bool:
+    """Whether a value of str column fills its field: loadtxt may have cut it."""
+    return bool(np.char.str_len(column).max() == column.dtype.itemsize // 4)
+
+
+def _loadtxt_body(data: bytes | str, header_lines: int) -> bytes | None:
+    """data after its first header_lines lines, as bytes, where np.loadtxt
+    cuts it into the lines that str.splitlines() cuts; else None.
+
+    That is ASCII text with no byte of _NOT_LOADTXT, whose header lines
+    end in LF or CRLF and hold no other CR. loadtxt itself rejects a CR
+    inside a line of the rest.
     """
+    if not data.isascii():
+        return None
+    data = data.encode("ascii") if isinstance(data, str) else data
+    if any(byte in data for byte in _NOT_LOADTXT):
+        return None
+    start = 0
+    for _ in range(header_lines):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return None
+    if data.count(b"\r", 0, start) != data.count(b"\r\n", 0, start):
+        return None
+    return data[start:]
+
+
+# A PLT row as np.loadtxt reads it. A one-character str field takes the
+# unused third field, so that loadtxt still checks that each row has
+# seven. The date and clock fields are one character wider than
+# canonical: a value that fills one may have been cut.
+_PLT_DTYPE = [("lat", np.float64), ("lon", np.float64), ("unused", "U1"), ("alt", np.float64),
+              ("days", np.float64), ("date", "U11"), ("clock", "U9")]
+_BAD_DATE_TIME = "bad date/time {},{}"
+
+
+def _plt_cells(data: bytes | str):
+    """(lat, lon, alt_feet, dates, clocks, first) of a PLT file's rows.
+
+    dates and clocks are str arrays and first is a _FirstFailure over the
+    rows' line numbers. The rows stop before the first one with a wrong
+    field count, a number that does not convert or, on the row path, a
+    NUL in its timestamp; that row's MalformedLine is first's error.
+    """
+    body = _loadtxt_body(data, PLT_HEADER_LINES)
+    table = None if body is None else _loadtxt_values(body, _PLT_DTYPE)
+    if table is not None and not (_fills(table["date"]) or _fills(table["clock"])):
+        first = _FirstFailure(range(PLT_HEADER_LINES + 1, PLT_HEADER_LINES + 1 + table.size))
+        columns = ("lat", "lon", "alt", "date", "clock")
+        return (*(np.ascontiguousarray(table[name]) for name in columns), first)
     lines = _as_text(data).splitlines()
     if len(lines) < PLT_HEADER_LINES:
         raise TruncatedHeader(
@@ -237,9 +329,33 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     lat, lon, alt_feet, _ = (
         first.convert(cells, float, np.float64, lambda row, exc: f"non-numeric field: {exc}")
         for cells in (lat_s, lon_s, alt_s, days_s))
+    if (row := _before_nul(dates[:first.end], clocks[:first.end])) < first.end:
+        first.fail(row, _BAD_DATE_TIME.format(dates[row], clocks[row]))
+    return (lat, lon, alt_feet, np.array(dates[:first.end], dtype=str),
+            np.array(clocks[:first.end], dtype=str), first)
+
+
+def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse one PLT file into (time, lat, lon, alt) columns.
+
+    The first six lines are header and skipped. time is int64 UTC
+    seconds. Altitude arrives in feet and is converted to meters; the
+    sentinel -777 and nan become MISSING. Raises TruncatedHeader on short
+    files and MalformedLine(line_no) on the first bad row (wrong field
+    count, non-numeric fields, out-of-range coordinates, an infinite
+    altitude, or a timestamp going backwards).
+
+    np.loadtxt reads the rows into float columns and the date and clock
+    into str columns, which _utc_seconds decodes. A file it cannot vouch
+    for (see _loadtxt_body and _loadtxt_values, and a date or clock that
+    fills its field) is cut into lines and fields in Python and converted
+    by float() instead. The checks that follow are the same, so are the
+    columns and the first error.
+    """
+    lat, lon, alt_feet, dates, clocks, first = _plt_cells(data)
     time = _utc_seconds(dates[:first.end], clocks[:first.end], "-")
     if time.size < first.end:
-        first.fail(time.size, f"bad date/time {dates[time.size]},{clocks[time.size]}")
+        first.fail(time.size, _BAD_DATE_TIME.format(dates[time.size], clocks[time.size]))
     first.check_coordinates(lat, lon)
     first.check(np.isinf(alt_feet), lambda row: f"altitude {float(alt_feet[row])} out of range")
     first.check(np.concatenate(([False], time[1:] < time[:-1])),
@@ -250,32 +366,66 @@ def parse_plt(data: bytes | str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return time, lat, lon, alt
 
 
+# A labels row as np.loadtxt reads it; a canonical timestamp has 19
+# characters.
+_LABELS_DTYPE = [("start", "U20"), ("end", "U20"), ("mode", "U16")]
+
+
+def _split_stamps(table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dates and clocks of a labels table's start and end timestamps,
+    interleaved, cut at their 11th character; or None unless that is a
+    space and each timestamp has at most 19 characters and starts and ends
+    with one above the space. Then str.strip() leaves a timestamp as it
+    is, and f"{date} {clock}" is the timestamp, as it is from the row
+    reader's cut at the first space."""
+    stamps = np.stack((table["start"], table["end"]), axis=1).reshape(-1)
+    codes = stamps.view(np.uint32).reshape(stamps.size, 20)
+    last = codes[np.arange(stamps.size), np.char.str_len(stamps) - 1]
+    if not ((codes[:, 10] == ord(" ")) & (codes[:, 19] == 0)
+            & (codes[:, 0] > ord(" ")) & (last > ord(" "))).all():
+        return None
+    return codes[:, :10].copy().view("U10").reshape(-1), codes[:, 11:].copy().view("U9").reshape(-1)
+
+
 def parse_labels(data: bytes | str) -> list[LabelSpan]:
     """Parse a labels.txt file: header row, then start/end/mode rows.
 
     Raises TruncatedHeader on an empty file. The first bad row raises
     MalformedLine (wrong field count or bad timestamp) or InvertedSpan
-    (a span that ends before it starts).
+    (a span that ends before it starts). np.loadtxt reads the rows, as
+    parse_plt's do; a file it cannot vouch for, or whose timestamps
+    _split_stamps does not take, is cut into lines in Python.
     """
-    lines = _as_text(data).splitlines()
-    if not lines:
-        raise TruncatedHeader("labels file is empty")
-    rows, first = _cut_lines(lines[1:], 2, "\t", 3, "tab-separated ")
-    # Start and end interleaved, so the first bad one is in row order.
-    texts = [text.strip() for fields in rows for text in fields[:2]]
-    dates, _, clocks = zip(*(text.partition(" ") for text in texts)) if rows else ((), (), ())
+    body = _loadtxt_body(data, 1)
+    table = None if body is None else _loadtxt_values(body, _LABELS_DTYPE, "\t")
+    stamps = None if table is None or _fills(table["mode"]) else _split_stamps(table)
+    if stamps is not None:
+        dates, clocks = stamps
+        modes = table["mode"].tolist()
+        first = _FirstFailure(range(2, 2 + table.size))
+    else:
+        lines = _as_text(data).splitlines()
+        if not lines:
+            raise TruncatedHeader("labels file is empty")
+        rows, first = _cut_lines(lines[1:], 2, "\t", 3, "tab-separated ")
+        modes = [fields[2] for fields in rows]
+        # Start and end interleaved, so the first bad one is in row order.
+        texts = [text.strip() for fields in rows for text in fields[:2]]
+        texts = texts[:_before_nul(texts)]
+        dates = np.array([text.partition(" ")[0] for text in texts], dtype=str)
+        clocks = np.array([text.partition(" ")[2] for text in texts], dtype=str)
     times = _utc_seconds(dates, clocks, "/")
     n_ok = times.size // 2  # rows before the first bad timestamp
     start, end = times[:2 * n_ok:2], times[1:2 * n_ok:2]
     inverted = np.flatnonzero(start > end)
     if inverted.size:
         raise InvertedSpan(f"line {first.line_nos[inverted[0]]}: span ends before it starts")
-    if n_ok < len(rows):
+    if n_ok < len(modes):
         raise MalformedLine(first.line_nos[n_ok], "bad timestamp")
     if first.error is not None:
         raise first.error
-    return [LabelSpan(start=s, end=e, mode=fields[2].strip())
-            for s, e, fields in zip(start.tolist(), end.tolist(), rows)]
+    return [LabelSpan(start=s, end=e, mode=mode.strip())
+            for s, e, mode in zip(start.tolist(), end.tolist(), modes)]
 
 
 def assign_labels(times: np.ndarray, spans: list[LabelSpan]) -> np.ndarray:
@@ -290,10 +440,13 @@ def assign_labels(times: np.ndarray, spans: list[LabelSpan]) -> np.ndarray:
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
     owner = np.full(times.size, -1, dtype=np.int64)
-    for idx in sorted(range(len(spans)), key=lambda i: (spans[i].start, i)):
-        lo = np.searchsorted(sorted_times, spans[idx].start, side="left")
-        hi = np.searchsorted(sorted_times, spans[idx].end, side="right")
-        owner[lo:hi] = idx
+    starts = np.array([span.start for span in spans], dtype=np.int64)
+    ends = np.array([span.end for span in spans], dtype=np.int64)
+    by_start = np.argsort(starts, kind="stable")  # (start, file index) order
+    lo = np.searchsorted(sorted_times, starts[by_start], side="left")
+    hi = np.searchsorted(sorted_times, ends[by_start], side="right")
+    for idx, a, b in zip(by_start.tolist(), lo.tolist(), hi.tolist()):
+        owner[a:b] = idx
     out = np.empty_like(owner)
     out[order] = owner
     return out
@@ -489,11 +642,12 @@ _CSV_FORMATS = (
      lambda cell: float(cell or "nan")),
     (np.int64, str, int), (object, None, None), (np.float64, repr, float))
 
-# The dataset columns as np.loadtxt reads them. A wider user field would
-# cost time in every row; a user that fills it is taken from its line.
-_USER_WIDTH = 16
-_LOADTXT_DTYPE = [(name, f"U{_USER_WIDTH}" if dtype is object else dtype)
+# The dataset columns as np.loadtxt reads them, alt through its cell
+# converter. A wider user field would cost time in every row; a user that
+# fills it is taken from its line.
+_LOADTXT_DTYPE = [(name, "U16" if dtype is object else dtype)
                   for name, (dtype, _, _) in zip(DATASET_COLUMNS, _CSV_FORMATS)]
+_LOADTXT_CONVERTERS = {3: _CSV_FORMATS[3][2]}
 
 
 def _distinct_text(values: np.ndarray, fmt: Callable, end: str) -> list[str]:
@@ -626,42 +780,24 @@ def _csv_values(reader, line_no: int) -> Iterator[tuple[list, _FirstFailure]]:
         line_no = end
 
 
-def _loadtxt_values(block: bytes) -> list | None:
-    """The values of block, whole lines of a plain file, by column as
-    np.loadtxt reads them, users as a str array (an object array where
-    one may have been cut); or None, for csv.reader, where
-    loadtxt rejects a field (that float() or int() may take, as 1_0 or
-    full-width digits) or skips a line (a blank one, a record of no fields)."""
-    lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")) + (block[-1] != ord("\n"))
-    if len(block) <= 2 * lines:  # maybe blank lines only, which loadtxt would warn of
-        return None
-    try:
-        table = np.loadtxt(io.BytesIO(block), dtype=_LOADTXT_DTYPE, delimiter=",", quotechar=None,
-                           comments=None, converters={3: _CSV_FORMATS[3][2]}, encoding="utf-8",
-                           ndmin=1)
-    except ValueError:
-        return None
-    if table.size != lines:
-        return None
-    users = table["user"]
-    if np.char.str_len(users).max() == _USER_WIDTH:  # a user may have been cut
-        users = np.array([line.split(",")[5] for line in block.decode("utf-8").split("\n")[:lines]],
-                         dtype=object)
-    return [users if name == "user" else table[name] for name in DATASET_COLUMNS]
-
-
 def _plain_values(fh) -> Iterator[tuple[list, _FirstFailure]]:
     """_csv_values for binary file fh, plain: np.loadtxt reads it by block,
     and csv.reader each block that loadtxt cannot vouch for."""
     _check_header(csv.reader([fh.readline().decode("utf-8")]))
     line_no = 2
     for block in _line_blocks(fh):
-        if (values := _loadtxt_values(block)) is None:
+        table = _loadtxt_values(block, _LOADTXT_DTYPE, converters=_LOADTXT_CONVERTERS)
+        if table is None:
             text = io.StringIO(block.decode("utf-8"), newline="")
             line_no = yield from _csv_values(csv.reader(text), line_no)
-        else:
-            yield values, _FirstFailure(range(line_no, line_no + len(values[0])))
-            line_no += len(values[0])
+            continue
+        users = table["user"]
+        if _fills(users):  # a user may have been cut: take each from its line
+            lines = block.decode("utf-8").split("\n")[:table.size]
+            users = np.array([line.split(",")[5] for line in lines], dtype=object)
+        yield ([users if name == "user" else table[name] for name in DATASET_COLUMNS],
+               _FirstFailure(range(line_no, line_no + table.size)))
+        line_no += table.size
 
 
 def _shared_users(values: np.ndarray, users: dict[str, str]) -> np.ndarray:

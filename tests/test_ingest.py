@@ -5,8 +5,10 @@ import csv
 import io
 import math
 import struct
+import sys
 import warnings
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -45,7 +47,13 @@ from _oracles import (
     row_read_dataset_csv,
     row_write_dataset_csv,
 )
-from conftest import corrupt, labels_text, plt_text
+from conftest import PLT_HEADER, corrupt, labels_text, plt_text
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.generator import TreeShape, write_geolife_tree  # noqa: E402
 
 
 def epoch_utc(y, mo, d, h, mi, s):
@@ -542,6 +550,196 @@ class TestNonCanonicalTimestamps:
                 epoch_utc(2009, 3, 1, 0, 0, 0), epoch_utc(*utc)]
 
 
+# --- PLT and labels files through np.loadtxt ----------------------------
+
+def _row_path_raises():
+    """A patch under which the row readers of parse_plt and parse_labels raise."""
+    return mock.patch.object(ingest_mod, "_cut_lines", side_effect=AssertionError("row path"))
+
+
+def _same_as_row_oracle(parse, oracle, data):
+    """parse(data) gives oracle(data)'s result, or its error (type, and
+    line and reason or message), and warns of nothing. Returns the
+    outcome: "read" or the error's type."""
+    try:
+        expected = oracle(data)
+    except (MalformedLine, InvertedSpan, TruncatedHeader) as exc:
+        with warnings.catch_warnings(), pytest.raises(type(exc)) as got:
+            warnings.simplefilter("error")
+            parse(data)
+        assert str(got.value) == str(exc)
+        if isinstance(exc, MalformedLine):
+            assert (got.value.line_no, got.value.reason) == (exc.line_no, exc.reason)
+        return type(exc).__name__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parse(data)
+    if parse is parse_labels:
+        assert got == expected
+        return "read"
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+    return "read"
+
+
+PLT_ROW = "39.9,116.4,0,100,39000.5,2009-03-10,12:00:00"
+LATER_ROW = PLT_ROW.replace("12:00:00", "12:00:05")
+
+
+def _plt_row(**cells) -> str:
+    """PLT_ROW with the named cells (lat, lon, zero, alt, days, date, clock) replaced."""
+    names = ("lat", "lon", "zero", "alt", "days", "date", "clock")
+    values = dict(zip(names, PLT_ROW.split(",")))
+    values.update(cells)
+    return ",".join(values[name] for name in names)
+
+
+# Bodies on which np.loadtxt, or the bytes it is given, part ways with
+# str.splitlines(), str.split() and float(); each must read as the row
+# oracle reads it.
+PLT_DIVERGENCES = {
+    "underscore lat": _plt_row(lat="3_9.9"),
+    "underscore alt": _plt_row(alt="1_0"),
+    "full-width alt": _plt_row(alt="１００"),
+    "infinity alt": _plt_row(alt="infinity"),
+    "nan alt": _plt_row(alt="nan"),
+    "plus alt": _plt_row(alt="+1.5"),
+    "padded lat": _plt_row(lat=" 39.9 "),
+    "tab-padded alt": _plt_row(alt="\t100"),
+    "padded date": _plt_row(date=" 2009-03-10"),
+    "padded clock": _plt_row(clock="12:00:00 "),
+    "blank line": f"{PLT_ROW}\n\n{LATER_ROW}",
+    "space line": f"{PLT_ROW}\n  \n{LATER_ROW}",
+    "NUL in clock": _plt_row(clock="12:00:00\0"),
+    "NUL in lat": _plt_row(lat="39.9\0"),
+    "NUL in unused field": _plt_row(zero="\0"),
+    "lone CR": f"{PLT_ROW}\r{LATER_ROW}",
+    "CR CR LF": f"{PLT_ROW}\r\r\n{LATER_ROW}",
+    "CR ends the file": f"{PLT_ROW}\n{LATER_ROW}\r",
+    "U+0085 in a line": _plt_row(zero="\x85"),
+    "U+2028 in a line": _plt_row(zero="\u2028"),
+    "VT in a line": _plt_row(alt="100\v"),
+    "FF in a line": _plt_row(alt="100\f"),
+    "x1c after alt": _plt_row(alt="100\x1c"),
+    "x1f after alt": _plt_row(alt="100\x1f"),
+    "11-character date": _plt_row(date="2009-03-101"),
+    "12-character date": _plt_row(date="2009-03-1000"),
+    "9-character clock": _plt_row(clock="12:00:000"),
+    "8 fields": PLT_ROW + ",x",
+    "6 fields": PLT_ROW.rsplit(",", 1)[0],
+    "hash in clock": _plt_row(clock="12:00:00#x"),
+    "quote in date": _plt_row(date='"2009-03-10"'),
+    "empty clock": _plt_row(clock=""),
+    "junk unused field": _plt_row(zero="junk"),
+    "latitude out of range": f"{PLT_ROW}\n{LATER_ROW.replace('39.9', '95.0')}",
+    "time going back": f"{LATER_ROW}\n{PLT_ROW}",
+    "header only": "",
+}
+
+
+class TestPltLoadtxtPath:
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_generator_files_take_loadtxt(self, tmp_path, end):
+        write_geolife_tree(tmp_path, 5, TreeShape(users=2, spans_per_user=35,
+                                                  points_per_span=20, spans_per_file=7))
+        plts = sorted(tmp_path.glob("Data/*/Trajectory/*.plt"))
+        labels = sorted(tmp_path.glob("Data/*/labels.txt"))
+        assert plts and labels
+        for paths, parse, oracle in ((plts, parse_plt, row_parse_plt),
+                                     (labels, parse_labels, row_parse_labels)):
+            for path in paths:
+                data = path.read_bytes().replace(b"\n", end.encode())
+                expected = oracle(data)
+                with _row_path_raises():
+                    assert _same_as_row_oracle(parse, lambda _: expected, data) == "read"
+                    assert _same_as_row_oracle(parse, lambda _: expected, data.decode()) == "read"
+
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", sorted(PLT_DIVERGENCES))
+    def test_divergences_read_as_the_row_oracle(self, case, end, terminated):
+        body = PLT_DIVERGENCES[case].replace("\n", end)
+        text = PLT_HEADER.replace("\n", end) + body + (end if terminated and body else "")
+        for data in (text, text.encode("utf-8")):
+            _same_as_row_oracle(parse_plt, row_parse_plt, data)
+
+    @pytest.mark.parametrize("header", [
+        PLT_HEADER.replace("WGS 84\n", "WGS\r84\n"),  # seven header lines to splitlines
+        PLT_HEADER.replace("WGS 84\n", "WGS 84\r\r\n"),
+        PLT_HEADER.replace("WGS 84\n", "WGS\v84\n"),
+        PLT_HEADER.replace("WGS 84\n", "WGS\x8584\n"),
+    ], ids=["lone_cr", "cr_cr_lf", "vt", "nel"])
+    def test_header_line_ends_read_as_the_row_oracle(self, header):
+        for data in (header + PLT_ROW + "\n", (header + PLT_ROW + "\n").encode("utf-8")):
+            _same_as_row_oracle(parse_plt, row_parse_plt, data)
+
+    def test_numbers_read_as_float_reads_them(self):
+        rows = [_plt_row(alt=alt, clock=f"12:00:0{k}")
+                for k, alt in enumerate(("infinity", "nan", "+1.5", " -2e3 ", "1_0"))]
+        with pytest.raises(MalformedLine, match="altitude inf out of range"):
+            parse_plt(PLT_HEADER + "\n".join(rows) + "\n")
+        _, _, _, alt = parse_plt(PLT_HEADER + "\n".join(rows[1:]) + "\n")
+        assert np.isnan(alt[0])
+        assert alt[1:].tolist() == [1.5 * 0.3048, -2e3 * 0.3048, 10 * 0.3048]
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "\n \n\n", "\r"])
+    def test_header_or_blank_only_files_warn_of_nothing(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [column.size for column in parse_plt(PLT_HEADER + body)] == [0] * 4
+            assert parse_labels(labels_text([]) + body) == []
+
+
+STAMP = "2008/04/02 11:24:21"
+LABEL_ROW = f"{STAMP}\t2008/04/02 11:50:45\ttrain"
+
+LABEL_DIVERGENCES = {
+    "padded start": LABEL_ROW.replace(STAMP, f" {STAMP}"),
+    "padded end": LABEL_ROW.replace("\ttrain", " \ttrain"),
+    "two spaces": LABEL_ROW.replace(STAMP, STAMP.replace(" ", "  ")),
+    "single digits": LABEL_ROW.replace(STAMP, "2008/4/2 11:24:21"),
+    "space in date": LABEL_ROW.replace(STAMP, "2008/04/ 2 11:24:21"),
+    "no space": LABEL_ROW.replace(STAMP, STAMP.replace(" ", "T")),
+    "20 characters": LABEL_ROW.replace(STAMP, STAMP + "0"),
+    # strptime takes these once str.strip() has cut the space around them
+    "leading space": LABEL_ROW.replace(STAMP, " 2008/4/02 11:24:21"),
+    "trailing space": LABEL_ROW.replace(STAMP, "2008/04/02 1:24:21 "),
+    # 21 characters: strptime takes the first 20
+    "cut after 20": LABEL_ROW.replace(STAMP, "2008/4/2    01:02:035"),
+    "NUL in start": LABEL_ROW.replace(STAMP, STAMP + "\0"),
+    "NUL in mode": LABEL_ROW + "\0",
+    "padded mode": LABEL_ROW.replace("train", " Bus "),
+    "empty mode": LABEL_ROW.replace("train", ""),
+    "long mode": LABEL_ROW.replace("train", "m" * 20),
+    "non-ASCII mode": LABEL_ROW.replace("train", "北京"),
+    "U+2028 in mode": LABEL_ROW.replace("train", "tr\u2028ain"),
+    "x1f after start": LABEL_ROW.replace(STAMP, STAMP + "\x1f"),
+    "4 fields": LABEL_ROW + "\tx",
+    "2 fields": LABEL_ROW.rsplit("\t", 1)[0],
+    "blank line": f"{LABEL_ROW}\n\n{LABEL_ROW}",
+    "lone CR": f"{LABEL_ROW}\r{LABEL_ROW}",
+    "inverted span": LABEL_ROW.replace("11:50:45", "10:50:45"),
+    "bad clock": LABEL_ROW.replace("11:24:21", "11:24:61"),
+    "header only": "",
+}
+
+
+class TestLabelsLoadtxtPath:
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", sorted(LABEL_DIVERGENCES))
+    def test_divergences_read_as_the_row_oracle(self, case, end):
+        body = LABEL_DIVERGENCES[case].replace("\n", end)
+        text = labels_text([]).replace("\n", end) + f"{LABEL_ROW}{end}{body}{end}"
+        for data in (text, text.encode("utf-8")):
+            _same_as_row_oracle(parse_labels, row_parse_labels, data)
+
+    def test_lone_cr_in_the_header_reads_as_the_row_oracle(self):
+        # two header lines to splitlines
+        text = labels_text([]).replace("\tEnd", "\rEnd") + LABEL_ROW + "\n"
+        assert _same_as_row_oracle(parse_labels, row_parse_labels, text) == "MalformedLine"
+
+
 class TestDatasetCsvErrors:
     def _write(self, tmp_path, body: bytes):
         path = tmp_path / "dataset.csv"
@@ -847,6 +1045,12 @@ class TestSharedUsers:
         assert len({id(u) for u in got}) == len(set(users)) == 3 + long_user
 
 
+def _loadtxt_reads(body: str) -> bool:
+    """Whether np.loadtxt reads body, lines of a dataset CSV, as one block."""
+    return ingest_mod._loadtxt_values(body.encode(), ingest_mod._LOADTXT_DTYPE,
+                                      converters=ingest_mod._LOADTXT_CONVERTERS) is not None
+
+
 class TestLoadtxtDivergences:
     """Each input on which np.loadtxt and csv.reader with float() and int()
     part ways reads as the row oracle reads it."""
@@ -868,9 +1072,13 @@ class TestLoadtxtDivergences:
         # wider than the user field loadtxt reads first
         (f"{ROW}\n{ROW}\n".replace(",u,", "," + "w" * 100 + ",", 1), True),
         (f"{ROW}\n".replace(",u,", "," + "é" * 16 + ","), True),
-    ], ids=["blank_mid", "blank_end", "hash_in_user", "hash_user", "user_100", "user_16"])
+        # loadtxt reads a number next to \x1c-\x1f; float() rejects it.
+        (f"{ROW}\n".replace(",39.9,", ",39.9\x1f,"), False),
+        (f"{ROW}\n".replace(",1,", ",\x1c1,"), False),
+    ], ids=["blank_mid", "blank_end", "hash_in_user", "hash_user", "user_100", "user_16",
+            "x1f_after_lat", "x1c_before_label"])
     def test_lines_and_users(self, tmp_path, body, fast):
-        assert (ingest_mod._loadtxt_values(body.encode()) is not None) == fast
+        assert _loadtxt_reads(body) == fast
         _read_as_oracle(self._write(tmp_path, body))
 
     # A label of one digit has no underscore form, so it is written 01.
@@ -881,7 +1089,7 @@ class TestLoadtxtDivergences:
         cells = dict(zip(DATASET_COLUMNS, self.ROW.split(",")))
         cells[column] = DIGIT_FORMS[form](text)
         body = f"{self.ROW}\n" + ",".join(cells.values()) + "\n"
-        assert ingest_mod._loadtxt_values(body.encode()) is None
+        assert not _loadtxt_reads(body)
         path = self._write(tmp_path, body)
         _read_as_oracle(path)
         assert getattr(read_dataset_csv(path), column)[1] == value
@@ -892,7 +1100,7 @@ class TestLoadtxtDivergences:
         (f"{ROW}\r\n{ROW}", "\r\n"),
     ], ids=["crlf", "unterminated", "crlf_unterminated"])
     def test_line_ends(self, tmp_path, body, end):
-        assert ingest_mod._loadtxt_values(body.encode()) is not None
+        assert _loadtxt_reads(body)
         _read_as_oracle(self._write(tmp_path, body, end))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
@@ -942,7 +1150,7 @@ class TestLoadtxtMatchesRowOracle:
             lines.insert(min(at, len(lines)), "")
         body = end.join(lines) + (end if terminated and lines else "")
         event(f"loadtxt reads the body as one block: "
-              f"{bool(body) and ingest_mod._loadtxt_values(body.encode()) is not None}")
+              f"{bool(body) and _loadtxt_reads(body)}")
         event(f"line end {end!r}, terminated: {terminated}")
         path = tmp_path_factory.mktemp("csv") / "dataset.csv"
         path.write_text(",".join(DATASET_COLUMNS) + end + body, encoding="utf-8", newline="")
