@@ -255,7 +255,7 @@ def _loadtxt_values(block: bytes, dtype, delimiter: str = ",",
     next to a byte of _LOADTXT_SPACE) or skips a line (a blank one, a
     record of no fields). A value may fill a str field, where loadtxt may
     have cut it: the caller checks (_fills)."""
-    lines = block.count(b"\n") + (block[-1:] != b"\n")
+    lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")) + (block[-1:] != b"\n")
     # len(block) <= 2 * lines: maybe blank lines only, which loadtxt would warn of
     if len(block) <= 2 * lines or any(byte in block for byte in _LOADTXT_SPACE):
         return None

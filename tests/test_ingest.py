@@ -716,6 +716,7 @@ LABEL_DIVERGENCES = {
     "U+2028 in mode": LABEL_ROW.replace("train", "tr\u2028ain"),
     "x1f after start": LABEL_ROW.replace(STAMP, STAMP + "\x1f"),
     "4 fields": LABEL_ROW + "\tx",
+    "two tabs": LABEL_ROW.replace("\ttrain", "\t\ttrain"),
     "2 fields": LABEL_ROW.rsplit("\t", 1)[0],
     "blank line": f"{LABEL_ROW}\n\n{LABEL_ROW}",
     "lone CR": f"{LABEL_ROW}\r{LABEL_ROW}",
