@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -461,13 +461,41 @@ def map_mode(mode: str, modes: tuple[str, ...] = DEFAULT_MODES) -> int | None:
     return None
 
 
-def _haversine_m(lat1, lon1, lat2, lon2):
-    r = 6371000.0
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2 * r * math.asin(math.sqrt(a))
+_DEG = math.pi / 180.0  # math.radians(x) is x * _DEG
+
+
+def _each(f: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """f(v, *args) for each value v of x, as a float64 array."""
+    return np.fromiter(map(f, x.tolist(), *map(repeat, args)), np.float64, x.size)
+
+
+def _normalized_speed(time: np.ndarray, lat: np.ndarray, lon: np.ndarray,
+                      user: np.ndarray) -> np.ndarray:
+    """Each point's haversine speed from the point before it, over the
+    largest such speed; 0 at a user's first point and where time does
+    not increase.
+
+    The distance is the math-module haversine of one pair, evaluated on
+    arrays in the same order, so it is equal bit for bit: math's cos,
+    sin, pow and asin are mapped over the values, because numpy's need
+    not round as they do (its arcsin and square differ in some pairs per
+    10^5), which would change the dataset CSV; + - * / and sqrt are
+    numpy's, which round them as Python does. cos is taken once per
+    point of a pair.
+    """
+    speeds = np.zeros(time.size)
+    at = np.flatnonzero((user[1:] == user[:-1]) & (time[1:] > time[:-1])) + 1
+    p = lat * _DEG
+    paired = np.zeros(time.size, dtype=bool)
+    paired[at - 1] = paired[at] = True
+    cos_p = np.zeros(time.size)
+    cos_p[paired] = _each(math.cos, p[paired])
+    dl = (lon[at] - lon[at - 1]) * _DEG
+    a = (_each(pow, _each(math.sin, (p[at] - p[at - 1]) / 2), 2.0)
+         + cos_p[at - 1] * cos_p[at] * _each(pow, _each(math.sin, dl / 2), 2.0))
+    speeds[at] = 2 * 6371000.0 * _each(math.asin, np.sqrt(a)) / (time[at] - time[at - 1])
+    top = speeds.max()
+    return speeds / top if top > 0 else speeds
 
 
 def _metadata_scalars(
@@ -480,17 +508,7 @@ def _metadata_scalars(
     if feature == "normalized_alt":
         return normalize_column(alt, stats.bounds("alt"), config)
     if feature == "normalized_speed":
-        # math-module haversine per consecutive pair: numpy's sin/cos
-        # round differently in a few pairs per 10^5, which would change
-        # the dataset CSV.
-        speeds = np.zeros(time.size)
-        moving = (user[1:] == user[:-1]) & (time[1:] > time[:-1])
-        t, la, lo = time.tolist(), lat.tolist(), lon.tolist()
-        for i in (np.flatnonzero(moving) + 1).tolist():
-            dist = _haversine_m(la[i - 1], lo[i - 1], la[i], lo[i])
-            speeds[i] = dist / (t[i] - t[i - 1])
-        top = speeds.max()
-        return speeds / top if top > 0 else speeds
+        return _normalized_speed(time, lat, lon, user)
     raise ConfigError(f"unknown metadata feature {feature!r}")
 
 

@@ -9,16 +9,22 @@ temp-file-then-rename.
 
 Record ids are assigned by the store and strictly increase. Vectors are
 stored as little-endian float32, one blob per record.
+
+A record is a VectorRecord, a NamedTuple, so a fetch builds all of its
+records in one C-level pass with no Python call per record. It keeps
+the contract of a frozen value: equal when every field is, the vector
+by its values; unequal to a plain tuple; unhashable, immutable and
+unordered.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import sqlite3
 import struct
 import tempfile
-from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,14 +52,18 @@ DDL = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorRecord:
+class VectorRecord(NamedTuple):
+    """One stored heatmap vector: VectorRecord(record_id, user, label,
+    vector, created_at), by position or keyword."""
     record_id: int
     user: str
     label: int
     vector: np.ndarray  # (grid_size^2,) float32
     created_at: int     # UTC seconds
 
+    # tuple's ==, != and hash would compare or hash the vector element-wise,
+    # and its <, <=, >, >= order records by record_id; a record compares
+    # as a value and is neither hashable nor ordered.
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VectorRecord)
@@ -64,6 +74,16 @@ class VectorRecord:
             and np.array_equal(self.vector, other.vector)
         )
 
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = None
+
+    def __lt__(self, other):
+        raise TypeError("VectorRecords have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
 
 def _user_bytes(user: str) -> bytes:
     """user as UTF-8; a str that has none (a lone surrogate) raises ValidationError."""
@@ -73,19 +93,33 @@ def _user_bytes(user: str) -> bytes:
         raise ValidationError(f"user {user!r} is not valid UTF-8") from None
 
 
-def _validate(record: VectorRecord, vector_len: int) -> np.ndarray:
+def _validate(record: VectorRecord, vector_len: int) -> VectorRecord:
+    """record as stored: its vector as little-endian float32, its label
+    and created_at as Python ints; a field out of range raises
+    ValidationError."""
     vec = np.asarray(record.vector, dtype="<f4")
     if vec.ndim != 1 or vec.size != vector_len:
         raise ValidationError(
             f"vector length {vec.size} != expected {vector_len}"
         )
-    if not 0 <= record.label <= 6:
-        raise ValidationError(f"label {record.label} outside 0..6")
+    label = _integer("label", record.label)
+    if not 0 <= label <= 6:
+        raise ValidationError(f"label {label} outside 0..6")
     if len(_user_bytes(record.user)) > 0xFFFF:
         raise ValidationError("user longer than 65,535 UTF-8 bytes")
-    if not _INT64[0] <= record.created_at <= _INT64[1]:
-        raise ValidationError(f"created_at {record.created_at} outside int64")
-    return vec
+    created_at = _integer("created_at", record.created_at)
+    if not _INT64[0] <= created_at <= _INT64[1]:
+        raise ValidationError(f"created_at {created_at} outside int64")
+    return VectorRecord(record.record_id, record.user, label, vec, created_at)
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, through operator.index; a value that is not
+    an integer (a float, a str) raises ValidationError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not an integer") from None
 
 
 def _build_records(ids: Sequence[int], users: Sequence[bytes | str], labels: Sequence[int],
@@ -95,8 +129,11 @@ def _build_records(ids: Sequence[int], users: Sequence[bytes | str], labels: Seq
 
     vectors is a writable buffer of the hits' float32 values, joined;
     each record gets its own row of it. A user given as bytes is decoded
-    once per distinct value; one that is not UTF-8 raises SchemaMismatch
-    with where(i), which names the first hit i that holds it.
+    once per distinct value, and every record of a user shares one str;
+    one that is not UTF-8 raises SchemaMismatch with where(i), which
+    names the first hit i that holds it. The records are made by
+    tuple.__new__ over the zipped columns, so no Python code runs per
+    record.
     """
     names = dict.fromkeys(users)
     for user in names:
@@ -105,7 +142,8 @@ def _build_records(ids: Sequence[int], users: Sequence[bytes | str], labels: Seq
         except UnicodeDecodeError as exc:
             raise SchemaMismatch(f"{where(users.index(user))} is not UTF-8") from exc
     rows = np.frombuffer(vectors, dtype="<f4").reshape(len(users), vector_len)
-    return list(map(VectorRecord, ids, map(names.__getitem__, users), labels, rows, created_at))
+    fields = zip(ids, map(names.__getitem__, users), labels, rows, created_at)
+    return list(map(tuple.__new__, repeat(VectorRecord), fields))
 
 
 def _gather(data: bytes, at: np.ndarray, width: int) -> np.ndarray:
@@ -188,7 +226,7 @@ class SqlVectorStore(VectorStore):
     def insert_batch(self, records: Sequence[VectorRecord]) -> int:
         if not records:
             return 0
-        vectors = [_validate(r, self._vector_len) for r in records]
+        records = [_validate(r, self._vector_len) for r in records]
         cur = self._conn.cursor()
         try:
             cur.execute("SELECT MAX(record_id) FROM trajectory_vectors")
@@ -199,8 +237,8 @@ class SqlVectorStore(VectorStore):
                 " (record_id, user_id, label, vec, created_at)"
                 " VALUES (?, ?, ?, ?, ?)",
                 [
-                    (next_id + i, r.user, r.label, vec.tobytes(), r.created_at)
-                    for i, (r, vec) in enumerate(zip(records, vectors))
+                    (next_id + i, r.user, r.label, r.vector.tobytes(), r.created_at)
+                    for i, r in enumerate(records)
                 ],
             )
             self._conn.commit()
@@ -426,7 +464,7 @@ class FileVectorStore(VectorStore):
             _gather(data, index.vectors[hits], 4 * self._vector_len),
             self._vector_len, lambda i: f"{self.path}: user of record at byte {offsets[i]}")
         if not index.in_id_order:
-            out.sort(key=attrgetter("record_id"))
+            out.sort(key=operator.attrgetter("record_id"))
         return out
 
     def _upgrade_v1(self) -> _Header:
@@ -442,25 +480,24 @@ class FileVectorStore(VectorStore):
         self._write_atomic(self._pack_header(header.count, end) + body)
         return _Header(FILE_VERSION, header.count, _HEADER.size, end)
 
-    def _pack_records(self, records: Sequence[VectorRecord],
-                      vectors: list[np.ndarray], first_id: int) -> bytes:
+    def _pack_records(self, records: Sequence[VectorRecord], first_id: int) -> bytes:
         parts = []
-        for i, (record, vec) in enumerate(zip(records, vectors)):
+        for i, record in enumerate(records):
             user = record.user.encode("utf-8")
             parts += (_RECORD_HEAD.pack(first_id + i, len(user)), user,
                       _RECORD_TAIL.pack(record.label, record.created_at),
-                      vec.tobytes())
+                      record.vector.tobytes())
         return b"".join(parts)
 
     def insert_batch(self, records: Sequence[VectorRecord]) -> int:
         if not records:
             return 0
-        vectors = [_validate(r, self._vector_len) for r in records]
+        records = [_validate(r, self._vector_len) for r in records]
         header = self._read_header()
         if header.version == 1:
             header = self._upgrade_v1()
         count, end = header.count, header.end
-        payload = self._pack_records(records, vectors, count + 1)
+        payload = self._pack_records(records, count + 1)
         index, self._index = self._index, None
         try:
             with open(self.path, "r+b") as fh:

@@ -806,6 +806,29 @@ def bisect_assign_labels(times, spans) -> list[int]:
     return out
 
 
+def _haversine_m(lat1, lon1, lat2, lon2):
+    r = 6371000.0
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dp = p2 - p1
+    dl = math.radians(lon2 - lon1)
+    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
+    return 2 * r * math.asin(math.sqrt(a))
+
+
+def pair_loop_normalized_speed(time, lat, lon, user) -> np.ndarray:
+    """The normalized_speed feature by a Python loop over consecutive
+    pairs: a math-module haversine and one division per pair of one user
+    whose time increases, then every speed over the largest."""
+    speeds = np.zeros(time.size)
+    moving = (user[1:] == user[:-1]) & (time[1:] > time[:-1])
+    t, la, lo = time.tolist(), lat.tolist(), lon.tolist()
+    for i in (np.flatnonzero(moving) + 1).tolist():
+        dist = _haversine_m(la[i - 1], lo[i - 1], la[i], lo[i])
+        speeds[i] = dist / (t[i] - t[i - 1])
+    top = speeds.max()
+    return speeds / top if top > 0 else speeds
+
+
 # --- tuple-based split --------------------------------------------------
 # The train command's set-up as it was before it split row indices: the
 # feature arrays themselves, or the hybrid's (features, grids) tuple,

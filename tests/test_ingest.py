@@ -42,6 +42,7 @@ from veclstm.vectorizer import NormalizationStats, is_missing
 
 from _oracles import (
     bisect_assign_labels,
+    pair_loop_normalized_speed,
     row_parse_labels,
     row_parse_plt,
     row_read_dataset_csv,
@@ -306,6 +307,53 @@ class TestBuildDataset:
         speeds = [m / 10 for m in meters]
         assert dataset.metadata.tolist() == pytest.approx([v / max(speeds) for v in speeds],
                                                           abs=1e-12)
+
+
+class TestNormalizedSpeedMatchesPairLoop:
+    """The array haversine against the math-module loop, bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(time, lat, lon, user):
+        got = ingest_mod._normalized_speed(time, lat, lon, user)
+        expected = pair_loop_normalized_speed(time, lat, lon, user)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spread", ["walk", "globe"])
+    def test_random_points(self, spread):
+        # 2e5 points: numpy's own sin and cos differ from math's in a few
+        # pairs per 1e5, so a mapped function left out would show.
+        rng = np.random.default_rng(17)
+        n = 200_000
+        if spread == "walk":
+            lat = 39.9 + np.cumsum(rng.normal(scale=1e-4, size=n))
+            lon = 116.3 + np.cumsum(rng.normal(scale=1e-4, size=n))
+        else:
+            lat, lon = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+        # Steps of 0 (equal timestamps) and -1 (time going back) are not
+        # pairs; 300 users give as many boundaries.
+        time = np.cumsum(rng.choice([-1, 0, 1, 2, 5, 60], size=n)).astype(np.int64)
+        user = np.repeat(np.arange(300), np.diff(np.linspace(0, n, 301).astype(int)))
+        self.assert_bits_equal(time, lat, lon, user.astype(str))
+
+    @pytest.mark.parametrize("time, lat, user", [
+        ([5], [39.9], ["u"]),
+        ([5, 5, 5], [39.9, 40.0, 40.1], ["u"] * 3),  # no pair: all 0
+        ([0, 10, 20], [39.9, 40.0, 40.1], ["a", "b", "c"]),  # only boundaries
+        ([0, 10, 20, 30], [39.9, 40.0, 40.0, 39.9], ["a", "a", "a", "a"]),  # no move
+        ([0, 10, 0, 5, 10], [39.9, 40.0, math.inf, 40.1, 40.2], ["a", "a", "b", "c", "c"]),
+        ([0, 10, 20], [39.9, math.nan, 40.0], ["a"] * 3),
+        ([0, 1, 2], [90.0, -90.0, 90.0], ["a"] * 3),  # antipodes
+    ])
+    def test_edge_cases(self, time, lat, user):
+        lon = np.linspace(116.0, 117.0, len(time))
+        self.assert_bits_equal(np.array(time, dtype=np.int64), np.array(lat), lon,
+                               np.array(user, dtype=object))
+
+    def test_ingested_tree(self, geolife_tree):
+        dataset = ingest_geolife(geolife_tree, metadata_feature="normalized_speed").dataset
+        expected = pair_loop_normalized_speed(dataset.time, dataset.lat, dataset.lon,
+                                              dataset.user)
+        assert dataset.metadata.tobytes() == expected.tobytes()
 
 
 class TestGeolifeTree:
