@@ -214,7 +214,7 @@ def _group_records(dataset: ingest_mod.Dataset, config: VectorizationConfig,
     user, label = dataset.user[order], dataset.label[order]
     starts = np.flatnonzero(np.concatenate(
         ([True], (user[1:] != user[:-1]) | (label[1:] != label[:-1]))))
-    coords = np.column_stack((dataset.lat, dataset.lon, dataset.alt))[order]
+    coords = np.column_stack((dataset.lat, dataset.lon))[order]
     return [
         VectorRecord(record_id=0, user=user[lo], label=int(label[lo]),
                      vector=vectorize_trajectory(coords[lo:hi], config,
@@ -281,20 +281,20 @@ def split_rows(labels: np.ndarray, train: TrainConfig):
     and row counts; the validation split may be empty. The calls go
     through this module's names, which the traced benchmark run wraps.
     """
-    (rest, y_rest), test = train_test_split(
-        np.arange(labels.size), labels, train.test_fraction, train.seed)
+    rest, test = train_test_split(labels.size, train.test_fraction, train.seed)
     where = f"test_fraction {train.test_fraction} of {labels.size} rows"
-    if not test[0].size:
+    if not test.size:
         raise TooFewSamples(f"{where} leaves no test rows")
     if rest.size < 2:
         raise TooFewSamples(f"{where} leaves {rest.size} rows for training and"
                             " validation, need at least 2")
-    (rows, y_rows), val = train_test_split(
-        rest, y_rest, train.validation_fraction, train.seed + 1)
+    rows, val = train_test_split(rest.size, train.validation_fraction, train.seed + 1)
+    rows, val = rest[rows], rest[val]
     if not rows.size:
         raise TooFewSamples(f"validation_fraction {train.validation_fraction}"
                             f" of {rest.size} rows leaves no training rows")
-    return random_oversample(rows, y_rows, train.seed + 2), val, test
+    rows = rows[random_oversample(labels[rows], train.seed + 2)]
+    return (rows, labels[rows]), (val, labels[val]), (test, labels[test])
 
 
 def prepare_splits(

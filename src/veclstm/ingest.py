@@ -28,6 +28,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -40,6 +41,7 @@ from .vectorizer import (
     MISSING,
     NormalizationStats,
     VectorizationConfig,
+    column_bounds,
     fit_stats,
     is_missing,
     normalize_column,
@@ -77,7 +79,11 @@ class Dataset:
     label: np.ndarray     # int64 mode code
     user: np.ndarray      # object array of str
     metadata: np.ndarray  # float64 scalar feature in [0, 1]
-    stats: NormalizationStats
+
+    @cached_property
+    def stats(self) -> NormalizationStats:
+        """The lat and lon bounds to bin against, fitted at the first read."""
+        return fit_stats(self.lat, self.lon)
 
     def __len__(self) -> int:
         return self.time.size
@@ -500,13 +506,12 @@ def _normalized_speed(time: np.ndarray, lat: np.ndarray, lon: np.ndarray,
 
 def _metadata_scalars(
     time: np.ndarray, lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
-    user: np.ndarray, stats: NormalizationStats, config: VectorizationConfig,
-    feature: str,
+    user: np.ndarray, config: VectorizationConfig, feature: str,
 ) -> np.ndarray:
     if feature == "cell_density":
-        return vectorize_metadata(sample_cell_grids(lat, lon, stats, config))
+        return vectorize_metadata(sample_cell_grids(lat, lon, fit_stats(lat, lon), config))
     if feature == "normalized_alt":
-        return normalize_column(alt, stats.bounds("alt"), config)
+        return normalize_column(alt, column_bounds(alt), config)
     if feature == "normalized_speed":
         return _normalized_speed(time, lat, lon, user)
     raise ConfigError(f"unknown metadata feature {feature!r}")
@@ -532,10 +537,9 @@ def build_dataset(
     order = np.lexsort((time, user))
     time, lat, lon, alt, label, user = (
         np.asarray(col)[order] for col in (time, lat, lon, alt, label, user))
-    stats = fit_stats(lat, lon, alt)
-    metadata = _metadata_scalars(time, lat, lon, alt, user, stats, config, metadata_feature)
+    metadata = _metadata_scalars(time, lat, lon, alt, user, config, metadata_feature)
     return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label, user=user,
-                   metadata=metadata, stats=stats)
+                   metadata=metadata)
 
 
 # --- directory walking -------------------------------------------------
@@ -873,6 +877,4 @@ def read_dataset_csv(path: Path) -> Dataset:
         raise
     if not n:
         raise EmptyDataset(f"{path} contains a header but no rows")
-    time, lat, lon, alt, label, user, metadata = (column[:n] for column in columns)
-    return Dataset(time=time, lat=lat, lon=lon, alt=alt, label=label, user=user,
-                   metadata=metadata, stats=fit_stats(lat, lon, alt))
+    return Dataset(*(column[:n] for column in columns))

@@ -104,22 +104,14 @@ def _take(x, idx):
     return x[idx]
 
 
-def train_test_split(x: np.ndarray, y, test_fraction: float, seed: int):
-    """Seeded uniform shuffle then split; test gets round(n * fraction).
-
-    Returns ((x_train, y_train), (x_test, y_test)).
-    """
-    y = np.asarray(y)
-    n = len(x)
-    if n != len(y):
-        raise ShapeMismatch(f"{n} samples but {len(y)} labels")
+def train_test_split(n: int, test_fraction: float, seed: int):
+    """A seeded uniform shuffle of the positions 0..n-1, split into the
+    int64 arrays (train, test); test gets round(n * test_fraction)."""
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return (x[train_idx], y[train_idx]), (x[test_idx], y[test_idx])
+    return perm[n_test:], perm[:n_test]
 
 
 class StandardScaler:
@@ -171,28 +163,21 @@ def encode_labels(labels, n_classes: int = 7) -> np.ndarray:
     return codes
 
 
-def random_oversample(x: np.ndarray, y, seed: int):
-    """Duplicate minority-class samples (with replacement, seeded) until
-    every present class matches the majority count. Originals all stay,
-    in their original order; duplicates follow, grouped by class code.
+def random_oversample(labels, seed: int) -> np.ndarray:
+    """The positions of labels with minority-class samples duplicated
+    (with replacement, seeded) until every present class matches the
+    majority count. Every original position comes first, in order; the
+    duplicates follow, grouped by class code.
     """
-    y = np.asarray(y)
+    y = np.asarray(labels)
     if y.size == 0:
         raise EmptyClassSet("nothing to oversample")
     rng = np.random.default_rng(seed)
     classes, counts = np.unique(y, return_counts=True)
     target = counts.max()
-    extra: list[np.ndarray] = []
-    for cls, count in zip(classes, counts):
-        deficit = int(target - count)
-        if deficit == 0:
-            continue
-        pool = np.nonzero(y == cls)[0]
-        extra.append(rng.choice(pool, size=deficit, replace=True))
-    if not extra:
-        return x, y
-    idx = np.concatenate([np.arange(y.size)] + extra)
-    return x[idx], y[idx]
+    extra = [rng.choice(np.nonzero(y == cls)[0], size=int(target - count), replace=True)
+             for cls, count in zip(classes, counts) if count < target]
+    return np.concatenate([np.arange(y.size)] + extra)
 
 
 # --- Adam ----------------------------------------------------------------
@@ -470,12 +455,13 @@ def benchmark_pipelines(
     features, so they end with bit-identical parameters and losses.
     t_novec and t_vec cover the epoch loops; t_vectorization is the
     vectorized side's one-time cost, the binning of cells included.
+    Only lat and lon are binned; alt is not read.
     """
     rows = np.arange(len(lat)) if rows is None else np.asarray(rows)
     codes = np.asarray(labels)[rows]
 
     t0 = time.perf_counter()
-    stats = fit_stats(lat, lon, alt)
+    stats = fit_stats(lat, lon)
     cells = sample_cell_grids(lat, lon, stats, vec_config)
     raw = vectorize_metadata(cells).reshape(-1, 1)
     scaler = StandardScaler.fit(raw[rows])

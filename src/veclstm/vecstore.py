@@ -86,7 +86,10 @@ class VectorRecord(NamedTuple):
 
 
 def _user_bytes(user: str) -> bytes:
-    """user as UTF-8; a str that has none (a lone surrogate) raises ValidationError."""
+    """user as UTF-8; a user that is not a str, or a str that has none (a
+    lone surrogate), raises ValidationError."""
+    if not isinstance(user, str):
+        raise ValidationError(f"user {user!r} is not a str")
     try:
         return user.encode("utf-8")
     except UnicodeEncodeError:
@@ -120,6 +123,23 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} {value!r} is not an integer") from None
+
+
+def _filters(user, label, id_range) -> tuple[bytes | None, int | None, tuple[int, int] | None]:
+    """A fetch's filters as both stores compare them: user as its UTF-8
+    bytes, label and the id_range bounds as Python ints, each None when
+    not given. A filter of another kind raises ValidationError naming it."""
+    if user is not None:
+        user = _user_bytes(user)
+    if label is not None:
+        label = _integer("label", label)
+    if id_range is not None:
+        try:
+            lo, hi = id_range
+        except (TypeError, ValueError):
+            raise ValidationError(f"id_range {id_range!r} is not a (low, high) pair") from None
+        id_range = (_integer("id_range low", lo), _integer("id_range high", hi))
+    return user, label, id_range
 
 
 def _build_records(ids: Sequence[int], users: Sequence[bytes | str], labels: Sequence[int],
@@ -248,9 +268,13 @@ class SqlVectorStore(VectorStore):
         return len(records)
 
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:
+        _, label, id_range = _filters(user, label, id_range)
+        if id_range is not None:  # record ids are int64, and sqlite binds no wider int
+            id_range = max(id_range[0], _INT64[0]), min(id_range[1], _INT64[1])
+        if (label is not None and not 0 <= label <= 6) or (id_range and id_range[0] > id_range[1]):
+            return []
         clauses, args = [], []
         if user is not None:
-            _user_bytes(user)
             clauses.append("user_id = ?")
             args.append(user)
         if label is not None:
@@ -440,9 +464,9 @@ class FileVectorStore(VectorStore):
             in_id_order=bool(np.all(ids[1:] >= ids[:-1])))
 
     def _records(self, data: bytes, header: _Header,
-                 user: str | None = None, label: int | None = None,
+                 user: bytes | None = None, label: int | None = None,
                  id_range: tuple[int, int] | None = None) -> list[VectorRecord]:
-        """The records of the file bytes `data` that pass the filters, in
+        """The records of the file bytes `data` that pass the _filters, in
         id order. The index of the last bytes scanned serves while the
         bytes are equal; other bytes are scanned anew."""
         index = self._index
@@ -450,7 +474,7 @@ class FileVectorStore(VectorStore):
             index = self._index = self._scan(data, header)
         keep = np.ones(index.ids.size, dtype=bool)
         if user is not None:
-            keep &= index.users == index.user_codes.get(_user_bytes(user), -1)
+            keep &= index.users == index.user_codes.get(user, -1)
         if label is not None:
             keep &= index.labels == label
         if id_range is not None:
@@ -528,7 +552,8 @@ class FileVectorStore(VectorStore):
         return len(records)
 
     def fetch(self, user=None, label=None, id_range=None) -> list[VectorRecord]:
-        return self._records(*self._read_all(), user, label, id_range)
+        filters = _filters(user, label, id_range)
+        return self._records(*self._read_all(), *filters)
 
     def count(self) -> int:
         return self._read_header().count

@@ -5,8 +5,8 @@ against fitted bounds, missing values replaced by a configured default,
 and the normalized (lat, lon) pairs binned into a G x G histogram. The
 flattened histogram is the vector representation; the per-sample
 "metadata" feature is a sample's cell density relative to the densest
-cell. Altitude is fitted with the other columns but normalized only for
-the `normalized_alt` metadata feature.
+cell. Altitude is never binned: only the `normalized_alt` metadata
+feature fits its bounds, through column_bounds.
 """
 
 from __future__ import annotations
@@ -27,21 +27,15 @@ def is_missing(value: float) -> bool:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-dimension (lat, lon, alt) min and max over non-missing values."""
+    """The lat and lon min and max over non-missing values."""
 
     lat_min: float
     lat_max: float
     lon_min: float
     lon_max: float
-    alt_min: float
-    alt_max: float
 
     def bounds(self, dim: str) -> tuple[float, float]:
-        return {
-            "lat": (self.lat_min, self.lat_max),
-            "lon": (self.lon_min, self.lon_max),
-            "alt": (self.alt_min, self.alt_max),
-        }[dim]
+        return {"lat": (self.lat_min, self.lat_max), "lon": (self.lon_min, self.lon_max)}[dim]
 
 
 @dataclass(frozen=True)
@@ -69,22 +63,21 @@ class GridHeatmap:
         return self.grid.reshape(-1)
 
 
-def fit_stats(lat: np.ndarray, lon: np.ndarray, alt: np.ndarray) -> NormalizationStats:
-    """Min/max per column, ignoring missing values.
+def column_bounds(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a column, ignoring missing values; (0, 1) when it
+    has no non-missing value."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[~np.isnan(values)]
+    if values.size == 0:
+        return 0.0, 1.0
+    return float(values.min()), float(values.max())
 
-    A dimension with no non-missing values falls back to (0, 1).
-    """
+
+def fit_stats(lat: np.ndarray, lon: np.ndarray) -> NormalizationStats:
+    """The column_bounds of lat and of lon."""
     if len(lat) == 0:
         raise EmptyInput("cannot fit normalization stats on no points")
-    bounds = []
-    for values in (lat, lon, alt):
-        values = np.asarray(values, dtype=np.float64)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            bounds.extend((0.0, 1.0))
-        else:
-            bounds.extend((float(values.min()), float(values.max())))
-    return NormalizationStats(*bounds)
+    return NormalizationStats(*column_bounds(lat), *column_bounds(lon))
 
 
 def min_max_normalize(value: float, lo: float, hi: float) -> float:
@@ -149,22 +142,22 @@ def histogram2d(
 
 
 def vectorize_trajectory(
-    points: list[tuple[float, float, float]],
+    points: list[tuple[float, ...]],
     config: VectorizationConfig = VectorizationConfig(),
     stats: NormalizationStats | None = None,
 ) -> np.ndarray:
     """Full pipeline: fit stats, normalize, impute, bin, flatten to G^2.
 
-    points is a sequence of (lat, lon, alt) rows, or an (N, 3) array.
-    Pass precomputed stats to bin against dataset-wide bounds instead of
-    this trajectory's own.
+    points is a sequence of (lat, lon, ...) rows, or an (N, K >= 2) array;
+    only the lat and lon columns are read. Pass precomputed stats to bin
+    against dataset-wide bounds instead of this trajectory's own.
     """
     if len(points) == 0:
         raise EmptyInput("cannot vectorize an empty trajectory")
     arr = np.asarray(points, dtype=np.float64)
-    lat, lon, alt = arr[:, 0], arr[:, 1], arr[:, 2]
+    lat, lon = arr[:, 0], arr[:, 1]
     if stats is None:
-        stats = fit_stats(lat, lon, alt)
+        stats = fit_stats(lat, lon)
     norm_lat = normalize_column(lat, stats.bounds("lat"), config)
     norm_lon = normalize_column(lon, stats.bounds("lon"), config)
     return histogram2d(norm_lat, norm_lon, config).flatten()

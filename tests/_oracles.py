@@ -349,7 +349,7 @@ def brute_force_histogram(norm_lat, norm_lon, grid_size):
     return np.array(grid, dtype=np.float64)
 
 
-def self_fitting_vectorize_metadata(lat, lon, alt, config=None):
+def self_fitting_vectorize_metadata(lat, lon, config=None):
     """The density feature as it was computed before the caller passed in
     the cells: fit the stats, normalize and index the cells itself."""
     from veclstm.errors import EmptyInput
@@ -358,7 +358,7 @@ def self_fitting_vectorize_metadata(lat, lon, alt, config=None):
     config = VectorizationConfig() if config is None else config
     if len(lat) == 0:
         raise EmptyInput("cannot vectorize metadata of an empty dataset")
-    stats = fit_stats(lat, lon, alt)
+    stats = fit_stats(lat, lon)
     norm = []
     for values, dim in ((lat, "lat"), (lon, "lon")):
         lo, hi = stats.bounds(dim)

@@ -133,12 +133,10 @@ def separable_dataset(n: int, seed: int = 7, class_codes=(0, 1, 2),
         label.append(np.full(size, code, dtype=np.int64))
     lat, lon, label = (np.concatenate(col) for col in (lat, lon, label))
     alt = np.full(lat.size, 50.0)
-    stats = fit_stats(lat, lon, alt)
     return Dataset(
         time=np.arange(1_200_000_000, 1_200_000_000 + lat.size, dtype=np.int64),
         lat=lat, lon=lon, alt=alt, label=label,
         user=np.array([f"u{code}" for code in label.tolist()], dtype=object),
         # the density metadata of the assembled cloud
-        metadata=vectorize_metadata(sample_cell_grids(lat, lon, stats)),
-        stats=stats,
+        metadata=vectorize_metadata(sample_cell_grids(lat, lon, fit_stats(lat, lon))),
     )

@@ -55,7 +55,11 @@ def test_record_has_medians_quartiles_and_wins(path):
                                     for m in BENCHMARK["end_to_end"]},
                         "failed": record["failed"][side][i]} for i in range(PAIRS)]
                 for side in SIDES}
-        assert summarize(runs, BENCHMARK["end_to_end"]) == metrics, workload["name"]
+        derived = summarize(runs, BENCHMARK["end_to_end"])
+        for name, entry in derived.items():
+            if "verdict" not in metrics[name]:  # the records before the tool gave one
+                del entry["verdict"]
+        assert derived == metrics, workload["name"]
 
 
 # The tool hashes each side's src/ from this record on.
@@ -97,24 +101,46 @@ def test_source_digest_follows_paths_and_bytes_only(tmp_path):
     assert source_digest(second) != digest
 
 
+MS = {"name": "ms", "unit": "ms", "better": "lower", "bound": 0.25}
+
+
 def test_pair_wins_follow_each_metric_direction():
     runs = {
         "parent": [{"metrics": {"ms": 5.0, "rate": 10.0}, "failed": 0} for _ in range(4)],
         "change": [{"metrics": {"ms": v, "rate": v}, "failed": 0} for v in (4.0, 4.0, 5.0, 6.0)],
     }
-    out = summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"},
-                           {"name": "rate", "unit": "1/s", "better": "higher"}])
+    out = summarize(runs, [MS, {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}])
     assert (out["ms"]["change_wins"], out["ms"]["parent_wins"]) == (2, 1)
     assert (out["rate"]["change_wins"], out["rate"]["parent_wins"]) == (0, 4)
     assert out["ms"]["parent"]["median"] == 5.0 and out["ms"]["change"]["median"] == 4.5
     assert not out["ms"]["claim_met"]
     runs["change"] = [{"metrics": {"ms": 4.0, "rate": 4.0}, "failed": 0} for _ in range(4)]
-    assert summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+    assert summarize(runs, [MS])["ms"]["claim_met"]
     # a gain does not count when the change fails more operations
     runs["change"][2]["failed"] = 1
-    assert not summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+    assert not summarize(runs, [MS])["ms"]["claim_met"]
     runs["parent"][0]["failed"] = 1
-    assert summarize(runs, [{"name": "ms", "unit": "ms", "better": "lower"}])["ms"]["claim_met"]
+    assert summarize(runs, [MS])["ms"]["claim_met"]
+
+
+def test_verdict_holds_each_metric_to_its_bound():
+    def verdict(parent, change, better="lower"):
+        runs = {side: [{"metrics": {"ms": v}, "failed": 0} for v in values]
+                for side, values in (("parent", parent), ("change", change))}
+        return summarize(runs, [{**MS, "better": better}])["ms"]["verdict"]
+
+    steady = [10.0] * 4
+    assert verdict(steady, [12.0] * 4) == "within_bound"  # 20% worse
+    assert verdict(steady, [13.0] * 4) == "worse"  # 30% worse
+    assert verdict(steady, [13.0] * 4, better="higher") == "within_bound"
+    assert verdict(steady, [7.0] * 4, better="higher") == "worse"
+    # quartiles 7.5 and 12.5 of a median of 10: a spread of 50%, over the bound
+    wide = [6.0, 8.0, 12.0, 14.0]
+    assert verdict(wide, steady) == "unresolved"
+    assert verdict(wide, [20.0] * 4) == "unresolved"
+    assert verdict(wide, [5.0, 5.0, 5.0, 5.9]) == "within_bound"  # every run beats every run
+    assert verdict(wide, [5.0, 5.0, 5.0, 6.0]) == "unresolved"  # a tie with the best parent run
+    assert verdict(wide, [14.1] * 4, better="higher") == "within_bound"
 
 
 def test_failed_run_reports_side_workload_seed_and_stderr_tail(tmp_path, capsys):

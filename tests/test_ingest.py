@@ -38,7 +38,7 @@ from veclstm.ingest import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from veclstm.vectorizer import NormalizationStats, is_missing
+from veclstm.vectorizer import is_missing
 
 from _oracles import (
     bisect_assign_labels,
@@ -905,8 +905,7 @@ class TestDatasetCsvWriterMatchesRowOracle:
             alt=np.array(_column(data, n, floats), dtype=np.float64),
             label=np.array(_column(data, n, ints), dtype=np.int64),
             user=np.array(_column(data, n, users), dtype=object),
-            metadata=np.array(_column(data, n, floats), dtype=np.float64),
-            stats=NormalizationStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+            metadata=np.array(_column(data, n, floats), dtype=np.float64))
         folder = tmp_path_factory.mktemp("csv")
         write_dataset_csv(dataset, folder / "columnar.csv")
         row_write_dataset_csv(dataset, folder / "rows.csv")
@@ -922,8 +921,7 @@ class TestDatasetCsvWriterMatchesRowOracle:
             lat=rng.choice([0.0, -0.0, math.nan, 39.9], n), lon=rng.uniform(116, 117, n),
             alt=rng.choice([math.nan, 1.5, -math.inf], n), label=rng.integers(0, 7, n),
             user=np.array(rng.choice(QUOTED_USERS, n), dtype=object),
-            metadata=rng.choice(rng.uniform(0, 1, 90), n),
-            stats=NormalizationStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+            metadata=rng.choice(rng.uniform(0, 1, 90), n))
         write_dataset_csv(dataset, tmp_path / "columnar.csv")
         row_write_dataset_csv(dataset, tmp_path / "rows.csv")
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -55,31 +55,27 @@ from _oracles import (
 
 class TestSplit:
     def test_sizes(self):
-        x = np.arange(10).reshape(-1, 1)
-        y = np.arange(10)
-        (xtr, ytr), (xte, yte) = train_test_split(x, y, 0.2, seed=0)
-        assert len(ytr) == 8 and len(yte) == 2
+        train, test = train_test_split(10, 0.2, seed=0)
+        assert len(train) == 8 and len(test) == 2
 
     def test_seed_determinism(self):
-        x = np.arange(20).reshape(-1, 1)
-        y = np.arange(20)
-        a = train_test_split(x, y, 0.3, seed=5)
-        b = train_test_split(x, y, 0.3, seed=5)
-        assert np.array_equal(a[0][1], b[0][1])
-        assert np.array_equal(a[1][1], b[1][1])
+        a = train_test_split(20, 0.3, seed=5)
+        b = train_test_split(20, 0.3, seed=5)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_union_is_original_multiset(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(37, 4))
         y = rng.integers(0, 7, 37)
-        (xtr, ytr), (xte, yte) = train_test_split(x, y, 0.25, seed=1)
-        assert as_sorted_multiset(np.vstack([xtr, xte])) == as_sorted_multiset(x)
-        assert sorted(np.concatenate([ytr, yte]).tolist()) == sorted(y.tolist())
-        assert len(ytr) + len(yte) == 37
+        train, test = train_test_split(37, 0.25, seed=1)
+        assert sorted(np.concatenate([train, test]).tolist()) == list(range(37))
+        assert as_sorted_multiset(np.vstack([x[train], x[test]])) == as_sorted_multiset(x)
+        assert sorted(np.concatenate([y[train], y[test]]).tolist()) == sorted(y.tolist())
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
-            train_test_split(np.zeros((1, 1)), np.zeros(1), 0.5, seed=0)
+            train_test_split(1, 0.5, seed=0)
 
 
 class TestScaler:
@@ -152,22 +148,20 @@ class TestOneHot:
 
 class TestOversample:
     def test_deficit_filled(self):
-        x = np.arange(4).reshape(-1, 1).astype(float)
         y = np.array([0, 0, 0, 1])
-        x2, y2 = random_oversample(x, y, seed=0)
+        y2 = y[random_oversample(y, seed=0)]
         assert (y2 == 0).sum() == (y2 == 1).sum() == 3
 
     def test_balanced_input_unchanged(self):
-        x = np.arange(4).reshape(-1, 1).astype(float)
         y = np.array([0, 1, 0, 1])
-        x2, y2 = random_oversample(x, y, seed=0)
-        assert np.array_equal(x2, x) and np.array_equal(y2, y)
+        assert random_oversample(y, seed=0).tolist() == [0, 1, 2, 3]
 
     def test_duplicates_are_copies_of_originals(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(30, 3))
         y = np.concatenate([np.zeros(20, int), np.ones(7, int), np.full(3, 2)])
-        x2, y2 = random_oversample(x, y, seed=4)
+        idx = random_oversample(y, seed=4)
+        x2, y2 = x[idx], y[idx]
         counts = np.bincount(y2)
         assert np.all(counts == 20)
         # originals retained, in order
@@ -180,7 +174,7 @@ class TestOversample:
 
     def test_empty(self):
         with pytest.raises(EmptyClassSet):
-            random_oversample(np.zeros((0, 1)), np.zeros(0, int), seed=0)
+            random_oversample(np.zeros(0, int), seed=0)
 
 
 class TestAdam:
@@ -603,6 +597,6 @@ class TestBenchmark:
         assert report.params_novec.keys() == report.params_vec.keys()
         for key, block in report.params_novec.items():
             assert np.array_equal(block, report.params_vec[key]), key
-        raw = self_fitting_vectorize_metadata(lat, lon, alt, vec_config).reshape(-1, 1)
+        raw = self_fitting_vectorize_metadata(lat, lon, vec_config).reshape(-1, 1)
         scaled = StandardScaler.fit(raw[rows]).transform(raw)
         assert np.array_equal(report.features.reshape(-1, 1), scaled)

@@ -90,6 +90,12 @@ class TestBasics:
             store.fetch(user="a\udcff")
         assert [r.user for r in store.fetch(user="a")] == ["a"]
 
+    @pytest.mark.parametrize("user", [123, b"a", None])
+    def test_user_that_is_not_a_str_rejected(self, store, user):
+        with pytest.raises(ValidationError, match=f"user {user!r} is not a str"):
+            store.insert_batch([make_record(user=user)])
+        assert store.count() == 0
+
 
 class TestFetchFilters:
     def populate(self, store):
@@ -120,6 +126,29 @@ class TestFetchFilters:
         self.populate(store)
         got = store.fetch(id_range=(2, 4))
         assert [r.record_id for r in got] == [2, 3, 4]
+
+    def test_numpy_integer_filters_match_python_ints(self, store):
+        self.populate(store)
+        assert store.fetch(label=np.int64(3)) == store.fetch(label=3) != []
+        assert store.fetch(id_range=(np.int64(2), np.uint64(4))) == store.fetch(id_range=(2, 4))
+        assert store.fetch(id_range=[2, 4]) == store.fetch(id_range=(2, 4)) != []
+
+    @pytest.mark.parametrize("query, field", [
+        ({"label": "3"}, "label"), ({"label": 3.0}, "label"), ({"label": [3]}, "label"),
+        ({"id_range": (1,)}, "id_range"), ({"id_range": (1, 2, 3)}, "id_range"),
+        ({"id_range": 4}, "id_range"), ({"id_range": (1, "4")}, "id_range high"),
+        ({"id_range": (1.0, 4)}, "id_range low"), ({"user": 123}, "user"),
+        ({"user": b"u1"}, "user"),
+    ])
+    def test_malformed_filter_names_its_field(self, store, query, field):
+        self.populate(store)
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            store.fetch(**query)
+
+    @pytest.mark.parametrize("label", [-1, 7, 2**70, -(2**70)])
+    def test_label_outside_the_codes_matches_nothing(self, store, label):
+        self.populate(store)
+        assert store.fetch(label=label) == []
 
     def test_count_equals_unfiltered_fetch(self, store):
         self.populate(store)

@@ -34,6 +34,19 @@ def fetched(tmp_path):
     return store
 
 
+@pytest.fixture(params=["vlvs", "sql"])
+def either_fetched(request, fetched):
+    """fetched, or a sqlite store that holds the same six records."""
+    if request.param == "vlvs":
+        yield fetched
+        return
+    store = SqlVectorStore(sqlite3.connect(":memory:"))
+    store.init_schema()
+    store.insert_batch(make_records(6, seed=1))
+    yield store
+    store.close()
+
+
 def fresh_fetch(path, **query):
     return FileVectorStore(path).fetch(**query)
 
@@ -88,9 +101,9 @@ def test_non_utf8_user_raises_on_first_fetch_and_on_repeat(fetched):
 
 @pytest.mark.parametrize("lo", [-(2**70), -1, 0, 3, 2**64 - 1, 2**64, 2**70])
 @pytest.mark.parametrize("hi", [-(2**70), -1, 0, 4, 2**64 - 1, 2**64, 2**70])
-def test_id_range_beyond_u64_compares_as_python_ints(fetched, lo, hi):
-    everything = fetched.fetch()
-    assert fetched.fetch(id_range=(lo, hi)) == \
+def test_id_range_beyond_u64_compares_as_python_ints(either_fetched, lo, hi):
+    everything = either_fetched.fetch()
+    assert either_fetched.fetch(id_range=(lo, hi)) == \
         [r for r in everything if lo <= r.record_id <= hi]
 
 

@@ -12,6 +12,7 @@ from veclstm.vectorizer import (
     NormalizationStats,
     VectorizationConfig,
     cell_index,
+    column_bounds,
     fit_stats,
     histogram2d,
     impute_missing,
@@ -26,13 +27,13 @@ from _oracles import add_at_histogram, brute_force_histogram, self_fitting_vecto
 
 
 def columns(points):
-    """(lat, lon, alt) columns of a list of (lat, lon, alt) rows."""
-    return np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+    """(lat, lon) columns of a list of (lat, lon, alt) rows."""
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3).T[:2]
 
 
-def own_cells(lat, lon, alt, config=VectorizationConfig()):
+def own_cells(lat, lon, config=VectorizationConfig()):
     """Each sample's flat cell, binned against the samples' own bounds."""
-    return sample_cell_grids(lat, lon, fit_stats(lat, lon, alt), config)
+    return sample_cell_grids(lat, lon, fit_stats(lat, lon), config)
 
 
 def normalized(lat, lon, stats, config=VectorizationConfig()):
@@ -46,19 +47,22 @@ class TestFitStats:
         stats = fit_stats(*columns([(0, 0, 0), (1, 2, 3)]))
         assert stats.bounds("lat") == (0, 1)
         assert stats.bounds("lon") == (0, 2)
-        assert stats.bounds("alt") == (0, 3)
 
     def test_single_point(self):
         stats = fit_stats(*columns([(5.0, 6.0, 7.0)]))
         assert stats.bounds("lat") == (5.0, 5.0)
 
-    def test_all_missing_altitude_falls_back(self):
-        stats = fit_stats(*columns([(1, 2, MISSING), (3, 4, MISSING)]))
-        assert stats.bounds("alt") == (0.0, 1.0)
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             fit_stats(*columns([]))
+
+
+class TestColumnBounds:
+    def test_basic_min_max(self):
+        assert column_bounds(np.array([0.0, 3.0, MISSING, 1.0])) == (0.0, 3.0)
+
+    def test_all_missing_falls_back(self):
+        assert column_bounds(np.array([MISSING, MISSING])) == (0.0, 1.0)
 
 
 class TestNormalize:
@@ -115,9 +119,9 @@ class TestColumnMatchesPerSample:
     @staticmethod
     def stats(lat, lon, bounds):
         if bounds is None:
-            return fit_stats(lat, lon, np.zeros_like(lat))
+            return fit_stats(lat, lon)
         (lat_lo, lat_hi), (lon_lo, lon_hi) = bounds
-        return NormalizationStats(lat_lo, lat_hi, lon_lo, lon_hi, 0.0, 1.0)
+        return NormalizationStats(lat_lo, lat_hi, lon_lo, lon_hi)
 
     @settings(max_examples=200, deadline=None)
     @given(cols=LAT_LON, bounds=BOUNDS, missing_default=st.sampled_from([0.0, 0.5, 1.0]))
@@ -199,8 +203,7 @@ class TestHistogram:
         lat = np.concatenate(([0.0, 1.0, np.nan, 0.0, 1.0], rng.uniform(size=300)))
         lon = np.concatenate(([1.0, 0.0, 0.0, np.nan, np.nan], rng.uniform(size=300)))
         lat[rng.choice(lat.size, 30)] = np.nan
-        alt = np.zeros_like(lat)
-        stats = fit_stats(lat, lon, alt)
+        stats = fit_stats(lat, lon)
         for missing_default in (0.0, 0.5, 1.0):
             config = VectorizationConfig(grid_size, missing_default, value_mode)
             norm_lat, norm_lon = normalized(lat, lon, stats, config)
@@ -305,14 +308,14 @@ class TestVectorizeMetadata:
                st.lists(st.one_of(st.just(MISSING), st.floats(-1e3, 1e3)),
                         min_size=n, max_size=n),
                st.floats(-1e3, 1e3).map(lambda v: [v] * n),  # a constant column
-               st.just([MISSING] * n)) for _ in range(3)])),
+               st.just([MISSING] * n)) for _ in range(2)])),
            grid_size=st.sampled_from([1, 10, 37]), missing_default=st.sampled_from([0.0, 1.0]))
     def test_composition_matches_the_self_fitting_oracle(self, cols, grid_size,
                                                          missing_default):
-        lat, lon, alt = (np.array(col, dtype=np.float64) for col in cols)
+        lat, lon = (np.array(col, dtype=np.float64) for col in cols)
         config = VectorizationConfig(grid_size=grid_size, missing_default=missing_default)
-        got = vectorize_metadata(own_cells(lat, lon, alt, config))
-        want = self_fitting_vectorize_metadata(lat, lon, alt, config)
+        got = vectorize_metadata(own_cells(lat, lon, config))
+        want = self_fitting_vectorize_metadata(lat, lon, config)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

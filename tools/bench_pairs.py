@@ -18,7 +18,12 @@ over the pairs and the number of pairs the change won (a tie counts for
 neither side). ``claim_met`` applies the gain rule: the change wins at
 least nine tenths of the pairs, the medians differ by more than the
 distance between the parent's quartiles, and the change fails no more
-operations than the parent.
+operations than the parent. ``verdict`` applies the no-regression rule
+against the metric's ``bound`` in ``BENCHMARK.json``, both relative to
+the parent's median (Hoefler & Belli, SC 2015): ``unresolved`` when the
+parent's quartiles lie further apart than the bound and not every change
+run beats every parent run, else ``worse`` when the change's median is
+worse than the parent's by more than the bound, else ``within_bound``.
 """
 
 from __future__ import annotations
@@ -90,11 +95,12 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and pair wins.
+    """Per end-to-end metric: each side's median and quartiles, pair wins,
+    the gain claim and the no-regression verdict.
 
     runs maps "parent" and "change" to equally long lists of run records
     in pair order, each with its "metrics" and its "failed" count;
-    metrics are BENCHMARK.json's end-to-end entries.
+    metrics are BENCHMARK.json's end-to-end entries, each with its bound.
     """
     failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     out = {}
@@ -107,12 +113,22 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         entry = {side: {**_spread(values[side]), "values": values[side]} for side in SIDES}
         parent_iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
         gap = entry["parent"]["median"] - entry["change"]["median"]
+        beats_all = (max(values["change"]) < min(values["parent"]) if lower
+                     else min(values["change"]) > max(values["parent"]))
+        scale = abs(entry["parent"]["median"])
+        if parent_iqr > metric["bound"] * scale and not beats_all:
+            verdict = "unresolved"
+        elif (-gap if lower else gap) > metric["bound"] * scale:
+            verdict = "worse"
+        else:
+            verdict = "within_bound"
         entry.update(
             unit=metric["unit"], better=metric["better"], pairs=len(pairs),
             change_wins=int(wins), parent_wins=int(losses),
             claim_met=bool(wins >= 0.9 * len(pairs)
                            and (gap if lower else -gap) > parent_iqr
                            and failed["change"] <= failed["parent"]),
+            verdict=verdict,
         )
         out[name] = entry
     return out
